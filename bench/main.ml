@@ -331,7 +331,8 @@ let table2 ms =
     ];
   Format.printf
     "@.Quantitative companion: demand-driven CFL (DQ, 1 thread) vs \
-     whole-program Andersen on the same PAGs:@.@.";
+     whole-program Andersen (worklist) and the bitset kernel (2 threads) on \
+     the same PAGs:@.@.";
   let sample =
     List.filter
       (fun m ->
@@ -348,15 +349,15 @@ let table2 ms =
         let a = P.Andersen.solve pag in
         let t_and = Sys.time () -. t0 in
         let t0 = Sys.time () in
-        let ap = P.Andersen_par.solve ~threads:2 pag in
-        let t_andp = Sys.time () -. t0 in
+        let k = P.Matrix.solve ~threads:2 pag in
+        let t_kernel = Sys.time () -. t0 in
         let dq = Lazy.force m.dq1_real in
         [
           m.bench.P.Suite.profile.P.Profile.name;
           T.fmt_float ~decimals:3 t_and;
           string_of_int (P.Andersen.iterations a);
-          T.fmt_float ~decimals:3 t_andp;
-          string_of_int (P.Andersen_par.rounds ap);
+          T.fmt_float ~decimals:3 t_kernel;
+          string_of_int (P.Matrix.rounds k);
           T.fmt_float ~decimals:3 dq.P.Report.r_wall_seconds;
           T.fmt_int (Array.length m.bench.P.Suite.queries);
         ])
@@ -365,7 +366,7 @@ let table2 ms =
   T.render
     ~header:
       [
-        "Benchmark"; "And.seq(s)"; "pops"; "And.par(s)"; "rounds";
+        "Benchmark"; "And.seq(s)"; "pops"; "Kernel/2(s)"; "rounds";
         "CFL DQ/1(s)"; "#queries";
       ]
     Format.std_formatter rows
@@ -1521,25 +1522,23 @@ let serve_oracle ms =
     Format.std_formatter rows
 
 (* ------------------------------------------------------------------ *)
-(* Service: the explain tier. Measures the traced re-derivation's p95   *)
-(* against the plain serve path, and proves the witness index is free   *)
-(* on the hot path: the same 400-query mix runs on a cold service and   *)
-(* on one whose index was populated by a batch of explains — the two    *)
-(* p95s must agree (regress.ml holds them together).                    *)
+(* Service: the explain tier. One fact per sampled variable of the     *)
+(* 400-query mix goes through the explain verb on a live service; the   *)
+(* traced re-derivation's p95 and the found count are gated.            *)
 
 let explain_entries : P.Json.t list ref = ref []
 
 let serve_explain ms =
   let ms = ablation_sample ms in
-  Format.printf
-    "@.== Service: explain tier and the witness/dependency index ==@.@.";
+  Format.printf "@.== Service: explain tier ==@.@.";
   let rows =
     List.map
       (fun m ->
         let b = m.bench in
         let name = b.P.Suite.profile.P.Profile.name in
         let mix = P.Suite.query_mix b ~n:400 in
-        let mk_service () =
+        let t0 = Unix.gettimeofday () in
+        let svc =
           P.Service.create
             ~config:
               {
@@ -1553,41 +1552,6 @@ let serve_explain ms =
               }
             ~type_level:b.P.Suite.type_level b.P.Suite.pag
         in
-        let drive service =
-          let lats = ref [] in
-          let note = function
-            | P.Svc_protocol.Answer { latency_us; _ }
-            | P.Svc_protocol.Timeout { latency_us; _ } ->
-                lats := latency_us :: !lats
-            | _ -> ()
-          in
-          Array.iteri
-            (fun i v ->
-              P.Service.submit service ~now:(Unix.gettimeofday ())
-                ~respond:note
-                (P.Svc_protocol.Query
-                   {
-                     id = i;
-                     var = Printf.sprintf "#%d" v;
-                     budget = None;
-                     deadline_ms = None;
-                     trace = None;
-                   });
-              ignore (P.Service.pump service ~now:(Unix.gettimeofday ())))
-            mix;
-          P.Service.drain service ~now:(Unix.gettimeofday ());
-          !lats
-        in
-        let t0 = Unix.gettimeofday () in
-        (* Control arm: the mix against a service whose index is empty. *)
-        let plain = mk_service () in
-        let serve_plain_p95 = p95_us (drive plain) in
-        P.Service.shutdown plain;
-        (* Explain arm: populate the index by explaining one fact per
-           sampled variable, then rerun the identical mix on the same
-           service — any hot-path cost of the resident index shows as a
-           p95 gap against the control arm. *)
-        let svc = mk_service () in
         let sample =
           Array.to_list mix |> List.sort_uniq compare
           |> List.filteri (fun i _ -> i < 32)
@@ -1623,10 +1587,6 @@ let serve_explain ms =
                  });
             ignore (P.Service.pump svc ~now:(Unix.gettimeofday ())))
           facts;
-        let idx = P.Service.witness_index svc in
-        let indexed_entries = P.Provenance.entries idx in
-        let postings_bytes = P.Provenance.bytes idx in
-        let serve_indexed_p95 = p95_us (drive svc) in
         P.Service.shutdown svc;
         let wall = Unix.gettimeofday () -. t0 in
         let explain_p95 = p95_us !explain_lats in
@@ -1635,14 +1595,9 @@ let serve_explain ms =
             [
               ("section", P.Json.String "serve_explain");
               ("bench", P.Json.String name);
-              ("requests", P.Json.Int (Array.length mix));
               ("explains", P.Json.Int (List.length facts));
               ("explains_found", P.Json.Int !found);
               ("explain_p95_us", P.Json.Float explain_p95);
-              ("serve_plain_p95_us", P.Json.Float serve_plain_p95);
-              ("serve_indexed_p95_us", P.Json.Float serve_indexed_p95);
-              ("indexed_entries", P.Json.Int indexed_entries);
-              ("postings_bytes", P.Json.Int postings_bytes);
               ("wall_seconds", P.Json.Float wall);
             ]
           :: !explain_entries;
@@ -1651,19 +1606,11 @@ let serve_explain ms =
           string_of_int (List.length facts);
           string_of_int !found;
           T.fmt_float ~decimals:1 explain_p95;
-          T.fmt_float ~decimals:1 serve_plain_p95;
-          T.fmt_float ~decimals:1 serve_indexed_p95;
-          string_of_int indexed_entries;
-          T.fmt_int postings_bytes;
         ])
       ms
   in
   T.render
-    ~header:
-      [
-        "Benchmark"; "#expl"; "found"; "explain p95 us"; "plain p95 us";
-        "indexed p95 us"; "entries"; "bytes";
-      ]
+    ~header:[ "Benchmark"; "#expl"; "found"; "explain p95 us" ]
     Format.std_formatter rows
 
 (* ------------------------------------------------------------------ *)

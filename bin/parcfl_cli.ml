@@ -454,16 +454,6 @@ let serve_cmd =
     let doc = "Slow-query flight recorder capacity (worst queries kept)." in
     Arg.(value & opt int 32 & info [ "slowlog-cap" ] ~docv:"N" ~doc)
   in
-  let witness_bytes_arg =
-    let doc =
-      "Byte budget for the witness/dependency index fed by the \
-       $(b,explain) verb (per-answer PAG edge postings, shed LRU-first)."
-    in
-    Arg.(
-      value
-      & opt int P.Provenance.default_byte_budget
-      & info [ "witness-bytes" ] ~docv:"BYTES" ~doc)
-  in
   let wd_stall_arg =
     let doc =
       "Liveness watchdog: max seconds without worker progress (while \
@@ -558,7 +548,7 @@ let serve_cmd =
       value & opt (some string) None & info [ "snapshot-in" ] ~docv:"FILE" ~doc)
   in
   let run bench mode threads budget socket stdio max_batch window_ms queue_cap
-      cache_cap slowlog_cap witness_bytes wd_stall_s wd_starvation_s
+      cache_cap slowlog_cap wd_stall_s wd_starvation_s
       metrics_socket preseed insensitive oracle oracle_snapshot_out
       oracle_snapshot_in snapshot_out snapshot_in trace_out bench_json =
     match build_bench bench with
@@ -592,7 +582,6 @@ let serve_cmd =
             slowlog_capacity = slowlog_cap;
             wd_stall_s;
             wd_starvation_s;
-            witness_bytes;
           }
         in
         let service =
@@ -715,7 +704,7 @@ let serve_cmd =
     Term.(
       const run $ bench_arg $ mode_arg $ threads_arg $ budget_arg $ socket_arg
       $ stdio_arg $ max_batch_arg $ window_arg $ queue_cap_arg $ cache_cap_arg
-      $ slowlog_cap_arg $ witness_bytes_arg $ wd_stall_arg $ wd_starvation_arg
+      $ slowlog_cap_arg $ wd_stall_arg $ wd_starvation_arg
       $ metrics_socket_arg
       $ preseed_arg $ serve_insensitive_arg $ oracle_arg
       $ oracle_snapshot_out_arg $ oracle_snapshot_in_arg $ snapshot_out_arg

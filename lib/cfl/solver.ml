@@ -976,54 +976,12 @@ let witness_of_trace tr o =
           obj_ctx = Ctx.unsafe_of_int obj_ctx;
         }
 
-(* Every PAG edge the traced traversal recorded, as sorted-unique stable
-   edge ids: one edge per parent entry (two for heap steps — the matched
-   load and store), plus the allocation edge behind every recorded fact.
-   This is the answer's dependency footprint — the postings the witness
-   index stores and ROADMAP item 1's delta layer will consult. Nested
-   alias-test traversals are not traced (the heap prov already names the
-   matched load/store pair), so the footprint covers the outermost
-   derivation. *)
-let deps_of_trace pag tr =
-  let ids = Hashtbl.create 256 in
-  let add e =
-    match Pag.edge_id pag e with
-    | Some id -> Hashtbl.replace ids id ()
-    | None -> ()
-  in
-  Int_table.iter
-    (fun k prov ->
-      let v = Pack.hi k in
-      match prov with
-      | P_start -> ()
-      | P_assign (pv, _) -> add (Pag.Assign { dst = pv; src = v })
-      | P_global (pv, _) -> add (Pag.Assign_global { dst = pv; src = v })
-      | P_param (i, pv, _) -> add (Pag.Param { dst = pv; site = i; src = v })
-      | P_ret (i, pv, _) -> add (Pag.Ret { dst = pv; site = i; src = v })
-      | P_heap { p_var; field; load_base; store_base; _ } ->
-          add (Pag.Load { dst = p_var; base = load_base; field });
-          add (Pag.Store { base = store_base; field; src = v }))
-    tr.parents;
-  Hashtbl.iter
-    (fun fk (hx, _) -> add (Pag.New { dst = hx; obj = Pack.hi fk }))
-    tr.facts;
-  let arr = Array.of_seq (Hashtbl.to_seq_keys ids) in
-  Array.sort compare arr;
-  arr
-
 (* Explain why [l] may point to [o]: one traced re-run, then the parent
    walk. *)
 let explain ?(worker = 0) s l o =
   match traced_run s worker l with
   | None -> None
   | Some tr -> witness_of_trace tr o
-
-(* [explain] plus the traced answer's full dependency footprint, from the
-   same single traced run. *)
-let explain_deps ?(worker = 0) s l o =
-  match traced_run s worker l with
-  | None -> (None, [||])
-  | Some tr -> (witness_of_trace tr o, deps_of_trace s.pag tr)
 
 let may_alias ?(worker = 0) s v1 v2 =
   let o1 = points_to ~worker s v1 in

@@ -148,17 +148,3 @@ val explain :
 (** [explain s l o] re-runs the query with provenance tracing (data sharing
     disabled for this query) and returns a witness path when [o] is indeed
     in [l]'s points-to set within budget; [None] otherwise. *)
-
-val explain_deps :
-  ?worker:int ->
-  session ->
-  Parcfl_pag.Pag.var ->
-  Parcfl_pag.Pag.obj ->
-  Witness.t option * int array
-(** [explain] plus the traced answer's dependency footprint from the same
-    single traced run: every PAG edge the outermost derivation recorded
-    (assign/global/param/ret parents, matched load/store pairs, allocation
-    edges behind each fact) as sorted-unique stable edge ids. The array is
-    the whole answer's footprint — it does not depend on which object was
-    asked about — and is what the service's witness index stores. Empty
-    when the traced run exhausts its budget. *)

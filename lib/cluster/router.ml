@@ -4,7 +4,10 @@ module Tracer = Parcfl_obs.Tracer
 module Registry = Parcfl_telemetry.Registry
 module Expo = Parcfl_telemetry.Expo
 
-let max_line = 1 lsl 20
+(* Backend reply lines may be far longer than requests (a federated
+   exposition, a snapshot body); client lines use the protocol's request
+   limit, the same one every replica enforces. *)
+let max_reply_line = 1 lsl 20
 
 type config = {
   poll_interval : float;  (* seconds between health-poll rounds *)
@@ -449,8 +452,8 @@ and route t client req =
       t.stopping <- true
   | Proto.Query { var; _ } | Proto.Explain { var; _ } -> (
       (* Both resolve a variable and go to the shard that owns its
-         component: a query for the answer, an explain for the answer's
-         provenance — the witness index lives where the answer does. *)
+         component: a query for the answer, an explain for its witness
+         chain — re-derived where the answer's component lives. *)
       let accept_us = if t.on_span = None then 0.0 else now_us () in
       match t.resolve var with
       | Error reason ->
@@ -505,25 +508,35 @@ and forward t client req idx ~var ~accept_us ~route_us =
         | Proto.Query q -> Proto.Query { q with trace = Some orig_id }
         | r -> r
       in
-      let line = Proto.request_to_string wire ^ "\n" in
-      let forward_us = if t.on_span = None then 0.0 else now_us () in
-      let p =
-        {
-          p_client = client;
-          p_orig_id = orig_id;
-          p_request = req;
-          p_backend = idx;
-          p_var = var;
-          p_accept_us = accept_us;
-          p_route_us = route_us;
-          p_forward_us = forward_us;
-        }
-      in
-      Hashtbl.replace t.inflight rid p;
-      if not (backend_send t t.backends.(idx) line) then
-        (* backend_died already replayed the inflight table — including
-           this request, which it re-routed or error-answered. *)
-        ()
+      let line = Proto.request_to_string wire in
+      if String.length line > Proto.max_request_line then
+        (* The rewritten id and the added trace option can push a line
+           that fit the client limit past the replica's; refuse it here
+           instead of letting the replica drop the backend connection. *)
+        client_send client
+          (Proto.Error
+             { id = Some orig_id; reason = "request line too long" })
+      else begin
+        let line = line ^ "\n" in
+        let forward_us = if t.on_span = None then 0.0 else now_us () in
+        let p =
+          {
+            p_client = client;
+            p_orig_id = orig_id;
+            p_request = req;
+            p_backend = idx;
+            p_var = var;
+            p_accept_us = accept_us;
+            p_route_us = route_us;
+            p_forward_us = forward_us;
+          }
+        in
+        Hashtbl.replace t.inflight rid p;
+        if not (backend_send t t.backends.(idx) line) then
+          (* backend_died already replayed the inflight table — including
+             this request, which it re-routed or error-answered. *)
+          ()
+      end
 
 and scatter t client req =
   match Proto.request_id req with
@@ -733,16 +746,15 @@ let handle_backend_line t b line =
                          reply is dropped, never double-delivered. *)
                       ()))))
 
-let feed_lines buf chunk ~on_line ~on_overflow =
+let feed_lines ~max_line buf chunk ~on_line ~on_overflow =
   Buffer.add_string buf chunk;
   let data = Buffer.contents buf in
   Buffer.clear buf;
   let parts = String.split_on_char '\n' data in
   let rec go = function
     | [] -> ()
-    | [ last ] ->
-        if String.length last > max_line then on_overflow ()
-        else Buffer.add_string buf last
+    | line :: _ when String.length line > max_line -> on_overflow ()
+    | [ last ] -> Buffer.add_string buf last
     | line :: rest ->
         let line =
           let n = String.length line in
@@ -759,7 +771,7 @@ let read_backend t b fd =
   match Unix.read fd bytes 0 4096 with
   | 0 -> backend_died t b "closed its connection"
   | n ->
-      feed_lines b.b_buf
+      feed_lines ~max_line:max_reply_line b.b_buf
         (Bytes.sub_string bytes 0 n)
         ~on_line:(fun line -> handle_backend_line t b line)
         ~on_overflow:(fun () -> backend_died t b "reply line too long")
@@ -781,7 +793,7 @@ let read_client t client =
   match Unix.read client.c_fd bytes 0 4096 with
   | 0 -> client.c_alive <- false
   | n ->
-      feed_lines client.c_buf
+      feed_lines ~max_line:Proto.max_request_line client.c_buf
         (Bytes.sub_string bytes 0 n)
         ~on_line:(fun line -> handle_client_line t client line)
         ~on_overflow:(fun () ->
@@ -876,7 +888,11 @@ let serve ?config ?on_span ~socket_path ~shard_map ~resolve replicas =
   t.next_rebalance <- Unix.gettimeofday () +. t.config.rebalance_interval;
   log "serving %s over %d replicas" socket_path (Array.length t.backends);
   while not t.stopping do
-    t.clients <- List.filter (fun c -> c.c_alive) t.clients;
+    let live, dead = List.partition (fun c -> c.c_alive) t.clients in
+    List.iter
+      (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ())
+      dead;
+    t.clients <- live;
     let now = Unix.gettimeofday () in
     if now >= t.next_poll then begin
       poll_health t ~now;

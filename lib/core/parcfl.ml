@@ -15,7 +15,9 @@
     - {!Schedule} — query scheduling (grouping, CD, DD);
     - {!Mode}, {!Runner}, {!Report} — the four execution configurations,
       real parallel execution, and the multicore simulator;
-    - {!Andersen}, {!Andersen_par} — the whole-program baseline/oracle;
+    - {!Andersen} — the whole-program baseline (a worklist reference);
+    - {!Matrix} — the whole-program bitset CFL kernel (sequential or
+      round-parallel), which feeds the jmp preseed and the oracle;
     - {!Oracle} — the O(1) pair-query oracle: offline Dyck decomposition
       of the CI relation with shared-row compression, the service's first
       answer tier;
@@ -87,14 +89,10 @@ module Sim_store = Parcfl_par.Sim_store
 
 (* Baseline *)
 module Andersen = Parcfl_andersen.Solver
-module Andersen_par = Parcfl_andersen.Par_solver
 module Constraints = Parcfl_andersen.Constraints
 module Matrix = Parcfl_matrix.Kernel
 module Matrix_seed = Parcfl_matrix.Seed
 module Oracle = Parcfl_oracle.Oracle
-
-(* Provenance *)
-module Provenance = Parcfl_provenance.Index
 
 (* Clients *)
 module Client_session = Parcfl_clients.Client_session

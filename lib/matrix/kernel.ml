@@ -15,11 +15,11 @@ module Constraints = Parcfl_andersen.Constraints
    Each BSP round multiplies the dirty vector from the previous round
    against [pred]: a node whose in-edge row intersects the dirty vector
    re-unions the rows of its dirty predecessors. Complex (load/store)
-   constraints inject new [pred] bits between rounds, exactly like the
-   frontier solver in {!Parcfl_andersen.Par_solver} — but where that solver
-   walks explicit successor lists, this one is driven entirely by row
-   intersection against the dirty vector, which is what makes the union
-   and candidate-selection loops word-parallel. *)
+   constraints inject new [pred] bits between rounds. Where the worklist
+   reference {!Parcfl_andersen.Solver} walks explicit successor lists,
+   this kernel is driven entirely by row intersection against the dirty
+   vector, which is what makes the union and candidate-selection loops
+   word-parallel. *)
 
 type t = {
   n_vars : int;

@@ -193,8 +193,8 @@ val n_fields : t -> int
     its relation's cumulative base plus its position in the relation's
     in-side CSR payload ([store] keyed by source, everything else by
     destination). Ids cover [0 .. n_edges-1], never change after
-    {!Build.freeze}, and are the currency of the provenance/witness index
-    ({!Parcfl_provenance.Index}). Cold path only — resolution scans one CSR
+    {!Build.freeze}, and are what witness chains and their machine replay
+    name edges by. Cold path only — resolution scans one CSR
     row ({!edge_id}) or binary-searches the offsets ({!edge_of_id}). *)
 
 val edge_id : t -> edge -> int option

@@ -93,15 +93,14 @@ let ctx_store t = t.ctx_store
 (* Answer provenance: one traced re-derivation on a fresh hookless session
    (Algorithm 1 — replayed jmp shortcuts carry no provenance to record)
    over the live PAG and context store, under the engine's own solver
-   config. Returns the witness for [obj] — when it is in [var]'s points-to
-   set within budget — plus the whole traversal's footprint as sorted PAG
-   edge ids (see {!Parcfl_cfl.Solver.explain_deps}). *)
+   config. Returns the witness for [obj] when it is in [var]'s points-to
+   set within budget. *)
 let explain t ~var ~obj =
   let s =
     Parcfl_cfl.Solver.make_session ~config:t.solver_config
       ~ctx_store:t.ctx_store t.pag
   in
-  Parcfl_cfl.Solver.explain_deps s var obj
+  Parcfl_cfl.Solver.explain s var obj
 
 let load t ?type_level pag =
   let type_level = Option.value type_level ~default:t.type_level in

@@ -47,13 +47,12 @@ val explain :
   t ->
   var:Parcfl_pag.Pag.var ->
   obj:Parcfl_pag.Pag.obj ->
-  Parcfl_cfl.Solver.Witness.t option * int array
+  Parcfl_cfl.Solver.Witness.t option
 (** Answer provenance: re-derive [var]'s points-to query with witness
     tracing on a fresh hookless session (sharing off — replayed shortcuts
     carry no provenance) and return the witness chain for [obj] — [None]
-    when [obj] is not in the set within budget — plus the {e whole}
-    traversal's footprint as sorted {!Parcfl_pag.Pag.edge_id}s. Runs on
-    the caller's thread; cold path by design. *)
+    when [obj] is not in the set within budget. Runs on the caller's
+    thread; cold path by design. *)
 
 val load : t -> ?type_level:(int -> int) -> Parcfl_pag.Pag.t -> unit
 (** Replace the loaded graph: bumps the generation, clears the jmp store

@@ -22,6 +22,8 @@ type request =
   | Ping of int
   | Quit
 
+let max_request_line = 65536
+
 let split_ws line =
   String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
 
@@ -94,6 +96,13 @@ let parse_request line =
             query|explain|stats|metrics|slowlog|health|drain|snapshot|ping|quit)"
            verb)
 
+(* Millisecond precision when it is exact, the shortest round-tripping
+   spelling otherwise: a proxy that re-serialises a parsed request must
+   not move its deadline. *)
+let float_token d =
+  let short = Printf.sprintf "%.3f" d in
+  if float_of_string short = d then short else Printf.sprintf "%.17g" d
+
 let request_to_string = function
   | Quit -> "quit"
   | Ping id -> Printf.sprintf "ping %d" id
@@ -112,7 +121,7 @@ let request_to_string = function
           | Some b -> Printf.sprintf " budget=%d" b
           | None -> "");
           (match deadline_ms with
-          | Some d -> Printf.sprintf " deadline_ms=%.3f" d
+          | Some d -> " deadline_ms=" ^ float_token d
           | None -> "");
           (match trace with
           | Some t -> Printf.sprintf " trace=%d" t

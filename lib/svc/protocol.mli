@@ -62,8 +62,16 @@ type request =
   | Ping of int
   | Quit  (** begin graceful drain and shut the server down *)
 
+val max_request_line : int
+(** The longest request line, in bytes without its newline, that any
+    transport accepts (64 KiB). Longer lines are answered with one
+    [request line too long] error and the connection is closed. The
+    server and the cluster router's client side share this limit, so a
+    line the router accepts is never refused by a replica. *)
+
 val parse_request : string -> (request, string) result
-(** One line, no trailing newline. *)
+(** One line, no trailing newline. Total: never raises, whatever the
+    bytes. *)
 
 val request_id : request -> int option
 (** The client-chosen correlation id; [None] only for [Quit]. A proxy
@@ -150,5 +158,6 @@ val response_to_string : response -> string
 val response_of_json : Parcfl_obs.Json.t -> (response, string) result
 
 val response_of_string : string -> (response, string) result
+(** Total: never raises, whatever the bytes. *)
 
 val response_id : response -> int option

@@ -1,5 +1,3 @@
-let max_line = 65536
-
 type conn = {
   fd : Unix.file_descr;
   out_fd : Unix.file_descr;
@@ -57,6 +55,8 @@ let handle_line t conn line =
     | Error reason ->
         respond_to conn (Protocol.Error { id = None; reason })
 
+(* A line over the limit — complete or still partial — gets one error and
+   ends the connection: the stream cannot be resynchronised mid-line. *)
 let feed t conn chunk =
   Buffer.add_string conn.buf chunk;
   let data = Buffer.contents conn.buf in
@@ -64,13 +64,11 @@ let feed t conn chunk =
   let parts = String.split_on_char '\n' data in
   let rec go = function
     | [] -> ()
-    | [ last ] ->
-        if String.length last > max_line then begin
-          respond_to conn
-            (Protocol.Error { id = None; reason = "request line too long" });
-          conn.alive <- false
-        end
-        else Buffer.add_string conn.buf last
+    | line :: _ when String.length line > Protocol.max_request_line ->
+        respond_to conn
+          (Protocol.Error { id = None; reason = "request line too long" });
+        conn.alive <- false
+    | [ last ] -> Buffer.add_string conn.buf last
     | line :: rest ->
         handle_line t conn line;
         go rest
@@ -157,7 +155,9 @@ let serve ?stdio ?socket_path ?metrics_socket_path service =
     (fun path -> t.metrics_fd <- Some (listen_unix path))
     metrics_socket_path;
   while not t.stopping do
-    t.conns <- List.filter (fun c -> c.alive) t.conns;
+    let live, dead = List.partition (fun c -> c.alive) t.conns in
+    List.iter close_conn dead;
+    t.conns <- live;
     let now = Unix.gettimeofday () in
     if Service.due t.service ~now then ignore (Service.pump t.service ~now);
     let read_fds =

@@ -3,7 +3,6 @@ module Ctx = Parcfl_pag.Ctx
 module Config = Parcfl_cfl.Config
 module Query = Parcfl_cfl.Query
 module Solver = Parcfl_cfl.Solver
-module Provenance = Parcfl_provenance.Index
 module Mode = Parcfl_par.Mode
 module Report = Parcfl_par.Report
 module Json = Parcfl_obs.Json
@@ -28,7 +27,6 @@ type config = {
   slowlog_capacity : int;
   wd_stall_s : float;
   wd_starvation_s : float;
-  witness_bytes : int;
 }
 
 let default_config =
@@ -48,7 +46,6 @@ let default_config =
     slowlog_capacity = 32;
     wd_stall_s = Watchdog.default_config.Watchdog.wd_stall_s;
     wd_starvation_s = Watchdog.default_config.Watchdog.wd_starvation_s;
-    witness_bytes = Provenance.default_byte_budget;
   }
 
 type pending = {
@@ -77,10 +74,6 @@ type t = {
   tracer : Tracer.t option;
   names : (string, Pag.var) Hashtbl.t;
   obj_names : (string, Pag.obj) Hashtbl.t;
-  witness : Provenance.t;
-      (* the bounded witness/dependency index: per-answer PAG edge postings
-         recorded by the explain verb — the reverse map an incremental
-         invalidator (ROADMAP item 1) walks from a mutated edge *)
   explain_hist : int array;  (* explain re-derivation latency, us, log2 *)
   chain_hist : int array;  (* witness chain depth, log2 *)
   (* Cumulative service-lifetime histograms (log2 buckets), folded in from
@@ -287,23 +280,9 @@ let register_collectors t =
           (stat (fun o ->
                float_of_int (Parcfl_oracle.Oracle.distinct_rows o)));
       ]);
-  (* Witness/dependency index (explain tier): the bounded per-answer PAG
-     edge postings plus the explain verb's own latency and chain-depth
-     histograms. *)
+  (* Explain verb: chain depth and re-derivation latency. *)
   Registry.register t.registry (fun () ->
       [
-        g ~name:"parcfl_witness_indexed_answers"
-          ~help:"Answers with a recorded dependency footprint"
-          (float_of_int (Provenance.entries t.witness));
-        g ~name:"parcfl_witness_postings_bytes"
-          ~help:"Bytes held by the sorted-int edge postings"
-          (float_of_int (Provenance.bytes t.witness));
-        g ~name:"parcfl_witness_byte_budget"
-          ~help:"Byte budget the postings are shed against"
-          (float_of_int (Provenance.byte_budget t.witness));
-        c ~name:"parcfl_witness_sheds_total"
-          ~help:"Postings dropped by LRU shedding or refused as oversized"
-          (float_of_int (Provenance.sheds t.witness));
         Expo.histogram_of_log2 ~name:"parcfl_witness_chain_depth"
           ~help:"Witness chain depth per successful explain (steps)"
           t.chain_hist;
@@ -367,9 +346,6 @@ let create ?(config = default_config) ?tracer ~type_level pag =
       tracer;
       names = index_names pag;
       obj_names = index_obj_names pag;
-      witness =
-        Provenance.create ~byte_budget:config.witness_bytes
-          ~generation:(Engine.generation engine) ();
       explain_hist = Array.make buckets 0;
       chain_hist = Array.make buckets 0;
       lat_hist = Array.make buckets 0;
@@ -427,18 +403,6 @@ let metrics_json t =
         | None -> Json.Null );
       ("threads", Json.Int (Engine.threads t.engine));
       ("mode", Json.String (Mode.to_string (Engine.mode t.engine)));
-      ( "witness",
-        Json.Obj
-          [
-            ("entries", Json.Int (Provenance.entries t.witness));
-            ("bytes", Json.Int (Provenance.bytes t.witness));
-            ("byte_budget", Json.Int (Provenance.byte_budget t.witness));
-            ("sheds", Json.Int (Provenance.sheds t.witness));
-            ( "explains_ok",
-              Json.Int (Metrics.get t.metrics Metrics.Explain_ok) );
-            ( "explains_miss",
-              Json.Int (Metrics.get t.metrics Metrics.Explain_miss) );
-          ] );
     ]
     @ (match Engine.oracle t.engine with
       | None -> [ ("oracle_live", Json.Int 0) ]
@@ -954,11 +918,10 @@ let observe_log2 hist v =
   let b = Histogram.bucket ~buckets:(Array.length hist) (max 0 v) in
   hist.(b) <- hist.(b) + 1
 
-(* The explain verb's engine side: re-derive with tracing, answer with the
-   chain, and feed the witness/dependency index with the derivation's PAG
-   edge footprint (the reverse map ROADMAP item 1's invalidator needs).
-   Synchronous and cold by design — the re-derivation shares nothing with
-   the hot answer tiers, so the serve path costs nothing for it. *)
+(* The explain verb's engine side: re-derive with tracing and answer with
+   the chain. Synchronous and cold by design — the re-derivation shares
+   nothing with the hot answer tiers, so the serve path costs nothing for
+   it. *)
 let explain t ~id ~var ~obj ~respond =
   match resolve t var with
   | Error reason -> respond (Protocol.Error { id = Some id; reason })
@@ -967,12 +930,9 @@ let explain t ~id ~var ~obj ~respond =
       | Error reason -> respond (Protocol.Error { id = Some id; reason })
       | Ok o ->
           let t0 = Unix.gettimeofday () in
-          let w, deps = Engine.explain t.engine ~var:v ~obj:o in
+          let w = Engine.explain t.engine ~var:v ~obj:o in
           let t1 = Unix.gettimeofday () in
           let latency_us = Float.max 0.0 ((t1 -. t0) *. 1e6) in
-          Provenance.note_generation t.witness (Engine.generation t.engine);
-          if Array.length deps > 0 then
-            ignore (Provenance.record t.witness ~var:v deps);
           observe_log2 t.explain_hist (int_of_float latency_us);
           note_point_trace t ~id ~trace:None ~var:v ~t0_us:(t0 *. 1e6)
             ~t1_us:(t1 *. 1e6);
@@ -1008,8 +968,6 @@ let explain t ~id ~var ~obj ~respond =
                   }
           in
           respond reply)
-
-let witness_index t = t.witness
 
 let submit t ~now ~respond req =
   match req with

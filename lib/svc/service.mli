@@ -64,18 +64,13 @@ type config = {
   slowlog_capacity : int;  (** flight-recorder bound (worst queries kept) *)
   wd_stall_s : float;  (** watchdog: max worker-heartbeat age under demand *)
   wd_starvation_s : float;  (** watchdog: max oldest-admitted wait *)
-  witness_bytes : int;
-      (** byte budget for the witness/dependency index: per-answer PAG
-          edge postings recorded by the [explain] verb, shed LRU-first
-          when the budget is exceeded (see {!Parcfl_provenance.Index}) *)
 }
 
 val default_config : config
 (** 4 threads, [Share_sched], batches of 64 / 10 ms, queue 1024, cache
     4096, budget and context sensitivity {!Parcfl_cfl.Config.default}'s,
     no preseed, no oracle, slowlog 32, watchdog
-    {!Watchdog.default_config}'s thresholds, witness index at
-    {!Parcfl_provenance.Index.default_byte_budget}. *)
+    {!Watchdog.default_config}'s thresholds. *)
 
 type t
 
@@ -129,13 +124,6 @@ val resolve : t -> string -> (Parcfl_pag.Pag.var, string) result
 
 val resolve_obj : t -> string -> (Parcfl_pag.Pag.obj, string) result
 (** Same resolution for allocation-site (object) names. *)
-
-val witness_index : t -> Parcfl_provenance.Index.t
-(** The bounded witness/dependency index: for every answer the [explain]
-    verb has re-derived, the sorted PAG edge ids its derivation touched —
-    the reverse map an incremental invalidator (ROADMAP item 1) walks from
-    a mutated edge to the answers it might change. Populated only by
-    [explain]; the hot serve path never writes it. *)
 
 val submit :
   t ->

@@ -7,15 +7,19 @@
       counts (cross-checked against direct per-replica scrapes), relabel
       per-replica gauges, and expose the router's own parcfl_router_*
       families;
-   2. pipeline a 400-query mix through the router socket, SIGKILL one
+   2. a request line over the protocol limit gets exactly one error from
+      the router and a closed connection, a line that only outgrows the
+      limit once forwarded gets an error with its id, and neither drains
+      a replica;
+   3. pipeline a 400-query mix through the router socket, SIGKILL one
       replica after the 150th answer, and require every one of the 400
       queries to come back as a correct answer (cross-checked against an
       in-process solve): the failover replay may move work — and the
       rebalancer may re-home components mid-run — never lose or corrupt
       it;
-   3. after the kill, `stats` and `slowlog` must federate over the
+   4. after the kill, `stats` and `slowlog` must federate over the
       surviving replica (replicas=1, entries tagged with their replica);
-   4. after quit, the merged cluster trace must show at least one request
+   5. after quit, the merged cluster trace must show at least one request
       id in both the router lane (pid 0) and a replica lane (pid >= 1).
 
    Usage: cluster_smoke.exe <path/to/parcfl_cli.exe> *)
@@ -72,6 +76,55 @@ let parse_exposition what text =
   | Ok fams -> fams
   | Error e -> fail "%s exposition does not parse: %s" what e
 
+let counter_total name fams =
+  let rec go = function
+    | [] -> fail "family %s missing from exposition" name
+    | P.Expo.Counter { name = n; samples; _ } :: _ when n = name ->
+        List.fold_left (fun acc s -> acc +. s.P.Expo.value) 0.0 samples
+    | _ :: rest -> go rest
+  in
+  go fams
+
+let write_all fd s =
+  let b = Bytes.of_string s in
+  let rec go off =
+    if off < Bytes.length b then
+      match Unix.write fd b off (Bytes.length b - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+          () (* the peer refused the rest; its reply is still readable *)
+  in
+  go 0
+
+(* Every reply line the peer sends until it closes the connection, or
+   [`Timeout] with the lines so far. *)
+let read_until_close fd ~timeout =
+  let stop = Unix.gettimeofday () +. timeout in
+  let buf = Buffer.create 256 in
+  let chunk = Bytes.create 4096 in
+  let lines () =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> "")
+  in
+  let rec go () =
+    let left = stop -. Unix.gettimeofday () in
+    if left <= 0.0 then `Timeout (lines ())
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> `Timeout (lines ())
+      | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> `Closed (lines ())
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              go ()
+          | exception Unix.Unix_error (ECONNRESET, _, _) -> `Closed (lines ()))
+      | exception Unix.Unix_error (EINTR, _, _) -> go ()
+  in
+  let r = go () in
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  r
+
 let hist_count name fams =
   let rec go = function
     | [] -> fail "family %s missing from exposition" name
@@ -85,6 +138,7 @@ let () =
   if Array.length Sys.argv < 2 then fail "usage: cluster_smoke <parcfl_cli.exe>";
   let cli = Sys.argv.(1) in
   if not (Sys.file_exists cli) then fail "no such binary %s" cli;
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
 
   let bench =
     match P.Suite.build_by_name "tiny" with
@@ -265,23 +319,71 @@ let () =
          (fun f -> P.Expo.family_name f = "parcfl_router_routed_total")
          fed)
   then fail "router families missing from the federated scrape";
-  (* The witness index shows in the federated scrape: a per-replica
-     gauge, and the explain above indexed one answer somewhere. *)
-  let witness_entries =
+  (* Explain shows in the federated scrape: the chain-depth histogram,
+     and the explain above observed one chain somewhere. *)
+  let chain_depths =
     List.concat_map
       (function
-        | P.Expo.Gauge { name = "parcfl_witness_indexed_answers"; samples; _ }
+        | P.Expo.Histogram { name = "parcfl_witness_chain_depth"; series; _ }
           ->
-            List.map (fun s -> s.P.Expo.value) samples
+            List.map (fun h -> h.P.Expo.h_count) series
         | _ -> [])
       fed
   in
-  if witness_entries = [] then
-    fail "parcfl_witness_indexed_answers missing from the federated scrape";
-  if List.fold_left ( +. ) 0.0 witness_entries < 1.0 then
-    fail "routed explain left no indexed answer in the federated scrape";
+  if chain_depths = [] then
+    fail "parcfl_witness_chain_depth missing from the federated scrape";
+  if List.fold_left ( + ) 0 chain_depths < 1 then
+    fail "routed explain observed no chain in the federated scrape";
 
-  (* ------------- phase 2: failover under pipelined load -------------- *)
+  (* ------------- phase 2: oversized request lines -------------------- *)
+
+  (* A line over the protocol's request limit is refused by the router
+     itself: exactly one error, then the connection closes. No replica
+     ever sees the line, so none is drained. *)
+  let big_fd = connect_path sock in
+  write_all big_fd
+    (Printf.sprintf "explain 3 #%d %s\n" explain_var
+       (String.make 100_000 'o'));
+  (match read_until_close big_fd ~timeout:10.0 with
+  | `Timeout got ->
+      fail "oversized line: no close within 10s (got %d lines)"
+        (List.length got)
+  | `Closed [ line ] -> (
+      match Proto.response_of_string line with
+      | Ok (Proto.Error { id = None; reason = "request line too long" }) -> ()
+      | _ -> fail "oversized line answered %S" line)
+  | `Closed lines ->
+      fail "oversized line got %d replies, want exactly one"
+        (List.length lines));
+  (* A line inside the limit whose forwarded form (longer replica id) is
+     not: the router answers it with the client's id and keeps the
+     connection. *)
+  let var = Printf.sprintf "#%d" explain_var in
+  let fits =
+    Proto.max_request_line - String.length (Printf.sprintf "explain 3 %s " var)
+  in
+  send (Proto.Explain { id = 3; var; obj = String.make fits 'o' });
+  (match recv () with
+  | Proto.Error { id = Some 3; reason = "request line too long" } -> ()
+  | r ->
+      fail "line over the limit once forwarded: got %s"
+        (Proto.response_to_string r));
+  send (Proto.Ping 8200);
+  (match recv () with
+  | Proto.Pong 8200 -> ()
+  | r -> fail "expected pong after refusal, got %s" (Proto.response_to_string r));
+  (* Several health-poll rounds later, both replicas are still live. *)
+  Unix.sleepf 0.5;
+  send (Proto.Metrics 8201);
+  (match recv () with
+  | Proto.Metrics_reply { id = 8201; body } ->
+      let fams = parse_exposition "federated" body in
+      let drains = counter_total "parcfl_router_drains_total" fams in
+      if drains <> 0.0 then
+        fail "oversized lines drained %.0f replica(s)" drains
+  | r -> fail "expected metrics, got %s" (Proto.response_to_string r));
+
+  (* ------------- phase 3: failover under pipelined load -------------- *)
 
   for i = 0 to n_requests - 1 do
     send
@@ -338,7 +440,7 @@ let () =
         fail "health report does not name the drained replica"
   | r -> fail "expected health, got %s" (Proto.response_to_string r));
 
-  (* --------- phase 3: federation over the surviving replica ---------- *)
+  (* --------- phase 4: federation over the surviving replica ---------- *)
 
   send (Proto.Stats 9100);
   (match recv () with
@@ -372,7 +474,7 @@ let () =
   | Unix.WSIGNALED n -> fail "cluster killed by signal %d" n
   | Unix.WSTOPPED n -> fail "cluster stopped by signal %d" n);
 
-  (* -------------- phase 4: the merged cluster trace ------------------ *)
+  (* -------------- phase 5: the merged cluster trace ------------------ *)
 
   let trace_text =
     match In_channel.with_open_bin trace_path In_channel.input_all with

@@ -1,7 +1,6 @@
 module Pag = Parcfl.Pag
 module B = Parcfl.Pag.Build
 module Andersen = Parcfl.Andersen
-module Andersen_par = Parcfl.Andersen_par
 module Constraints = Parcfl.Constraints
 
 let diamond () =
@@ -90,30 +89,6 @@ let test_heap_cycle () =
   let r = Andersen.solve pag in
   Alcotest.(check (list int)) "x -> {o}" [ o ] (Andersen.points_to_list r x)
 
-let par_equals_seq pag =
-  let seq = Andersen.solve pag in
-  List.for_all
-    (fun threads ->
-      let par = Andersen_par.solve ~threads pag in
-      let ok = ref true in
-      for v = 0 to Pag.n_vars pag - 1 do
-        if Andersen_par.points_to_list par v <> Andersen.points_to_list seq v
-        then ok := false
-      done;
-      !ok)
-    [ 1; 2; 3 ]
-
-let test_par_matches_seq_small () =
-  let pag, _ = diamond () in
-  Alcotest.(check bool) "parallel = sequential" true (par_equals_seq pag)
-
-let test_par_matches_seq_generated () =
-  let program = Parcfl.Genprog.generate Parcfl.Profile.tiny in
-  let cg = Parcfl.Callgraph.build program in
-  let l = Parcfl.Lower.lower program cg in
-  Alcotest.(check bool) "parallel = sequential (generated)" true
-    (par_equals_seq l.Parcfl.Lower.pag)
-
 let suite =
   ( "andersen",
     [
@@ -123,8 +98,4 @@ let suite =
       Alcotest.test_case "param/ret merge" `Quick test_param_ret_merge;
       Alcotest.test_case "copy cycle" `Quick test_cycle;
       Alcotest.test_case "heap cycle" `Quick test_heap_cycle;
-      Alcotest.test_case "parallel = sequential (small)" `Quick
-        test_par_matches_seq_small;
-      Alcotest.test_case "parallel = sequential (generated)" `Quick
-        test_par_matches_seq_generated;
     ] )

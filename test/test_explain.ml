@@ -2,16 +2,15 @@
 
    Three layers under test. (1) Stable edge ids: the dense CSR numbering
    round-trips through edge_id/edge_of_id on real and random graphs —
-   witnesses and the index speak this currency, so it must be total and
-   self-inverse. (2) The differential replay suite: every witness the
-   solver returns must re-derive its answer edge-by-edge against the
-   frozen PAG (Witness.replay), on every workload profile and on random
+   witnesses speak this currency, so it must be total and self-inverse.
+   (2) The differential replay suite: every witness the solver returns
+   must re-derive its answer edge-by-edge against the frozen PAG
+   (Witness.replay), on every workload profile and on random
    edge soups, context-insensitive and -sensitive — a witness that cannot
    be machine-checked is a story, not provenance. (3) The service tier:
-   the `explain` verb's wire chain, the bounded witness/dependency index
-   behind it (byte budget, LRU shedding, generation hygiene, reverse
-   lookup), and the satellite fix that oracle-tier answers — which never
-   form a batch — report zero queue/batch stamps in slowlog and spans. *)
+   the `explain` verb's wire chain and its metrics, and the rule that
+   oracle-tier answers — which never form a batch — report zero
+   queue/batch stamps in slowlog and spans. *)
 
 module P = Parcfl
 module Pag = P.Pag
@@ -20,7 +19,6 @@ module Solver = P.Solver
 module W = P.Solver.Witness
 module Proto = P.Svc_protocol
 module Json = P.Json
-module Prov = P.Provenance
 
 let tiny = lazy (Option.get (P.Suite.build_by_name "tiny"))
 
@@ -196,141 +194,6 @@ let prop_replay_random =
         [ false; true ];
       true)
 
-(* explain_deps: the footprint comes from the same traced run, so the
-   witness's own chain ids must all be inside it, and the array must be
-   sorted strictly ascending. *)
-let test_deps_cover_witness () =
-  let b = Lazy.force tiny in
-  let pag = b.P.Suite.pag in
-  let s = session pag in
-  let covered = ref 0 in
-  Array.iter
-    (fun v ->
-      match (Solver.points_to s v).Query.result with
-      | Query.Out_of_budget -> ()
-      | Query.Points_to pairs ->
-          List.iter
-            (fun (o, _) ->
-              match Solver.explain_deps s v o with
-              | None, _ -> ()
-              | Some w, deps ->
-                  incr covered;
-                  let n = Array.length deps in
-                  for i = 1 to n - 1 do
-                    if deps.(i - 1) >= deps.(i) then
-                      Alcotest.fail "deps not sorted strictly ascending"
-                  done;
-                  Array.iter
-                    (fun id -> ignore (Pag.edge_of_id pag id))
-                    deps;
-                  let mem id =
-                    let rec go lo hi =
-                      lo < hi
-                      &&
-                      let mid = (lo + hi) / 2 in
-                      if deps.(mid) = id then true
-                      else if deps.(mid) < id then go (mid + 1) hi
-                      else go lo mid
-                    in
-                    go 0 n
-                  in
-                  (match W.edge_ids pag w with
-                  | Ok ids ->
-                      List.iter
-                        (fun id ->
-                          if not (mem id) then
-                            Alcotest.failf
-                              "chain edge %d missing from the footprint" id)
-                        ids
-                  | Error e -> Alcotest.failf "chain has no ids: %s" e))
-            pairs)
-    b.P.Suite.queries;
-  Alcotest.(check bool) "some footprints checked" true (!covered > 0)
-
-(* ----------------------- provenance index -------------------------- *)
-
-let entry_bytes n = 48 + (8 * n)
-
-let test_index_basics () =
-  (match Prov.create ~byte_budget:0 ~generation:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero byte budget accepted");
-  let t = Prov.create ~byte_budget:4096 ~generation:3 () in
-  Alcotest.(check int) "fresh index is empty" 0 (Prov.entries t);
-  Alcotest.(check int) "fresh index holds no bytes" 0 (Prov.bytes t);
-  Alcotest.(check int) "budget visible" 4096 (Prov.byte_budget t);
-  Alcotest.(check int) "generation visible" 3 (Prov.generation t);
-  Alcotest.(check bool) "record accepts a footprint" true
-    (Prov.record t ~var:7 [| 1; 4; 9 |]);
-  Alcotest.(check bool) "membership" true (Prov.mem t ~var:7);
-  Alcotest.(check bool) "absent var" false (Prov.mem t ~var:8);
-  (match Prov.deps t ~var:7 with
-  | Some d -> Alcotest.(check (array int)) "deps round-trip" [| 1; 4; 9 |] d
-  | None -> Alcotest.fail "recorded footprint lost");
-  Alcotest.(check int) "bytes accounted" (entry_bytes 3) (Prov.bytes t);
-  (* Replacing an entry swaps its accounting instead of adding to it. *)
-  Alcotest.(check bool) "replace accepted" true
-    (Prov.record t ~var:7 [| 2; 3 |]);
-  Alcotest.(check int) "entries stable on replace" 1 (Prov.entries t);
-  Alcotest.(check int) "bytes follow the new footprint" (entry_bytes 2)
-    (Prov.bytes t);
-  (* Empty footprints carry nothing to invalidate on — refused. *)
-  Alcotest.(check bool) "empty footprint refused" false
-    (Prov.record t ~var:9 [||]);
-  Alcotest.(check bool) "refusal did not insert" false (Prov.mem t ~var:9);
-  Prov.clear t;
-  Alcotest.(check int) "clear empties" 0 (Prov.entries t);
-  Alcotest.(check int) "clear releases bytes" 0 (Prov.bytes t);
-  Alcotest.(check int) "clear is not a shed" 0 (Prov.sheds t)
-
-let test_index_shedding () =
-  (* Budget fits exactly two three-id entries. *)
-  let budget = 2 * entry_bytes 3 in
-  let t = Prov.create ~byte_budget:budget ~generation:0 () in
-  Alcotest.(check bool) "a" true (Prov.record t ~var:1 [| 0; 2; 4 |]);
-  Alcotest.(check bool) "b" true (Prov.record t ~var:2 [| 1; 3; 5 |]);
-  Alcotest.(check int) "both resident" 2 (Prov.entries t);
-  (* Touch var 1 so var 2 is the LRU victim. *)
-  ignore (Prov.deps t ~var:1);
-  Alcotest.(check bool) "c forces a shed" true
-    (Prov.record t ~var:3 [| 2; 4; 6 |]);
-  Alcotest.(check bool) "LRU victim gone" false (Prov.mem t ~var:2);
-  Alcotest.(check bool) "recently-used survivor" true (Prov.mem t ~var:1);
-  Alcotest.(check bool) "newcomer resident" true (Prov.mem t ~var:3);
-  Alcotest.(check int) "one shed counted" 1 (Prov.sheds t);
-  Alcotest.(check bool) "fits the budget" true (Prov.bytes t <= budget);
-  (* A footprint wider than the whole budget is refused, counted. *)
-  let huge = Array.init ((budget / 8) + 8) Fun.id in
-  Alcotest.(check bool) "oversize refused" false (Prov.record t ~var:4 huge);
-  Alcotest.(check bool) "refused footprint absent" false (Prov.mem t ~var:4);
-  Alcotest.(check int) "refusal counted as shed" 2 (Prov.sheds t);
-  Alcotest.(check bool) "residents survive a refusal" true
-    (Prov.mem t ~var:1 && Prov.mem t ~var:3)
-
-let test_index_reverse_and_generation () =
-  let t = Prov.create ~byte_budget:4096 ~generation:1 () in
-  ignore (Prov.record t ~var:5 [| 1; 3; 8 |]);
-  ignore (Prov.record t ~var:2 [| 3; 4 |]);
-  ignore (Prov.record t ~var:9 [| 0; 8 |]);
-  Alcotest.(check (list int)) "edge 3 supports 2 and 5" [ 2; 5 ]
-    (Prov.keys_touching t ~edge_id:3);
-  Alcotest.(check (list int)) "edge 8 supports 5 and 9" [ 5; 9 ]
-    (Prov.keys_touching t ~edge_id:8);
-  Alcotest.(check (list int)) "untouched edge supports nothing" []
-    (Prov.keys_touching t ~edge_id:7);
-  (* iter visits every entry exactly once. *)
-  let seen = ref [] in
-  Prov.iter (fun v _ -> seen := v :: !seen) t;
-  Alcotest.(check (list int)) "iter covers the index" [ 2; 5; 9 ]
-    (List.sort compare !seen);
-  (* Same generation: no-op. New generation: stale postings dropped. *)
-  Prov.note_generation t 1;
-  Alcotest.(check int) "same generation keeps entries" 3 (Prov.entries t);
-  Prov.note_generation t 2;
-  Alcotest.(check int) "new generation clears" 0 (Prov.entries t);
-  Alcotest.(check int) "generation adopted" 2 (Prov.generation t);
-  Alcotest.(check int) "generation clear is not a shed" 0 (Prov.sheds t)
-
 (* ----------------------- service explain verb ---------------------- *)
 
 let service_config =
@@ -369,27 +232,22 @@ let known_fact pag queries =
   | Some f -> f
   | None -> Alcotest.fail "tiny bench has no derivable fact"
 
-let counter_value fams name =
+let histogram_count fams name =
   List.fold_left
     (fun acc f ->
       match f with
-      | P.Expo.Counter { name = n; samples; _ } when n = name ->
-          List.fold_left (fun a s -> a +. s.P.Expo.value) acc samples
+      | P.Expo.Histogram { name = n; series; _ } when n = name ->
+          List.fold_left (fun a h -> a + h.P.Expo.h_count) acc series
       | _ -> acc)
-    0.0 fams
+    0 fams
 
-let stats_section stats name =
+let stats_int stats name =
   match stats with
   | Json.Obj fields -> (
       match List.assoc_opt name fields with
-      | Some (Json.Obj s) -> s
-      | _ -> Alcotest.failf "stats payload lacks a %S object" name)
+      | Some (Json.Int i) -> i
+      | _ -> Alcotest.failf "stats lack integer %S" name)
   | _ -> Alcotest.fail "stats payload is not an object"
-
-let stats_int fields name =
-  match List.assoc_opt name fields with
-  | Some (Json.Int i) -> i
-  | _ -> Alcotest.failf "witness stats lack integer %S" name
 
 let test_service_explain () =
   let b, svc = make_service () in
@@ -444,16 +302,6 @@ let test_service_explain () =
             edges
       | _ -> Alcotest.fail "found answer carries no chain")
   | r -> Alcotest.failf "unexpected reply %s" (Proto.response_to_string r));
-  (* The index now holds the answer's footprint. *)
-  let idx = P.Service.witness_index svc in
-  Alcotest.(check int) "one indexed answer" 1 (Prov.entries idx);
-  (match Prov.deps idx ~var:v with
-  | Some deps ->
-      Alcotest.(check bool) "footprint non-empty" true
-        (Array.length deps > 0);
-      Alcotest.(check (list int)) "reverse map finds the answer" [ v ]
-        (Prov.keys_touching idx ~edge_id:deps.(0))
-  | None -> Alcotest.fail "explained answer not indexed");
   (* A non-fact misses; the reply still names both endpoints. *)
   let missing =
     let s = session pag in
@@ -487,37 +335,24 @@ let test_service_explain () =
   (match submit_collect svc (Proto.Explain { id = 4; var; obj = "nope" }) with
   | Proto.Error { id = Some 4; _ } -> ()
   | r -> Alcotest.failf "unknown obj: %s" (Proto.response_to_string r));
-  (* Metrics: the counters moved and the witness families render. *)
+  (* Metrics: the counters moved and the explain histograms render. *)
+  let misses = if missing = None then 0 else 1 in
   let m = P.Service.metrics svc in
   Alcotest.(check int) "one explain hit" 1
     (P.Svc_metrics.get m P.Svc_metrics.Explain_ok);
   (match P.Expo.parse_families (P.Service.metrics_text svc) with
   | Ok fams ->
-      Alcotest.(check bool) "witness gauge exported" true
-        (List.exists
-           (fun f -> P.Expo.family_name f = "parcfl_witness_indexed_answers")
-           fams);
-      Alcotest.(check bool) "chain-depth histogram exported" true
-        (List.exists
-           (fun f -> P.Expo.family_name f = "parcfl_witness_chain_depth")
-           fams);
-      Alcotest.(check bool) "explain-latency histogram exported" true
-        (List.exists
-           (fun f ->
-             P.Expo.family_name f = "parcfl_witness_explain_latency_us")
-           fams);
-      Alcotest.(check (float 0.0)) "no sheds under the default budget" 0.0
-        (counter_value fams "parcfl_witness_sheds_total")
+      Alcotest.(check int) "chain depth observed once per hit" 1
+        (histogram_count fams "parcfl_witness_chain_depth");
+      Alcotest.(check int) "latency observed per resolved explain"
+        (1 + misses)
+        (histogram_count fams "parcfl_witness_explain_latency_us")
   | Error e -> Alcotest.failf "exposition does not parse: %s" e);
-  (* Stats payload: the witness section the dashboards scrape. *)
-  let w = stats_section (P.Service.metrics_json svc) "witness" in
-  Alcotest.(check int) "stats: indexed answers" 1 (stats_int w "entries");
-  Alcotest.(check bool) "stats: postings bytes positive" true
-    (stats_int w "bytes" > 0);
-  Alcotest.(check int) "stats: sheds" 0 (stats_int w "sheds");
-  Alcotest.(check int) "stats: explains_ok" 1 (stats_int w "explains_ok");
-  Alcotest.(check bool) "stats: budget echoed" true
-    (stats_int w "byte_budget" > 0);
+  (* Stats payload: the explain counters sit at the top level. *)
+  let stats = P.Service.metrics_json svc in
+  Alcotest.(check int) "stats: explains_ok" 1 (stats_int stats "explains_ok");
+  Alcotest.(check int) "stats: explains_miss" misses
+    (stats_int stats "explains_miss");
   P.Service.shutdown svc
 
 (* The wire chain and the library witness describe the same derivation:
@@ -665,13 +500,6 @@ let suite =
       Alcotest.test_case "witness replay on all profiles" `Slow
         test_replay_all_profiles;
       QCheck_alcotest.to_alcotest prop_replay_random;
-      Alcotest.test_case "explain_deps covers the chain" `Quick
-        test_deps_cover_witness;
-      Alcotest.test_case "index: record/deps/clear" `Quick test_index_basics;
-      Alcotest.test_case "index: byte budget sheds LRU" `Quick
-        test_index_shedding;
-      Alcotest.test_case "index: reverse map and generation" `Quick
-        test_index_reverse_and_generation;
       Alcotest.test_case "service explain verb" `Quick test_service_explain;
       Alcotest.test_case "wire chain matches the library" `Quick
         test_wire_matches_library;

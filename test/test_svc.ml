@@ -53,6 +53,115 @@ let test_request_errors () =
       "explain"; "explain 1"; "explain 1 v"; "explain x v o";
     ]
 
+(* Fuzzing: byte soup built from the protocol's own tokens and the bytes
+   transports mishandle (CR, NUL, newline, non-UTF-8, JSON escapes), plus
+   valid responses with one byte replaced or the tail cut off. *)
+let gen_fuzz_line =
+  let open QCheck.Gen in
+  let byte =
+    oneof
+      [
+        char;
+        oneofl
+          [ '\r'; '\000'; '\n'; ' '; '\xff'; '\xc3'; '"'; '\\'; '='; '#' ];
+      ]
+  in
+  let piece =
+    oneof
+      [
+        map (String.make 1) byte;
+        oneofl
+          [
+            "query "; "explain "; "slowlog "; "ping "; "budget=";
+            "deadline_ms="; "trace="; "{\"status\":"; "\"ok\""; "\"id\":";
+            ",\"id\":null"; "\\u"; "\\ud800"; "1e999"; "-"; "nan"; "[";
+            "]"; "{"; "}";
+          ];
+      ]
+  in
+  let soup = map (String.concat "") (list_size (0 -- 40) piece) in
+  let valid =
+    oneofl
+      (List.map Proto.response_to_string
+         [
+           Proto.Pong 6;
+           Proto.Error { id = None; reason = "request line too long" };
+           Proto.Rejected { id = 4; reason = "queue_full" };
+           Proto.Explain_reply
+             {
+               id = 14; var = "v"; obj = "o"; found = true; depth = 1;
+               latency_us = 42.0; chain = P.Json.List [];
+             };
+           Proto.Health_reply { id = 8; healthy = false; reasons = [ "x" ] };
+         ])
+  in
+  let mutated =
+    valid >>= fun s ->
+    let n = String.length s in
+    0 -- (n - 1) >>= fun i ->
+    byte >>= fun c ->
+    oneofl
+      [
+        String.sub s 0 i;
+        String.mapi (fun j d -> if j = i then c else d) s;
+      ]
+  in
+  oneof [ soup; mutated ]
+
+let prop_parsers_total =
+  QCheck.Test.make ~name:"protocol parsers never raise" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_fuzz_line)
+    (fun line ->
+      ignore (Proto.parse_request line);
+      ignore (Proto.response_of_string line);
+      true)
+
+(* Valid requests: tokens are any bytes but the separator and the line
+   break; numbers span their whole valid ranges. *)
+let gen_request =
+  let open QCheck.Gen in
+  let token =
+    string_size
+      ~gen:(map (fun c -> if c = ' ' || c = '\n' then '_' else c) char)
+      (1 -- 12)
+  in
+  let id = oneof [ int; small_signed_int ] in
+  let positive = oneof [ 1 -- 1000; map (fun n -> max 1 (n land max_int)) int ] in
+  let non_negative = oneof [ small_nat; map (fun n -> n land max_int) int ] in
+  let deadline =
+    oneof
+      [
+        map float_of_int (0 -- 10_000);
+        map (fun n -> float_of_int n /. 1000.0) small_nat;
+        map (fun f -> if Float.is_nan f then 0.0 else Float.abs f) float;
+      ]
+  in
+  oneof
+    [
+      map
+        (fun (id, var, (budget, deadline_ms, trace)) ->
+          Proto.Query { id; var; budget; deadline_ms; trace })
+        (triple id token (triple (opt positive) (opt deadline) (opt id)));
+      map
+        (fun (id, var, obj) -> Proto.Explain { id; var; obj })
+        (triple id token token);
+      map
+        (fun (id, limit) -> Proto.Slowlog { id; limit })
+        (pair id (opt non_negative));
+      map (fun id -> Proto.Stats id) id;
+      map (fun id -> Proto.Metrics id) id;
+      map (fun id -> Proto.Health id) id;
+      map (fun id -> Proto.Drain id) id;
+      map (fun id -> Proto.Snapshot id) id;
+      map (fun id -> Proto.Ping id) id;
+      pure Proto.Quit;
+    ]
+
+let prop_request_round_trip =
+  QCheck.Test.make ~name:"request printer and parser round-trip" ~count:3000
+    (QCheck.make ~print:Proto.request_to_string gen_request)
+    (fun r -> Proto.parse_request (Proto.request_to_string r) = Ok r)
+
 let breakdown =
   {
     P.Svc_span.bd_queue_wait_us = 100.0;
@@ -658,6 +767,8 @@ let suite =
       Alcotest.test_case "protocol request round trip" `Quick
         test_request_round_trip;
       Alcotest.test_case "protocol request errors" `Quick test_request_errors;
+      QCheck_alcotest.to_alcotest prop_parsers_total;
+      QCheck_alcotest.to_alcotest prop_request_round_trip;
       Alcotest.test_case "protocol response round trip" `Quick
         test_response_round_trip;
       Alcotest.test_case "cache basic + generation" `Quick test_cache_basic;
