@@ -42,26 +42,25 @@ let alive t =
           t.pid <- None;
           false)
 
-let wait_socket ?(timeout_s = 30.0) ?(poll_s = 0.05) t =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
+let wait_socket ?(timeout_s = 30.0) t =
+  let last = ref "" in
+  let ready () =
     match try_connect t with
     | Ok fd ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        Ok ()
-    | Error e ->
-        if not (alive t) then
-          Error (Printf.sprintf "replica %d exited before serving" t.id)
-        else if Unix.gettimeofday () > deadline then
-          Error
-            (Printf.sprintf "replica %d socket %s not ready in %.1fs: %s"
-               t.id t.socket timeout_s e)
-        else begin
-          Unix.sleepf poll_s;
-          go ()
-        end
+        Some (Ok ())
+    | Error e when alive t ->
+        last := e;
+        None
+    | Error _ ->
+        Some (Error (Printf.sprintf "replica %d exited before serving" t.id))
   in
-  go ()
+  match Parcfl_svc.Transport.poll ~timeout_s ready with
+  | Some r -> r
+  | None ->
+      Error
+        (Printf.sprintf "replica %d socket %s not ready in %.1fs: %s" t.id
+           t.socket timeout_s !last)
 
 let kill t =
   match t.pid with
@@ -70,24 +69,16 @@ let kill t =
       try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
 
 let reap ?(timeout_s = 5.0) t =
-  match t.pid with
-  | None -> ()
-  | Some pid ->
-      let deadline = Unix.gettimeofday () +. timeout_s in
-      let rec go () =
+  Option.iter
+    (fun pid ->
+      let exited () =
         match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-            if Unix.gettimeofday () > deadline then begin
-              kill t;
-              (try ignore (Unix.waitpid [] pid)
-               with Unix.Unix_error _ -> ())
-            end
-            else begin
-              Unix.sleepf 0.02;
-              go ()
-            end
-        | _ -> ()
-        | exception Unix.Unix_error (ECHILD, _, _) -> ()
+        | 0, _ -> None
+        | _ | (exception Unix.Unix_error (ECHILD, _, _)) -> Some ()
       in
-      go ();
-      t.pid <- None
+      if Parcfl_svc.Transport.poll ~timeout_s exited = None then begin
+        kill t;
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+      end;
+      t.pid <- None)
+    t.pid

@@ -28,9 +28,10 @@ val alive : t -> bool
 val try_connect : t -> (Unix.file_descr, string) result
 (** One connection attempt to the replica's socket. *)
 
-val wait_socket : ?timeout_s:float -> ?poll_s:float -> t -> (unit, string) result
-(** Poll-connect until the replica accepts (default 30 s) — fails early
-    when a spawned child exits before ever serving. *)
+val wait_socket : ?timeout_s:float -> t -> (unit, string) result
+(** Poll-connect until the replica accepts (default 30 s), backing off from
+    1 ms to 50 ms between attempts — fails early when a spawned child
+    exits before ever serving. *)
 
 val kill : t -> unit
 (** SIGKILL a spawned child (no-op otherwise). *)

@@ -1,13 +1,9 @@
 module Proto = Parcfl_svc.Protocol
 module Span = Parcfl_svc.Span
+module Transport = Parcfl_svc.Transport
 module Tracer = Parcfl_obs.Tracer
 module Registry = Parcfl_telemetry.Registry
 module Expo = Parcfl_telemetry.Expo
-
-(* Backend reply lines may be far longer than requests (a federated
-   exposition, a snapshot body); client lines use the protocol's request
-   limit, the same one every replica enforces. *)
-let max_reply_line = 1 lsl 20
 
 type config = {
   poll_interval : float;  (* seconds between health-poll rounds *)
@@ -36,16 +32,20 @@ let default_config =
   }
 
 type client = {
-  c_fd : Unix.file_descr;
-  c_buf : Buffer.t;
-  mutable c_alive : bool;
+  conn : Transport.conn;
+  mutable outstanding : int;  (* forwards and gathers awaiting replicas *)
 }
+
+(* A client with this many requests out at the replicas is not read until
+   replies come back: its backlog waits in its own socket, not in front
+   of other clients' requests at the replicas, and the replies the router
+   has to absorb from a replica stay bounded. *)
+let max_outstanding = 128
 
 type backend = {
   b_idx : int;
   b_replica : Replica.t;
-  mutable b_fd : Unix.file_descr option;
-  b_buf : Buffer.t;
+  mutable b_conn : Transport.conn option;
 }
 
 type pending = {
@@ -62,20 +62,14 @@ type pending = {
   p_forward_us : float;
 }
 
-(* One federated admin request: scattered to every live replica, the
-   replies gathered here and merged once the last one lands (or its
-   replica dies — a dead replica only shrinks the merge, never wedges
-   it). *)
-type agg_verb =
-  | Agg_metrics
-  | Agg_stats
-  | Agg_slowlog of int option
-  | Agg_health
-
+(* One federated admin request (metrics, stats, slowlog or health):
+   scattered to every live replica, the replies gathered here and merged
+   once the last one lands (or its replica dies — a dead replica only
+   shrinks the merge, never wedges it). *)
 type agg = {
   g_client : client;
   g_orig_id : int;
-  g_verb : agg_verb;
+  g_request : Proto.request;
   mutable g_waiting : int;
   mutable g_replies : (int * Proto.response) list;  (* replica, reply *)
   mutable g_done : bool;
@@ -88,7 +82,6 @@ type t = {
   failover : Failover.t;
   backends : backend array;
   mutable clients : client list;
-  mutable listen_fd : Unix.file_descr option;
   inflight : (int, pending) Hashtbl.t;  (* router id → waiting client *)
   probes : (int, int * float) Hashtbl.t;  (* router id → (backend, sent) *)
   aggs : (int, int * agg) Hashtbl.t;  (* router id → (backend, gather) *)
@@ -151,34 +144,25 @@ let fresh_rid t =
 
 (* --------------------------- telemetry ----------------------------- *)
 
-let observe_log2 hist v =
-  let v = if v < 1 then 1 else v in
-  let b = int_of_float (Float.log2 (float_of_int v)) in
-  let b = if b >= Array.length hist then Array.length hist - 1 else b in
-  hist.(b) <- hist.(b) + 1
-
 let router_families t =
   let fi = float_of_int in
+  let per label a =
+    Array.to_list
+      (Array.mapi
+         (fun i c ->
+           { Expo.labels = [ (label, string_of_int i) ]; value = fi c })
+         a)
+  in
   let inflight_per = Array.make (Array.length t.backends) 0 in
   Hashtbl.iter
-    (fun _ p ->
-      if p.p_backend >= 0 && p.p_backend < Array.length inflight_per then
-        inflight_per.(p.p_backend) <- inflight_per.(p.p_backend) + 1)
+    (fun _ p -> inflight_per.(p.p_backend) <- inflight_per.(p.p_backend) + 1)
     t.inflight;
   [
     Expo.Counter
       {
         name = "parcfl_router_routed_total";
         help = "Requests forwarded per shard.";
-        samples =
-          Array.to_list
-            (Array.mapi
-               (fun i c ->
-                 {
-                   Expo.labels = [ ("shard", string_of_int i) ];
-                   value = fi c;
-                 })
-               t.routed);
+        samples = per "shard" t.routed;
       };
     Expo.counter ~name:"parcfl_router_replays_total"
       ~help:"Requests replayed onto a survivor after their replica died."
@@ -186,6 +170,11 @@ let router_families t =
     Expo.counter ~name:"parcfl_router_drains_total"
       ~help:"Replicas drained (failed polls or dead connections)."
       (fi t.drains);
+    Expo.counter ~name:"parcfl_router_slow_peers_dropped_total"
+      ~help:
+        "Clients and replica connections dropped for letting their queued \
+         output outgrow the output cap."
+      (fi (Transport.dropped ()));
     Expo.counter ~name:"parcfl_router_readmits_total"
       ~help:"Drained replicas re-admitted after consecutive healthy polls."
       (fi t.readmits);
@@ -202,15 +191,7 @@ let router_families t =
       {
         name = "parcfl_router_inflight";
         help = "Forwarded requests awaiting a reply, per replica.";
-        samples =
-          Array.to_list
-            (Array.mapi
-               (fun i c ->
-                 {
-                   Expo.labels = [ ("replica", string_of_int i) ];
-                   value = fi c;
-                 })
-               inflight_per);
+        samples = per "replica" inflight_per;
       };
     Expo.Gauge
       {
@@ -231,152 +212,111 @@ let router_families t =
       ~help:"Health-probe round trips, microseconds." t.poll_hist;
   ]
 
-(* --------------------------- raw writes ---------------------------- *)
+(* ------------------------- connections ----------------------------- *)
 
-let write_fd fd s =
-  let bytes = Bytes.of_string s in
-  let n = Bytes.length bytes in
-  let rec go off =
-    if off < n then
-      match Unix.write fd bytes off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> (
-          (* Non-blocking client fd with a full buffer: wait for it to
-             drain; a peer wedged past the grace period counts as dead
-             (the EPIPE is caught by this function's callers). *)
-          match Unix.select [] [ fd ] [] 30.0 with
-          | _, [], _ -> raise (Unix.Unix_error (EPIPE, "write", ""))
-          | _ -> go off
-          | exception Unix.Unix_error (EINTR, _, _) -> go off)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-  in
-  go 0
-
-let client_send client resp =
-  if client.c_alive then
-    match write_fd client.c_fd (Proto.response_to_string resp ^ "\n") with
-    | () -> ()
-    | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-        client.c_alive <- false
+let client_send client resp = Transport.reply client.conn resp
 
 let disconnect_backend b =
-  Option.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    b.b_fd;
-  b.b_fd <- None;
-  Buffer.clear b.b_buf
+  Option.iter Transport.close b.b_conn;
+  b.b_conn <- None
 
 let ensure_connected b =
-  match b.b_fd with
-  | Some fd -> Ok fd
+  match b.b_conn with
+  | Some c -> Ok c
   | None -> (
       match Replica.try_connect b.b_replica with
       | Ok fd ->
-          b.b_fd <- Some fd;
-          Ok fd
+          Unix.set_nonblock fd;
+          let c = Transport.create ~max_line:Transport.max_reply_line fd in
+          b.b_conn <- Some c;
+          Ok c
       | Error _ as e -> e)
 
 (* ------------------------ gather completion ------------------------ *)
 
+let replica_indices t = List.init (Array.length t.backends) Fun.id
+
 let drained_reasons t =
-  let reasons = ref [] in
-  for i = Array.length t.backends - 1 downto 0 do
-    if not (Failover.is_live t.failover i) then
-      reasons :=
-        Printf.sprintf "replica %d (%s) drained" i
-          (Replica.socket t.backends.(i).b_replica)
-        :: !reasons
-  done;
-  !reasons
+  List.filter_map
+    (fun i ->
+      if Failover.is_live t.failover i then None
+      else
+        Some
+          (Printf.sprintf "replica %d (%s) drained" i
+             (Replica.socket t.backends.(i).b_replica)))
+    (replica_indices t)
 
 let finish_agg t agg =
   if (not agg.g_done) && agg.g_waiting <= 0 then begin
     agg.g_done <- true;
-    let replies = List.rev agg.g_replies in
-    let err reason = Proto.Error { id = Some agg.g_orig_id; reason } in
-    let resp =
-      match agg.g_verb with
-      | Agg_metrics -> (
-          let bodies =
-            List.filter_map
-              (function
-                | i, Proto.Metrics_reply { body; _ } -> Some (i, body)
-                | _ -> None)
-              replies
-          in
-          if bodies = [] then err "no live replica answered"
-          else
-            match
-              Federation.merge_metrics
-                ~extra:(Registry.collect t.registry)
-                bodies
-            with
-            | Ok body -> Proto.Metrics_reply { id = agg.g_orig_id; body }
-            | Error reason -> err reason)
-      | Agg_stats ->
-          let stats =
-            List.filter_map
-              (function
-                | i, Proto.Stats_reply { stats; _ } -> Some (i, stats)
-                | _ -> None)
-              replies
-          in
-          if stats = [] then err "no live replica answered"
-          else
-            Proto.Stats_reply
-              { id = agg.g_orig_id; stats = Federation.merge_stats stats }
-      | Agg_slowlog limit ->
-          let logs =
-            List.filter_map
-              (function
-                | i, Proto.Slowlog_reply { entries; _ } -> Some (i, entries)
-                | _ -> None)
-              replies
-          in
-          if logs = [] then err "no live replica answered"
-          else
-            Proto.Slowlog_reply
-              {
-                id = agg.g_orig_id;
-                entries = Federation.merge_slowlogs ?limit logs;
-              }
-      | Agg_health -> (
-          let verdicts =
-            List.filter_map
-              (function
-                | i, Proto.Health_reply { healthy; reasons; _ } ->
-                    Some (i, healthy, reasons)
-                | _ -> None)
-              replies
-          in
-          match verdicts with
-          | [] -> err "no live replica answered"
-          | verdicts ->
-              let healthy, reasons =
-                Federation.merge_health ~drained:(drained_reasons t) verdicts
-              in
-              Proto.Health_reply { id = agg.g_orig_id; healthy; reasons })
+    agg.g_client.outstanding <- agg.g_client.outstanding - 1;
+    let id = agg.g_orig_id in
+    let err reason = Proto.Error { id = Some id; reason } in
+    (* The replies of the expected kind, per replica, merged by [k]. *)
+    let merge pick k =
+      match
+        List.filter_map
+          (fun (i, r) -> Option.map (fun x -> (i, x)) (pick r))
+          (List.rev agg.g_replies)
+      with
+      | [] -> err "no live replica answered"
+      | xs -> k xs
     in
-    client_send agg.g_client resp
+    (* A client dropped mid-gather is owed nothing: skip the merge. *)
+    if Transport.alive agg.g_client.conn then
+      client_send agg.g_client
+        (match agg.g_request with
+        | Proto.Metrics _ ->
+            merge
+              (function
+                | Proto.Metrics_reply { body; _ } -> Some body | _ -> None)
+              (fun bodies ->
+                match
+                  Federation.merge_metrics ~extra:(Registry.collect t.registry)
+                    bodies
+                with
+                | Ok body -> Proto.Metrics_reply { id; body }
+                | Error reason -> err reason)
+        | Proto.Stats _ ->
+            merge
+              (function
+                | Proto.Stats_reply { stats; _ } -> Some stats | _ -> None)
+              (fun stats ->
+                Proto.Stats_reply { id; stats = Federation.merge_stats stats })
+        | Proto.Slowlog { limit; _ } ->
+            merge
+              (function
+                | Proto.Slowlog_reply { entries; _ } -> Some entries
+                | _ -> None)
+              (fun logs ->
+                Proto.Slowlog_reply
+                  { id; entries = Federation.merge_slowlogs ?limit logs })
+        | _ ->
+            merge
+              (function
+                | Proto.Health_reply { healthy; reasons; _ } ->
+                    Some (healthy, reasons)
+                | _ -> None)
+              (fun verdicts ->
+                let healthy, reasons =
+                  Federation.merge_health ~drained:(drained_reasons t)
+                    (List.map (fun (i, (h, r)) -> (i, h, r)) verdicts)
+                in
+                Proto.Health_reply { id; healthy; reasons }))
   end
 
 (* --------------------- routing and failover ------------------------ *)
 
-let first_live t =
-  let n = Array.length t.backends in
-  let rec go i =
-    if i >= n then None
-    else if Failover.is_live t.failover i then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let live_indices t =
-  let acc = ref [] in
-  for i = Array.length t.backends - 1 downto 0 do
-    if Failover.is_live t.failover i then acc := i :: !acc
-  done;
-  !acc
+  List.filter (Failover.is_live t.failover) (replica_indices t)
+
+(* Remove and return the entries of [tbl] that [pred] selects. *)
+let take tbl pred =
+  let hits =
+    Hashtbl.fold (fun k v acc -> if pred v then (k, v) :: acc else acc) tbl []
+  in
+  List.iter (fun (k, _) -> Hashtbl.remove tbl k) hits;
+  hits
 
 (* send → death → drain → replay → send is one recursive knot: a replica
    dying mid-flight must re-route its outstanding requests immediately,
@@ -388,12 +328,19 @@ let rec backend_send t b line =
   | Error e ->
       backend_died t b (Printf.sprintf "connect failed: %s" e);
       false
-  | Ok fd -> (
-      match write_fd fd line with
-      | () -> true
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-          backend_died t b "connection lost";
-          false)
+  | Ok c ->
+      Transport.send c line;
+      backend_check t b c;
+      Transport.alive c
+
+(* A backend connection that failed a send, flush or read, reached end of
+   stream, or grew its queue past the cap (the replica stopped reading)
+   is a dead replica: drain and replay. *)
+and backend_check t b c =
+  match b.b_conn with
+  | Some c' when c' == c && not (Transport.readable c) ->
+      backend_died t b "connection lost"
+  | _ -> ()
 
 and backend_died t b reason =
   disconnect_backend b;
@@ -404,38 +351,24 @@ and backend_died t b reason =
   | _ -> ());
   (* Probes to the dead replica can never answer: count each as a failed
      poll so a drained replica's healthy streak resets. *)
-  let dead_probes =
-    Hashtbl.fold
-      (fun rid (bi, _) acc -> if bi = b.b_idx then rid :: acc else acc)
-      t.probes []
-  in
-  List.iter (Hashtbl.remove t.probes) dead_probes;
+  ignore (take t.probes (fun (bi, _) -> bi = b.b_idx));
   (* A gather never waits on the dead: its reply just isn't part of the
      merge (broadcast verbs are not replayed — the surviving replicas'
      replies still describe every live shard). *)
-  let dead_gathers =
-    Hashtbl.fold
-      (fun rid (bi, agg) acc ->
-        if bi = b.b_idx then (rid, agg) :: acc else acc)
-      t.aggs []
-  in
-  List.iter
-    (fun (rid, agg) ->
-      Hashtbl.remove t.aggs rid;
-      agg.g_waiting <- agg.g_waiting - 1)
-    dead_gathers;
+  let dead_gathers = List.map snd (take t.aggs (fun (bi, _) -> bi = b.b_idx)) in
+  List.iter (fun (_, agg) -> agg.g_waiting <- agg.g_waiting - 1) dead_gathers;
   List.iter (fun (_, agg) -> finish_agg t agg) dead_gathers;
   (* Replay every request that was waiting on it — the cluster loses no
      answers when a replica dies, it only moves them. *)
   let orphans =
-    Hashtbl.fold
-      (fun rid p acc -> if p.p_backend = b.b_idx then (rid, p) :: acc else acc)
-      t.inflight []
+    List.map snd (take t.inflight (fun p -> p.p_backend = b.b_idx))
   in
-  List.iter (fun (rid, _) -> Hashtbl.remove t.inflight rid) orphans;
   List.iter
-    (fun (_, p) ->
-      if p.p_client.c_alive then begin
+    (fun p -> p.p_client.outstanding <- p.p_client.outstanding - 1)
+    orphans;
+  List.iter
+    (fun p ->
+      if Transport.alive p.p_client.conn then begin
         t.replays <- t.replays + 1;
         route t p.p_client p.p_request
       end)
@@ -483,9 +416,9 @@ and route t client req =
             if Failover.is_live t.failover i then Ok i
             else Error (Printf.sprintf "replica %d is drained" i)
         | None -> (
-            match first_live t with
-            | Some i -> Ok i
-            | None -> Error "no live replica")
+            match live_indices t with
+            | i :: _ -> Ok i
+            | [] -> Error "no live replica")
       in
       match target with
       | Error reason ->
@@ -532,10 +465,10 @@ and forward t client req idx ~var ~accept_us ~route_us =
           }
         in
         Hashtbl.replace t.inflight rid p;
-        if not (backend_send t t.backends.(idx) line) then
-          (* backend_died already replayed the inflight table — including
-             this request, which it re-routed or error-answered. *)
-          ()
+        client.outstanding <- client.outstanding + 1;
+        (* On failure backend_died has already replayed the inflight
+           table — this request included. *)
+        ignore (backend_send t t.backends.(idx) line)
       end
 
 and scatter t client req =
@@ -547,24 +480,17 @@ and scatter t client req =
           client_send client
             (Proto.Error { id = Some orig_id; reason = "no live replica" })
       | targets ->
-          let verb =
-            match req with
-            | Proto.Metrics _ -> Agg_metrics
-            | Proto.Stats _ -> Agg_stats
-            | Proto.Slowlog { limit; _ } -> Agg_slowlog limit
-            | Proto.Health _ -> Agg_health
-            | _ -> assert false
-          in
           let agg =
             {
               g_client = client;
               g_orig_id = orig_id;
-              g_verb = verb;
+              g_request = req;
               g_waiting = 0;
               g_replies = [];
               g_done = false;
             }
           in
+          client.outstanding <- client.outstanding + 1;
           (* Register the whole fan-out before the first send: a send
              failure mid-scatter re-enters through backend_died, and an
              agg with unregistered members would finish early. *)
@@ -603,40 +529,37 @@ let observe_poll t idx ~healthy =
       log "replica %d re-admitted" idx
   | Failover.Unchanged -> ()
 
+(* An unanswered probe is a failed poll. Checked every loop turn, so a
+   stalled replica drains [health_timeout] after its first unanswered
+   probe, not at the next poll round. *)
+let expire_probes t ~now =
+  take t.probes (fun (_, sent) -> now -. sent > t.config.health_timeout)
+  |> List.map (fun (_, (idx, _)) -> idx)
+  |> List.sort_uniq compare
+  |> List.iter (fun idx ->
+         observe_poll t idx ~healthy:false;
+         (* The connection is wedged, not just slow to answer one verb:
+            treat it as dead so inflight work replays and gathers waiting
+            on it complete, and the next probe gets a fresh connection. *)
+         backend_died t t.backends.(idx) "health probe timed out")
+
+let next_expiry t =
+  Hashtbl.fold
+    (fun _ (_, sent) acc -> Float.min acc (sent +. t.config.health_timeout))
+    t.probes infinity
+
+(* Probe everyone — drained replicas too, that's how they come back. A
+   failed send is handled like any other, so inflight work is replayed;
+   a failed connect is a failed poll. *)
 let poll_health t ~now =
-  (* Expire probes first: an unanswered probe is a failed poll. *)
-  let expired =
-    Hashtbl.fold
-      (fun rid (idx, sent) acc ->
-        if now -. sent > t.config.health_timeout then (rid, idx) :: acc
-        else acc)
-      t.probes []
-  in
-  List.iter
-    (fun (rid, idx) ->
-      Hashtbl.remove t.probes rid;
-      observe_poll t idx ~healthy:false;
-      (* The connection is wedged, not just slow to answer one verb:
-         treat it as dead so inflight work replays and gathers waiting
-         on it complete, and the next probe gets a fresh connection. *)
-      backend_died t t.backends.(idx) "health probe timed out")
-    expired;
-  (* Probe everyone — drained replicas too, that's how they come back. *)
   Array.iter
     (fun b ->
       let rid = fresh_rid t in
       let line = Proto.request_to_string (Proto.Health rid) ^ "\n" in
-      match ensure_connected b with
-      | Error _ -> observe_poll t b.b_idx ~healthy:false
-      | Ok fd -> (
-          match write_fd fd line with
-          | () -> Hashtbl.replace t.probes rid (b.b_idx, now)
-          | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _)
-            ->
-              (* A dying replica is handled like any other send failure
-                 so inflight work is replayed, but the poll verdict is
-                 recorded too. *)
-              backend_died t b "connection lost during health poll"))
+      if Option.is_none b.b_conn && Result.is_error (ensure_connected b) then
+        observe_poll t b.b_idx ~healthy:false
+      else if backend_send t b line then
+        Hashtbl.replace t.probes rid (b.b_idx, now))
     t.backends
 
 (* ------------------------ live rebalancing ------------------------- *)
@@ -685,10 +608,11 @@ let handle_backend_line t b line =
       match Proto.response_id resp with
       | None -> log "replica %d sent a reply without an id" b.b_idx
       | Some rid -> (
-          match Hashtbl.find_opt t.probes rid with
-          | Some (idx, sent) ->
+          let find tbl = Hashtbl.find_opt tbl rid in
+          match (find t.probes, find t.aggs, find t.inflight) with
+          | Some (idx, sent), _, _ ->
               Hashtbl.remove t.probes rid;
-              observe_log2 t.poll_hist
+              Parcfl_stats.Histogram.observe t.poll_hist
                 (int_of_float ((Unix.gettimeofday () -. sent) *. 1e6));
               let healthy =
                 match resp with
@@ -696,126 +620,62 @@ let handle_backend_line t b line =
                 | _ -> false
               in
               observe_poll t idx ~healthy
-          | None -> (
-              match Hashtbl.find_opt t.aggs rid with
-              | Some (_, agg) ->
-                  Hashtbl.remove t.aggs rid;
-                  agg.g_replies <- (b.b_idx, resp) :: agg.g_replies;
-                  agg.g_waiting <- agg.g_waiting - 1;
-                  finish_agg t agg
-              | None -> (
-                  match Hashtbl.find_opt t.inflight rid with
-                  | Some p ->
-                      Hashtbl.remove t.inflight rid;
-                      (* Every answer's solve time feeds the per-variable
-                         load profile the rebalancer re-scans against. *)
-                      (match resp with
-                      | Proto.Answer { breakdown; _ }
-                      | Proto.Timeout { breakdown; _ } ->
-                          if
-                            p.p_var >= 0
-                            && p.p_var < Array.length t.profile
-                          then
-                            t.profile.(p.p_var) <-
-                              t.profile.(p.p_var)
-                              +. breakdown.Span.bd_solve_us
-                      | _ -> ());
-                      let reply_us =
-                        if t.on_span = None then 0.0 else now_us ()
-                      in
-                      client_send p.p_client
-                        (response_with_id resp p.p_orig_id);
-                      (match (t.on_span, p.p_request) with
-                      | Some sink, Proto.Query _ ->
-                          sink
-                            {
-                              Tracer.rs_id = p.p_orig_id;
-                              rs_rid = rid;
-                              rs_replica = p.p_backend;
-                              rs_var = p.p_var;
-                              rs_accept_us = p.p_accept_us;
-                              rs_route_us = p.p_route_us;
-                              rs_forward_us = p.p_forward_us;
-                              rs_reply_us = reply_us;
-                              rs_respond_us = now_us ();
-                            }
-                      | _ -> ())
-                  | None ->
-                      (* A replay already answered this request from
-                         another replica; the original replica's late
-                         reply is dropped, never double-delivered. *)
-                      ()))))
+          | None, Some (_, agg), _ ->
+              Hashtbl.remove t.aggs rid;
+              agg.g_replies <- (b.b_idx, resp) :: agg.g_replies;
+              agg.g_waiting <- agg.g_waiting - 1;
+              finish_agg t agg
+          | None, None, Some p -> (
+              Hashtbl.remove t.inflight rid;
+              p.p_client.outstanding <- p.p_client.outstanding - 1;
+              (* Every answer's solve time feeds the per-variable load
+                 profile the rebalancer re-scans against. *)
+              (match resp with
+              | (Proto.Answer { breakdown; _ } | Proto.Timeout { breakdown; _ })
+                when p.p_var >= 0 ->
+                  t.profile.(p.p_var) <-
+                    t.profile.(p.p_var) +. breakdown.Span.bd_solve_us
+              | _ -> ());
+              let reply_us = if t.on_span = None then 0.0 else now_us () in
+              client_send p.p_client (response_with_id resp p.p_orig_id);
+              match (t.on_span, p.p_request) with
+              | Some sink, Proto.Query _ ->
+                  sink
+                    {
+                      Tracer.rs_id = p.p_orig_id;
+                      rs_rid = rid;
+                      rs_replica = p.p_backend;
+                      rs_var = p.p_var;
+                      rs_accept_us = p.p_accept_us;
+                      rs_route_us = p.p_route_us;
+                      rs_forward_us = p.p_forward_us;
+                      rs_reply_us = reply_us;
+                      rs_respond_us = now_us ();
+                    }
+              | _ -> ())
+          | None, None, None ->
+              (* A replay already answered this request from another
+                 replica; the original replica's late reply is dropped,
+                 never double-delivered. *)
+              ()))
 
-let feed_lines ~max_line buf chunk ~on_line ~on_overflow =
-  Buffer.add_string buf chunk;
-  let data = Buffer.contents buf in
-  Buffer.clear buf;
-  let parts = String.split_on_char '\n' data in
-  let rec go = function
-    | [] -> ()
-    | line :: _ when String.length line > max_line -> on_overflow ()
-    | [ last ] -> Buffer.add_string buf last
-    | line :: rest ->
-        let line =
-          let n = String.length line in
-          if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1)
-          else line
-        in
-        on_line line;
-        go rest
-  in
-  go parts
-
-let read_backend t b fd =
-  let bytes = Bytes.create 4096 in
-  match Unix.read fd bytes 0 4096 with
-  | 0 -> backend_died t b "closed its connection"
-  | n ->
-      feed_lines ~max_line:max_reply_line b.b_buf
-        (Bytes.sub_string bytes 0 n)
-        ~on_line:(fun line -> handle_backend_line t b line)
-        ~on_overflow:(fun () -> backend_died t b "reply line too long")
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
-      backend_died t b "connection reset"
-  | exception Unix.Unix_error (EINTR, _, _) -> ()
+let read_backend t b c =
+  Transport.read c ~on_line:(handle_backend_line t b) ~on_overflow:(fun () ->
+      backend_died t b "reply line too long");
+  backend_check t b c
 
 (* ------------------------- client handling ------------------------- *)
 
-let handle_client_line t client line =
-  if String.trim line <> "" then
-    match Proto.parse_request line with
-    | Ok req -> route t client req
-    | Error reason ->
-        client_send client (Proto.Error { id = None; reason })
-
-let read_client t client =
-  let bytes = Bytes.create 4096 in
-  match Unix.read client.c_fd bytes 0 4096 with
-  | 0 -> client.c_alive <- false
-  | n ->
-      feed_lines ~max_line:Proto.max_request_line client.c_buf
-        (Bytes.sub_string bytes 0 n)
-        ~on_line:(fun line -> handle_client_line t client line)
-        ~on_overflow:(fun () ->
-          client_send client
-            (Proto.Error { id = None; reason = "request line too long" });
-          client.c_alive <- false)
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
-      client.c_alive <- false
-  | exception Unix.Unix_error (EINTR, _, _) -> ()
-
-let accept_client t listen_fd =
-  match Unix.accept listen_fd with
-  | fd, _ ->
-      Unix.set_nonblock fd;
-      t.clients <-
-        { c_fd = fd; c_buf = Buffer.create 256; c_alive = true } :: t.clients
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+let read_client t client = Transport.read_requests client.conn (route t client)
 
 (* ----------------------------- serving ----------------------------- *)
 
-let create ?(config = default_config) ?on_span ~shard_map ~resolve replicas
-    =
+(* Replies and the quit broadcast still queued at shutdown get this long,
+   in total, to flush. *)
+let shutdown_grace = 5.0
+
+let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
+    replicas =
   let n = Array.length replicas in
   if n = 0 then invalid_arg "Router.create: no replicas";
   if Shard_map.n_shards shard_map <> n then
@@ -832,11 +692,9 @@ let create ?(config = default_config) ?on_span ~shard_map ~resolve replicas
       failover = Failover.create ~n ~k_readmit:config.k_readmit;
       backends =
         Array.mapi
-          (fun i r ->
-            { b_idx = i; b_replica = r; b_fd = None; b_buf = Buffer.create 256 })
+          (fun i r -> { b_idx = i; b_replica = r; b_conn = None })
           replicas;
       clients = [];
-      listen_fd = None;
       inflight = Hashtbl.create 64;
       probes = Hashtbl.create 8;
       aggs = Hashtbl.create 8;
@@ -859,41 +717,19 @@ let create ?(config = default_config) ?on_span ~shard_map ~resolve replicas
     }
   in
   Registry.register t.registry (fun () -> router_families t);
-  t
-
-let listen_unix path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  fd
-
-let broadcast_quit t =
-  Array.iter
-    (fun b ->
-      match b.b_fd with
-      | None -> ()
-      | Some fd -> (
-          match write_fd fd "quit\n" with
-          | () -> ()
-          | exception Unix.Unix_error _ -> ()))
-    t.backends
-
-let serve ?config ?on_span ~socket_path ~shard_map ~resolve replicas =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let t = create ?config ?on_span ~shard_map ~resolve replicas in
-  t.listen_fd <- Some (listen_unix socket_path);
+  let listen_fd = Transport.listen socket_path in
   t.next_rebalance <- Unix.gettimeofday () +. t.config.rebalance_interval;
   log "serving %s over %d replicas" socket_path (Array.length t.backends);
   while not t.stopping do
-    let live, dead = List.partition (fun c -> c.c_alive) t.clients in
-    List.iter
-      (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ())
-      dead;
+    let live, dead =
+      List.partition (fun c -> Transport.alive c.conn) t.clients
+    in
+    List.iter (fun c -> Transport.close c.conn) dead;
     t.clients <- live;
     let now = Unix.gettimeofday () in
+    expire_probes t ~now;
     if now >= t.next_poll then begin
       poll_health t ~now;
       t.next_poll <- now +. t.config.poll_interval
@@ -902,43 +738,51 @@ let serve ?config ?on_span ~socket_path ~shard_map ~resolve replicas =
       rebalance_now t;
       t.next_rebalance <- now +. t.config.rebalance_interval
     end;
-    let backend_fds =
+    let backends =
       Array.to_list t.backends
-      |> List.filter_map (fun b -> Option.map (fun fd -> (fd, b)) b.b_fd)
+      |> List.filter_map (fun b -> Option.map (fun c -> (c, b)) b.b_conn)
     in
-    let read_fds =
-      (match t.listen_fd with Some fd -> [ fd ] | None -> [])
-      @ List.map fst backend_fds
-      @ List.map (fun c -> c.c_fd) t.clients
+    let clients = List.map (fun c -> c.conn) t.clients in
+    let pending, ready =
+      Transport.wait ~listeners:[ listen_fd ]
+        ~read:
+          (List.map fst backends
+          @ List.filter_map
+              (fun c ->
+                if c.outstanding < max_outstanding then Some c.conn else None)
+              t.clients)
+        ~write:(List.map fst backends @ clients)
+        (Float.max 0.01
+           (Float.min (Float.min t.next_poll (next_expiry t) -. now) 1.0))
     in
-    let timeout = Float.max 0.01 (Float.min (t.next_poll -. now) 1.0) in
-    match Unix.select read_fds [] [] timeout with
-    | ready, _, _ ->
-        List.iter
-          (fun fd ->
-            if Some fd = t.listen_fd then accept_client t fd
-            else
-              match List.assoc_opt fd backend_fds with
-              | Some b -> read_backend t b fd
-              | None -> (
-                  match
-                    List.find_opt (fun c -> c.c_fd = fd) t.clients
-                  with
-                  | Some c when c.c_alive -> read_client t c
-                  | _ -> ()))
-          ready
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
+    (* A flush may have found a replica gone. *)
+    List.iter (fun (c, b) -> backend_check t b c) backends;
+    List.iter
+      (fun fd ->
+        Option.iter
+          (fun conn -> t.clients <- { conn; outstanding = 0 } :: t.clients)
+          (Transport.accept ~max_line:Proto.max_request_line fd))
+      pending;
+    List.iter
+      (fun c ->
+        match List.find_opt (fun (c', _) -> c' == c) backends with
+        | Some (_, b) -> read_backend t b c
+        | None ->
+            List.iter
+              (fun cl -> if cl.conn == c then read_client t cl)
+              t.clients)
+      ready
   done;
-  (* Shutdown: no new clients, tell every replica to drain and go. *)
-  Option.iter
-    (fun fd ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      try Unix.unlink socket_path with Unix.Unix_error _ -> ())
-    t.listen_fd;
-  broadcast_quit t;
+  (* Shutdown: no new clients; tell every replica to drain and go, and
+     give the quit broadcast and the clients' queued replies one shared
+     grace period to flush. *)
+  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+  let backends =
+    Array.to_list t.backends |> List.filter_map (fun b -> b.b_conn)
+  in
+  List.iter (fun c -> Transport.send c "quit\n") backends;
+  let clients = List.map (fun c -> c.conn) t.clients in
+  Transport.flush_all ~grace:shutdown_grace (backends @ clients);
   Array.iter disconnect_backend t.backends;
-  List.iter
-    (fun c ->
-      if c.c_alive then
-        try Unix.close c.c_fd with Unix.Unix_error _ -> ())
-    t.clients
+  List.iter Transport.close clients

@@ -27,6 +27,13 @@
       healthy polls ({!Failover}) — and its home shards route back by
       construction of rendezvous hashing.
 
+    {b Slow peers.} Every connection is a non-blocking
+    {!Parcfl_svc.Transport} one, so the loop never waits on a peer: one
+    past the output cap is dropped — a replica as a dead replica — and
+    counted in [parcfl_router_slow_peers_dropped_total]; a client with 128
+    requests out is not read until replies return; a stalled replica
+    drains within [health_timeout + poll_interval] of the stall.
+
     {b Telemetry federation.} The router answers [ping] and [health]
     itself (the cluster is healthy while any replica is live; reasons
     name the drained ones). [metrics], [stats] and [slowlog] are

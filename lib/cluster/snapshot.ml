@@ -1,3 +1,6 @@
+module Transport = Parcfl_svc.Transport
+module Proto = Parcfl_svc.Protocol
+
 let save_file ~path text =
   let tmp = path ^ ".tmp" in
   match
@@ -24,20 +27,16 @@ let load_file ~path =
   | exception End_of_file ->
       Error (Printf.sprintf "snapshot load %s: truncated read" path)
 
-let wait_for_file ?(timeout_s = 30.0) ?(poll_s = 0.05) ~path () =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    if Sys.file_exists path then load_file ~path
-    else if Unix.gettimeofday () > deadline then
+let wait_for_file ?(timeout_s = 30.0) ~path () =
+  match
+    Transport.poll ~timeout_s (fun () ->
+        if Sys.file_exists path then Some (load_file ~path) else None)
+  with
+  | Some r -> r
+  | None ->
       Error
         (Printf.sprintf "snapshot %s did not appear within %.1fs" path
            timeout_s)
-    else begin
-      Unix.sleepf poll_s;
-      go ()
-    end
-  in
-  go ()
 
 (* One snapshot round trip on a fresh connection: send the verb, read the
    single JSON reply line (the multi-line body travels inside it as a JSON
@@ -46,43 +45,21 @@ let fetch ~connect () =
   match connect () with
   | exception (Unix.Unix_error (_, _, _) | Sys_error _) ->
       Error "snapshot fetch: connect failed"
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let line = "snapshot 0\n" in
-          let bytes = Bytes.of_string line in
-          let rec write_all off =
-            if off < Bytes.length bytes then
-              write_all (off + Unix.write fd bytes off (Bytes.length bytes - off))
-          in
-          let buf = Buffer.create 4096 in
-          let chunk = Bytes.create 4096 in
-          let rec read_line () =
-            match Unix.read fd chunk 0 4096 with
-            | 0 -> Error "snapshot fetch: connection closed before reply"
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                let data = Buffer.contents buf in
-                (match String.index_opt data '\n' with
-                | Some i -> Ok (String.sub data 0 i)
-                | None -> read_line ())
-            | exception Unix.Unix_error (EINTR, _, _) -> read_line ()
-          in
-          match
-            write_all 0;
-            read_line ()
-          with
-          | exception Unix.Unix_error (_, _, e) ->
-              Error (Printf.sprintf "snapshot fetch: %s" e)
-          | Error _ as e -> e
-          | Ok reply -> (
-              match Parcfl_svc.Protocol.response_of_string reply with
-              | Ok (Parcfl_svc.Protocol.Snapshot_reply
-                      { generation; records; body; _ }) ->
-                  Ok (generation, records, body)
-              | Ok (Parcfl_svc.Protocol.Error { reason; _ }) ->
-                  Error (Printf.sprintf "snapshot fetch: peer said %s" reason)
-              | Ok _ -> Error "snapshot fetch: unexpected reply"
-              | Error e ->
-                  Error (Printf.sprintf "snapshot fetch: bad reply: %s" e)))
+  | fd -> (
+      let conn = Transport.create ~max_line:max_int fd in
+      Transport.send conn "snapshot 0\n";
+      let reply = ref None in
+      while !reply = None && Transport.readable conn do
+        Transport.read conn ~on_overflow:ignore ~on_line:(fun l ->
+            if !reply = None then reply := Some l)
+      done;
+      Transport.close conn;
+      match Option.map Proto.response_of_string !reply with
+      | None -> Error "snapshot fetch: connection closed before reply"
+      | Some (Ok (Proto.Snapshot_reply { generation; records; body; _ })) ->
+          Ok (generation, records, body)
+      | Some (Ok (Proto.Error { reason; _ })) ->
+          Error (Printf.sprintf "snapshot fetch: peer said %s" reason)
+      | Some (Ok _) -> Error "snapshot fetch: unexpected reply"
+      | Some (Error e) ->
+          Error (Printf.sprintf "snapshot fetch: bad reply: %s" e))

@@ -18,13 +18,10 @@ val save_file : path:string -> string -> (unit, string) result
 val load_file : path:string -> (string, string) result
 
 val wait_for_file :
-  ?timeout_s:float ->
-  ?poll_s:float ->
-  path:string ->
-  unit ->
-  (string, string) result
+  ?timeout_s:float -> path:string -> unit -> (string, string) result
 (** Poll until [path] exists (then load it) or [timeout_s] (default 30 s)
-    elapses — how a joining replica waits for the warm peer's export. *)
+    elapses — how a joining replica waits for the warm peer's export.
+    Polls back off from 1 ms to 50 ms ({!Parcfl_svc.Transport.poll}). *)
 
 val fetch :
   connect:(unit -> Unix.file_descr) ->

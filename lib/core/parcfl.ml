@@ -111,6 +111,7 @@ module Svc_metrics = Parcfl_svc.Metrics
 module Svc_slowlog = Parcfl_svc.Slowlog
 module Svc_span = Parcfl_svc.Span
 module Svc_watchdog = Parcfl_svc.Watchdog
+module Svc_transport = Parcfl_svc.Transport
 module Service = Parcfl_svc.Service
 module Server = Parcfl_svc.Server
 module Load_gen = Parcfl_svc.Load_gen

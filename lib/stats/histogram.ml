@@ -4,6 +4,10 @@ let bucket ~buckets v =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
   min (buckets - 1) (log2 (max 1 v) 0)
 
+let observe h v =
+  let b = bucket ~buckets:(Array.length h) v in
+  h.(b) <- h.(b) + 1
+
 let of_values ~buckets values =
   let h = Array.make buckets 0 in
   Array.iter

@@ -18,9 +18,15 @@
       [nc -U] or any collector that can read a stream; it never parses
       input, so it is not a protocol transport.
 
+    {b Slow peers.} Replies go out through {!Transport}: written at once,
+    the rest queued; a client past {!Transport.output_cap} is dropped and
+    counted in [parcfl_svc_slow_peers_dropped_total]. Only the stdio
+    transport writes blocking: its reader owns the process.
+
     A [quit] request from any client (or stdin EOF) stops intake, drains
     the in-flight queue — every admitted request still gets its real
-    response — closes every connection and returns. *)
+    response — flushes queued replies for at most 5 s in total, closes
+    every connection and returns. *)
 
 val serve :
   ?stdio:bool ->

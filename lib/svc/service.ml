@@ -512,20 +512,14 @@ let note_slowlog t ~id ~trace ~var ~budget ~steps ~latency_us ~breakdown
     }
 
 let observe_latency t latency_us =
-  let b =
-    Histogram.bucket ~buckets:(Array.length t.lat_hist)
-      (max 0 (int_of_float latency_us))
-  in
-  t.lat_hist.(b) <- t.lat_hist.(b) + 1
+  Histogram.observe t.lat_hist (int_of_float latency_us)
 
 let observe_stages t bd =
   List.iteri
     (fun i v ->
       let us = max 0 (int_of_float v) in
       Metrics.add t.metrics (List.nth stage_counters i) us;
-      let h = t.stage_hists.(i) in
-      let b = Histogram.bucket ~buckets:(Array.length h) us in
-      h.(b) <- h.(b) + 1)
+      Histogram.observe t.stage_hists.(i) us)
     (Span.stage_values bd)
 
 let note_trace t p =
@@ -648,14 +642,7 @@ let run_batch t ~now live =
   Array.iteri
     (fun i c -> t.minor_words_hist.(i) <- t.minor_words_hist.(i) + c)
     report.Report.r_minor_words_hist;
-  let group_bucket =
-    Histogram.bucket ~buckets:(Array.length t.group_hist)
-  in
-  Array.iter
-    (fun s ->
-      let b = group_bucket s in
-      t.group_hist.(b) <- t.group_hist.(b) + 1)
-    report.Report.r_group_sizes;
+  Array.iter (Histogram.observe t.group_hist) report.Report.r_group_sizes;
   Array.iteri
     (fun w b ->
       if w < Array.length t.busy_us then t.busy_us.(w) <- t.busy_us.(w) +. b)
@@ -914,10 +901,6 @@ let chain_json t (w : Solver.Witness.t) =
   in
   Json.List (match w.steps with [] -> [] | first :: rest -> go first rest)
 
-let observe_log2 hist v =
-  let b = Histogram.bucket ~buckets:(Array.length hist) (max 0 v) in
-  hist.(b) <- hist.(b) + 1
-
 (* The explain verb's engine side: re-derive with tracing and answer with
    the chain. Synchronous and cold by design — the re-derivation shares
    nothing with the hot answer tiers, so the serve path costs nothing for
@@ -933,7 +916,7 @@ let explain t ~id ~var ~obj ~respond =
           let w = Engine.explain t.engine ~var:v ~obj:o in
           let t1 = Unix.gettimeofday () in
           let latency_us = Float.max 0.0 ((t1 -. t0) *. 1e6) in
-          observe_log2 t.explain_hist (int_of_float latency_us);
+          Histogram.observe t.explain_hist (int_of_float latency_us);
           note_point_trace t ~id ~trace:None ~var:v ~t0_us:(t0 *. 1e6)
             ~t1_us:(t1 *. 1e6);
           let var_name = Pag.var_name (Engine.pag t.engine) v in
@@ -943,7 +926,7 @@ let explain t ~id ~var ~obj ~respond =
             | Some w ->
                 Metrics.incr t.metrics Metrics.Explain_ok;
                 let depth = Solver.Witness.depth w in
-                observe_log2 t.chain_hist depth;
+                Histogram.observe t.chain_hist depth;
                 Protocol.Explain_reply
                   {
                     id;

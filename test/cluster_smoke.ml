@@ -11,15 +11,25 @@
       the router and a closed connection, a line that only outgrows the
       limit once forwarded gets an error with its id, and neither drains
       a replica;
-   3. pipeline a 400-query mix through the router socket, SIGKILL one
+   3. valid queries pipelined between malformed lines (garbage, unknown
+      verbs, bad ids): each bad line gets exactly one error, and every
+      valid id is answered exactly once, with its own id;
+   4. slow reader: a client pipelines 240 KB of `stats` and never reads;
+      another client's pings and queries keep a p95 under 100 ms, the
+      non-reader is dropped and counted, and no replica is drained;
+   5. stalled replica: replica 0 is SIGSTOPped under a pipelined query
+      mix; the router keeps answering ping (p95 under 100 ms), drains it within
+      health_timeout + poll_interval, answers every query correctly by
+      replay, and re-admits it within k_readmit polls of SIGCONT;
+   6. pipeline a 400-query mix through the router socket, SIGKILL one
       replica after the 150th answer, and require every one of the 400
       queries to come back as a correct answer (cross-checked against an
       in-process solve): the failover replay may move work — and the
       rebalancer may re-home components mid-run — never lose or corrupt
       it;
-   4. after the kill, `stats` and `slowlog` must federate over the
+   7. after the kill, `stats` and `slowlog` must federate over the
       surviving replica (replicas=1, entries tagged with their replica);
-   5. after quit, the merged cluster trace must show at least one request
+   8. after quit, the merged cluster trace must show at least one request
       id in both the router lane (pid 0) and a replica lane (pid >= 1).
 
    Usage: cluster_smoke.exe <path/to/parcfl_cli.exe> *)
@@ -125,6 +135,68 @@ let read_until_close fd ~timeout =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   r
 
+let gauge_total name fams =
+  let rec go = function
+    | [] -> fail "family %s missing from exposition" name
+    | P.Expo.Gauge { name = n; samples; _ } :: _ when n = name ->
+        List.fold_left (fun acc s -> acc +. s.P.Expo.value) 0.0 samples
+    | _ :: rest -> go rest
+  in
+  go fams
+
+(* A raw-fd line reader, for phases that select over several clients. *)
+type reader = {
+  fd : Unix.file_descr;
+  framer : P.Svc_transport.framer;
+  lines : string Queue.t;
+}
+
+let reader fd =
+  { fd; framer = P.Svc_transport.framer ~max_line:max_int; lines = Queue.create () }
+
+let chunk = Bytes.create 65536
+
+(* One read: queue the lines it completed; [false] at end of stream. *)
+let fill r =
+  match Unix.read r.fd chunk 0 (Bytes.length chunk) with
+  | 0 -> false
+  | n ->
+      P.Svc_transport.feed r.framer chunk 0 n ~on_overflow:ignore
+        ~on_line:(fun line -> Queue.push line r.lines);
+      true
+  | exception Unix.Unix_error (ECONNRESET, _, _) -> false
+
+let rec next_line r ~timeout =
+  if not (Queue.is_empty r.lines) then Some (Queue.pop r.lines)
+  else
+    match Unix.select [ r.fd ] [] [] timeout with
+    | [], _, _ -> None
+    | _ -> if fill r then next_line r ~timeout else None
+    | exception Unix.Unix_error (EINTR, _, _) -> next_line r ~timeout
+
+let send_line r line = write_all r.fd (line ^ "\n")
+
+(* One request and its reply, with the round trip in seconds. *)
+let round_trip what r req =
+  let t0 = Unix.gettimeofday () in
+  send_line r (Proto.request_to_string req);
+  match next_line r ~timeout:10.0 with
+  | None -> fail "%s: no reply in 10s" what
+  | Some line -> (
+      let dt = Unix.gettimeofday () -. t0 in
+      match Proto.response_of_string line with
+      | Ok resp -> (resp, dt)
+      | Error e -> fail "%s: bad reply %S: %s" what line e)
+
+let router_metrics what r id =
+  match round_trip what r (Proto.Metrics id) with
+  | Proto.Metrics_reply { body; _ }, _ -> parse_exposition what body
+  | resp, _ -> fail "%s: expected metrics, got %s" what (Proto.response_to_string resp)
+
+let p95 samples =
+  let a = Array.of_list (List.sort compare samples) in
+  a.(int_of_float (0.95 *. float_of_int (Array.length a - 1)))
+
 let hist_count name fams =
   let rec go = function
     | [] -> fail "family %s missing from exposition" name
@@ -205,6 +277,11 @@ let () =
         if not is_router_line then read_banner ()
   in
   read_banner ();
+  (* A failed check must not leave replicas behind (or stopped). *)
+  at_exit (fun () ->
+      Hashtbl.iter
+        (fun _ pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+        replica_pids);
   let replica0_pid =
     match Hashtbl.find_opt replica_pids 0 with
     | Some pid -> pid
@@ -383,7 +460,278 @@ let () =
         fail "oversized lines drained %.0f replica(s)" drains
   | r -> fail "expected metrics, got %s" (Proto.response_to_string r));
 
-  (* ------------- phase 3: failover under pipelined load -------------- *)
+  let query_line id v =
+    Proto.request_to_string
+      (Proto.Query
+         {
+           id;
+           var = Printf.sprintf "#%d" v;
+           budget = None;
+           deadline_ms = None;
+           trace = None;
+         })
+  in
+
+  (* ------------- phase 3: no mis-correlated ids ---------------------- *)
+
+  (* Valid queries interleaved with lines the router must refuse itself:
+     unparseable ones get an id-less error, a resolvable-looking query
+     with a bad variable gets an error with its own id. Every valid id
+     comes back exactly once, carrying the answer for its own variable. *)
+  let m = reader (connect_path sock) in
+  let bad =
+    [|
+      ("garbage \001\255 line", None);
+      ("frobnicate 5", None);
+      ("query 7x #3", None);
+      ("query 8301 #abc", Some 8301);
+      ("query 8302 #99999999", Some 8302);
+      ("stats", None);
+    |]
+  in
+  let n_valid = 60 in
+  for i = 0 to n_valid - 1 do
+    send_line m (query_line (8400 + i) (var_of i));
+    let line, _ = bad.(i mod Array.length bad) in
+    if i < 2 * Array.length bad then send_line m line
+  done;
+  let n_bad = 2 * Array.length bad in
+  let valid_seen = Hashtbl.create n_valid in
+  let errors = ref [] in
+  for _ = 1 to n_valid + n_bad do
+    match next_line m ~timeout:10.0 with
+    | None -> fail "malformed-lines leg: a reply is missing"
+    | Some line -> (
+        match Proto.response_of_string line with
+        | Ok (Proto.Answer { id; objects; _ }) ->
+            if id < 8400 || id >= 8400 + n_valid then
+              fail "malformed-lines leg: answer for foreign id %d" id;
+            if Hashtbl.mem valid_seen id then
+              fail "malformed-lines leg: id %d answered twice" id;
+            if objects <> expected (var_of (id - 8400)) then
+              fail "malformed-lines leg: id %d carries another answer" id;
+            Hashtbl.replace valid_seen id ()
+        | Ok (Proto.Error { id; _ }) -> errors := id :: !errors
+        | _ -> fail "malformed-lines leg: unexpected reply %S" line)
+  done;
+  if Hashtbl.length valid_seen <> n_valid then
+    fail "malformed-lines leg: %d of %d valid ids answered"
+      (Hashtbl.length valid_seen) n_valid;
+  let want_errors =
+    List.sort compare
+      (List.map snd (Array.to_list bad) @ List.map snd (Array.to_list bad))
+  in
+  if List.sort compare !errors <> want_errors then
+    fail "malformed-lines leg: errors do not match the bad lines one-to-one";
+  (* Nothing else arrives: the next reply is the pong. *)
+  (match round_trip "malformed-lines leg" m (Proto.Ping 8500) with
+  | Proto.Pong 8500, _ -> ()
+  | r, _ -> fail "malformed-lines leg: stray reply %s" (Proto.response_to_string r));
+  Unix.close m.fd;
+
+  (* ------------- phase 4: a client that never reads ------------------ *)
+
+  (* Client A pipelines 240 KB of stats and never reads. The router must
+     drop A once its queued replies pass the output cap, without holding
+     up client B or letting either replica's connection back up. *)
+  let a = connect_path sock in
+  let flood = Buffer.create (256 * 1024) in
+  let k = ref 0 in
+  while Buffer.length flood < 240 * 1024 do
+    Buffer.add_string flood (Printf.sprintf "stats %d\n" !k);
+    incr k
+  done;
+  (* Non-blocking, so a router that stops reading A fails B's checks
+     below instead of hanging this test. *)
+  Unix.set_nonblock a;
+  (let s = Buffer.to_bytes flood in
+   let rec go off =
+     if off < Bytes.length s then
+       match Unix.select [] [ a ] [] 2.0 with
+       | _, [], _ -> () (* the router stopped reading A *)
+       | _ -> (
+           match Unix.single_write a s off (Bytes.length s - off) with
+           | n -> go (off + n)
+           | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> go off
+           | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ())
+   in
+   go 0);
+  let b = reader (connect_path sock) in
+  let rtts =
+    List.init 60 (fun i ->
+        let what = "slow-reader leg" in
+        let dt =
+          if i mod 2 = 0 then (
+            match round_trip what b (Proto.Ping i) with
+            | Proto.Pong id, dt when id = i -> dt
+            | r, _ -> fail "%s: ping %d got %s" what i (Proto.response_to_string r))
+          else (
+            send_line b (query_line i (var_of i));
+            let t0 = Unix.gettimeofday () in
+            match next_line b ~timeout:10.0 with
+            | None -> fail "%s: query %d unanswered in 10s" what i
+            | Some line -> (
+                match Proto.response_of_string line with
+                | Ok (Proto.Answer { id; objects; _ }) when id = i ->
+                    if objects <> expected (var_of i) then
+                      fail "%s: query %d: wrong points-to set" what i;
+                    Unix.gettimeofday () -. t0
+                | _ -> fail "%s: query %d got %S" what i line))
+        in
+        Unix.sleepf 0.01;
+        dt)
+  in
+  if p95 rtts > 0.1 then
+    fail "slow-reader leg: client B p95 %.1f ms with a non-reading client"
+      (p95 rtts *. 1000.0);
+  (let a = reader a in
+   let stop = Unix.gettimeofday () +. 10.0 in
+   let rec drain () =
+     if Unix.gettimeofday () > stop then
+       fail "slow-reader leg: client A was never dropped";
+     match Unix.select [ a.fd ] [] [] 1.0 with
+     | [], _, _ -> drain ()
+     | _ -> if fill a then drain ()
+   in
+   drain ();
+   Unix.close a.fd);
+  let fams = router_metrics "slow-reader leg" b 8600 in
+  if counter_total "parcfl_router_slow_peers_dropped_total" fams <> 1.0 then
+    fail "slow-reader leg: router did not count exactly one dropped peer";
+  if counter_total "parcfl_svc_slow_peers_dropped_total" fams <> 0.0 then
+    fail "slow-reader leg: a replica dropped the router's connection";
+  if counter_total "parcfl_router_drains_total" fams <> 0.0 then
+    fail "slow-reader leg: a replica was drained";
+
+  (* ------------- phase 5: a stalled replica --------------------------- *)
+
+  (* SIGSTOP replica 0 under a pipelined mix. Client B pings every 20 ms;
+     client D's federated metrics request waits on the stopped replica,
+     so its reply lands when the router drains it. *)
+  let poll_interval = 0.1 and health_timeout = 5.0 and k_readmit = 3 in
+  let q = reader (connect_path sock) in
+  let d = reader (connect_path sock) in
+  (* About 300 KB of queries: more than a socket buffer holds, so a
+     router that writes to the stopped replica blocking would wedge. Q is
+     written as the router takes it, inside the loop below. *)
+  let n_stall = 12000 in
+  let mix = Buffer.create (n_stall * 26) in
+  for i = 0 to n_stall - 1 do
+    Buffer.add_string mix (query_line (20000 + i) (var_of i) ^ "\n")
+  done;
+  let mix = Buffer.to_bytes mix and mix_off = ref 0 in
+  Unix.set_nonblock q.fd;
+  let write_mix () =
+    match Unix.single_write q.fd mix !mix_off (Bytes.length mix - !mix_off) with
+    | n -> mix_off := !mix_off + n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  in
+  (* The mix is in flight when the replica stops. *)
+  write_mix ();
+  Unix.sleepf 0.005;
+  let t_stop = Unix.gettimeofday () in
+  (try Unix.kill replica0_pid Sys.sigstop
+   with Unix.Unix_error _ -> fail "could not stop replica 0");
+  send_line d (Proto.request_to_string (Proto.Metrics 8700));
+  let pings = ref [] and ping_sent = ref None and next_ping = ref 0 in
+  let ping_due = ref 0.0 in
+  let answered = Hashtbl.create n_stall in
+  let drained_at = ref None in
+  let stall_deadline = t_stop +. 30.0 in
+  while !drained_at = None || Hashtbl.length answered < n_stall do
+    let now = Unix.gettimeofday () in
+    if now > stall_deadline then
+      fail "stalled-replica leg: %d/%d answers, drain %s after 30s"
+        (Hashtbl.length answered) n_stall
+        (if !drained_at = None then "not seen" else "seen");
+    (match !ping_sent with
+    | Some t0 when now -. t0 > 1.0 ->
+        fail "stalled-replica leg: ping unanswered after %.0f ms"
+          ((now -. t0) *. 1000.0)
+    | None when now >= !ping_due ->
+        send_line b (Proto.request_to_string (Proto.Ping !next_ping));
+        ping_sent := Some now;
+        ping_due := now +. 0.02
+    | _ -> ());
+    let fds = [ b.fd; q.fd ] @ if !drained_at = None then [ d.fd ] else [] in
+    let q_out = if !mix_off < Bytes.length mix then [ q.fd ] else [] in
+    let ready, writable, _ = Unix.select fds q_out [] 0.005 in
+    if writable <> [] then write_mix ();
+    if List.mem b.fd ready && not (fill b) then fail "router closed client B";
+    if List.mem q.fd ready && not (fill q) then fail "router closed client Q";
+    if List.mem d.fd ready && not (fill d) then fail "router closed client D";
+    Queue.iter
+      (fun line ->
+        match (Proto.response_of_string line, !ping_sent) with
+        | Ok (Proto.Pong id), Some t0 when id = !next_ping ->
+            pings := (Unix.gettimeofday () -. t0) :: !pings;
+            incr next_ping;
+            ping_sent := None
+        | _ -> fail "stalled-replica leg: client B got %S" line)
+      b.lines;
+    Queue.clear b.lines;
+    Queue.iter
+      (fun line ->
+        match Proto.response_of_string line with
+        | Ok (Proto.Answer { id; objects; _ }) ->
+            let i = id - 20000 in
+            if i < 0 || i >= n_stall || Hashtbl.mem answered i then
+              fail "stalled-replica leg: unexpected answer id %d" id;
+            if objects <> expected (var_of i) then
+              fail "stalled-replica leg: query %d: wrong points-to set" id;
+            Hashtbl.replace answered i ()
+        | _ -> fail "stalled-replica leg: expected an answer, got %S" line)
+      q.lines;
+    Queue.clear q.lines;
+    match Queue.take_opt d.lines with
+    | None -> ()
+    | Some line -> (
+        drained_at := Some (Unix.gettimeofday () -. t_stop);
+        match Proto.response_of_string line with
+        | Ok (Proto.Metrics_reply { body; _ }) ->
+            let fams = parse_exposition "stalled-replica leg" body in
+            if counter_total "parcfl_router_drains_total" fams <> 1.0 then
+              fail "stalled-replica leg: replica 0 was not drained";
+            if gauge_total "parcfl_router_live_replicas" fams <> 1.0 then
+              fail "stalled-replica leg: replica 0 still live"
+        | _ -> fail "stalled-replica leg: expected metrics, got %S" line)
+  done;
+  (* Pings stay within 100 ms at the 95th percentile; the 1 s cap above
+     tolerates one scheduling hiccup on a loaded host, never a router
+     wedged on the stopped replica. *)
+  if p95 !pings > 0.1 then
+    fail "stalled-replica leg: ping p95 %.1f ms" (p95 !pings *. 1000.0);
+  let drain_s = Option.get !drained_at in
+  (* The first unanswered probe leaves at most one poll interval after the
+     stop and expires health_timeout later; 250 ms covers this test's own
+     scheduling. *)
+  if drain_s > health_timeout +. poll_interval +. 0.25 then
+    fail "stalled-replica leg: drained after %.2fs" drain_s;
+  let t_cont = Unix.gettimeofday () in
+  (try Unix.kill replica0_pid Sys.sigcont
+   with Unix.Unix_error _ -> fail "could not continue replica 0");
+  let rec await_readmit id =
+    let fams = router_metrics "stalled-replica leg" d id in
+    if gauge_total "parcfl_router_live_replicas" fams = 2.0 then
+      Unix.gettimeofday () -. t_cont
+    else if Unix.gettimeofday () -. t_cont > 10.0 then
+      fail "stalled-replica leg: replica 0 not re-admitted 10s after SIGCONT"
+    else begin
+      Unix.sleepf 0.02;
+      await_readmit (id + 1)
+    end
+  in
+  let readmit_s = await_readmit 8701 in
+  if readmit_s > (float_of_int k_readmit *. poll_interval) +. 0.25 then
+    fail "stalled-replica leg: re-admitted %.2fs after SIGCONT" readmit_s;
+  List.iter (fun r -> Unix.close r.fd) [ b; q; d ];
+  Printf.printf
+    "cluster smoke: stalled replica drained after %.2fs, re-admitted %.2fs \
+     after SIGCONT, %d pings (max %.1f ms)\n%!"
+    drain_s readmit_s (List.length !pings)
+    (List.fold_left Float.max 0.0 !pings *. 1000.0);
+
+  (* ------------- phase 6: failover under pipelined load -------------- *)
 
   for i = 0 to n_requests - 1 do
     send
@@ -440,7 +788,7 @@ let () =
         fail "health report does not name the drained replica"
   | r -> fail "expected health, got %s" (Proto.response_to_string r));
 
-  (* --------- phase 4: federation over the surviving replica ---------- *)
+  (* --------- phase 7: federation over the surviving replica ---------- *)
 
   send (Proto.Stats 9100);
   (match recv () with
@@ -474,7 +822,7 @@ let () =
   | Unix.WSIGNALED n -> fail "cluster killed by signal %d" n
   | Unix.WSTOPPED n -> fail "cluster stopped by signal %d" n);
 
-  (* -------------- phase 5: the merged cluster trace ------------------ *)
+  (* -------------- phase 8: the merged cluster trace ------------------ *)
 
   let trace_text =
     match In_channel.with_open_bin trace_path In_channel.input_all with

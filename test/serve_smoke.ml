@@ -2,7 +2,11 @@
    (the stdio transport), send a ping, three queries — one repeated so the
    cross-batch cache must hit — and a stats probe, then quit and check
    every response, including that served answers equal a direct in-process
-   solve of the same variables.
+   solve of the same variables. An EOF leg closes stdin without a quit
+   while queries wait in a micro-batch: every one must still be answered.
+   A socket leg drives `serve --socket` with a client that pipelines stats
+   and never reads: another client's round trips must stay fast, and the
+   non-reader must be dropped and counted.
 
    Usage: serve_smoke.exe <path/to/parcfl_cli.exe> *)
 
@@ -300,4 +304,197 @@ let () =
       if id <> id' || var <> var' || objects <> objects' then
         fail "oracle leg: answer %d differs between the tiers" id)
     plain oracled;
-  print_endline "serve smoke: ok"
+
+  (* EOF leg: stdin ends without a quit while queries still wait in a
+     micro-batch; the drain must still answer every one of them. *)
+  (* Close-on-exec, so the server holds no copy of the write end and
+     sees end of stream when this side closes it. *)
+  (let to_r, to_w = Unix.pipe ~cloexec:true () in
+   let from_r, from_w = Unix.pipe ~cloexec:true () in
+   let pid =
+     Unix.create_process cli
+       [| cli; "serve"; "-b"; "tiny"; "-t"; "1"; "--stdio" |]
+       to_r from_w Unix.stderr
+   in
+   Unix.close to_r;
+   Unix.close from_w;
+   let oc = Unix.out_channel_of_descr to_w in
+   List.iter
+     (fun (id, v) ->
+       output_string oc
+         (Proto.request_to_string
+            (Proto.Query
+               { id; var = Printf.sprintf "#%d" v; budget = None;
+                 deadline_ms = None; trace = None })
+         ^ "\n"))
+     probe;
+   close_out oc;
+   let ic = Unix.in_channel_of_descr from_r in
+   let answered =
+     List.map
+       (fun _ ->
+         match Proto.response_of_string (input_line ic) with
+         | Ok (Proto.Answer { id; objects; _ }) -> (id, objects)
+         | _ -> fail "EOF leg: expected an answer"
+         | exception End_of_file -> fail "EOF leg: answers lost at stdin EOF")
+       probe
+   in
+   List.iter
+     (fun (id, v) ->
+       if List.assoc_opt id answered <> Some (expected v) then
+         fail "EOF leg: query %d unanswered or wrong" id)
+     probe;
+   match Unix.waitpid [] pid with
+   | _, Unix.WEXITED 0 -> close_in ic
+   | _ -> fail "EOF leg: server did not exit cleanly");
+
+  (* Slow-reader leg: client A pipelines 240 KB of stats lines and never
+     reads its replies; client B's pings and queries must still come back
+     within 100 ms (p95), A must be dropped once its queued replies pass
+     the output cap, and the server must count exactly that one drop. *)
+  let sock =
+    Printf.sprintf "%s/parcfl_serve_smoke_%d.sock"
+      (Filename.get_temp_dir_name ()) (Unix.getpid ())
+  in
+  let pid =
+    Unix.create_process cli
+      [| cli; "serve"; "-b"; "tiny"; "-t"; "1"; "--socket"; sock |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  (* A failed check must not leave the server holding stdout open. *)
+  let exited = ref false in
+  at_exit (fun () ->
+      if not !exited then try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  let connect () =
+    let rec go tries =
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect fd (Unix.ADDR_UNIX sock) with
+      | () -> fd
+      | exception Unix.Unix_error _ ->
+          Unix.close fd;
+          if tries > 600 then fail "slow-reader leg: %s never accepted" sock;
+          Unix.sleepf 0.05;
+          go (tries + 1)
+    in
+    go 0
+  in
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a = connect () in
+  let flood = Buffer.create (256 * 1024) in
+  let i = ref 0 in
+  while Buffer.length flood < 240 * 1024 do
+    Buffer.add_string flood (Printf.sprintf "stats %d\n" !i);
+    incr i
+  done;
+  (* Non-blocking, so a server that stops reading A (wedged in a write to
+     A) fails client B's checks below instead of hanging this test. *)
+  Unix.set_nonblock a;
+  (let s = Buffer.to_bytes flood in
+   let rec go off =
+     if off < Bytes.length s then
+       match Unix.select [] [ a ] [] 2.0 with
+       | _, [], _ -> () (* the server stopped reading A *)
+       | _ -> (
+           match Unix.single_write a s off (Bytes.length s - off) with
+           | n -> go (off + n)
+           | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> go off
+           | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+               () (* dropped before it finished writing *))
+   in
+   go 0);
+  let b = connect () in
+  let framer = P.Svc_transport.framer ~max_line:max_int in
+  let b_lines = Queue.create () and chunk = Bytes.create 65536 in
+  let rec recv_line () =
+    match Queue.take_opt b_lines with
+    | Some line -> line
+    | None -> (
+        match Unix.select [ b ] [] [] 10.0 with
+        | [], _, _ -> fail "slow-reader leg: no reply to client B in 10s"
+        | _ -> (
+            match Unix.read b chunk 0 (Bytes.length chunk) with
+            | 0 -> fail "slow-reader leg: server closed client B"
+            | n ->
+                P.Svc_transport.feed framer chunk 0 n ~on_overflow:ignore
+                  ~on_line:(fun l -> Queue.push l b_lines);
+                recv_line ()))
+  in
+  let round_trip req =
+    let line = Proto.request_to_string req ^ "\n" in
+    let t0 = Unix.gettimeofday () in
+    ignore (Unix.write_substring b line 0 (String.length line));
+    let reply = recv_line () in
+    let dt = Unix.gettimeofday () -. t0 in
+    match Proto.response_of_string reply with
+    | Ok r -> (r, dt)
+    | Error e -> fail "slow-reader leg: bad reply %S: %s" reply e
+  in
+  let rtts =
+    List.init 60 (fun k ->
+        let r, dt =
+          if k mod 2 = 0 then round_trip (Proto.Ping k)
+          else
+            round_trip
+              (Proto.Query
+                 {
+                   id = k;
+                   var = Printf.sprintf "#%d" v0;
+                   budget = None;
+                   deadline_ms = None;
+                   trace = None;
+                 })
+        in
+        (match r with
+        | Proto.Pong id when id = k -> ()
+        | Proto.Answer { id; objects; _ } when id = k ->
+            if objects <> expected v0 then
+              fail "slow-reader leg: query %d: wrong points-to set" k
+        | r -> fail "slow-reader leg: request %d got %s" k
+                 (Proto.response_to_string r));
+        Unix.sleepf 0.01;
+        dt)
+    |> List.sort compare |> Array.of_list
+  in
+  let p95 = rtts.(int_of_float (0.95 *. float_of_int (Array.length rtts - 1))) in
+  if p95 > 0.1 then
+    fail "slow-reader leg: client B p95 %.1f ms with a non-reading client"
+      (p95 *. 1000.0);
+  (* A was dropped: its socket reaches end of stream (after whatever
+     replies the kernel had already accepted). *)
+  (let stop = Unix.gettimeofday () +. 10.0 in
+   let rec drain () =
+     let left = stop -. Unix.gettimeofday () in
+     if left <= 0.0 then fail "slow-reader leg: client A was never dropped";
+     match Unix.select [ a ] [] [] left with
+     | [], _, _ -> fail "slow-reader leg: client A was never dropped"
+     | _ -> (
+         match Unix.read a chunk 0 (Bytes.length chunk) with
+         | 0 -> ()
+         | _ -> drain ()
+         | exception Unix.Unix_error (ECONNRESET, _, _) -> ())
+   in
+   drain ();
+   Unix.close a);
+  (match round_trip (Proto.Metrics 99) with
+  | Proto.Metrics_reply { id = 99; body }, _ -> (
+      match P.Expo.parse_families body with
+      | Error e -> fail "slow-reader leg: exposition does not parse: %s" e
+      | Ok fams -> (
+          match
+            List.find_opt
+              (fun f ->
+                P.Expo.family_name f = "parcfl_svc_slow_peers_dropped_total")
+              fams
+          with
+          | Some (P.Expo.Counter { samples = [ { value = 1.0; _ } ]; _ }) -> ()
+          | Some _ -> fail "slow-reader leg: expected exactly one slow peer dropped"
+          | None -> fail "slow-reader leg: no slow-peer counter in the exposition"))
+  | r, _ -> fail "slow-reader leg: expected metrics, got %s"
+              (Proto.response_to_string r));
+  ignore (Unix.write_substring b "quit\n" 0 5);
+  let _, status = Unix.waitpid [] pid in
+  exited := true;
+  if status <> Unix.WEXITED 0 then fail "slow-reader leg: server did not exit cleanly";
+  Unix.close b;
+  Printf.printf "serve smoke: ok (slow reader dropped, client B p95 %.1f ms)\n"
+    (p95 *. 1000.0)

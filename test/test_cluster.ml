@@ -436,10 +436,30 @@ let test_snapshot_file_roundtrip () =
   | Ok got -> Alcotest.(check string) "wait sees it" text got
   | Error e -> Alcotest.failf "wait: %s" e);
   Sys.remove path;
-  match P.Cluster_snapshot.wait_for_file ~timeout_s:0.2 ~poll_s:0.05 ~path ()
+  match P.Cluster_snapshot.wait_for_file ~timeout_s:0.2 ~path ()
   with
   | Ok _ -> Alcotest.fail "wait on a missing file must time out"
   | Error _ -> ()
+
+(* The wire fetch reads its one reply line with the shared framer; the
+   peer's reply is already waiting in the socket when fetch connects. *)
+let test_snapshot_fetch () =
+  let mine, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let reply =
+    P.Svc_protocol.response_to_string
+      (P.Svc_protocol.Snapshot_reply
+         { id = 0; generation = 3; records = 1; body = "jmpsnap 1 gen=3\nfin 1 4 - 7\n" })
+  in
+  ignore (Unix.write_substring peer (reply ^ "\r\n") 0 (String.length reply + 2));
+  (match P.Cluster_snapshot.fetch ~connect:(fun () -> mine) () with
+  | Ok (gen, records, body) ->
+      Alcotest.(check (triple int int string)) "reply"
+        (3, 1, "jmpsnap 1 gen=3\nfin 1 4 - 7\n") (gen, records, body)
+  | Error e -> Alcotest.failf "fetch: %s" e);
+  let sent = Bytes.create 64 in
+  let n = Unix.read peer sent 0 64 in
+  Alcotest.(check string) "request" "snapshot 0\n" (Bytes.sub_string sent 0 n);
+  Unix.close peer
 
 let suite =
   ( "cluster",
@@ -483,4 +503,6 @@ let suite =
         test_failover_healthy_live_noop;
       Alcotest.test_case "snapshot file roundtrip" `Quick
         test_snapshot_file_roundtrip;
+      Alcotest.test_case "snapshot fetch over the wire" `Quick
+        test_snapshot_fetch;
     ] )

@@ -761,6 +761,123 @@ let test_health_verb_and_injection () =
   Alcotest.(check bool) "recovers" true healthy;
   Alcotest.(check (list string)) "reasons clear" [] reasons
 
+(* ----------------------------- transport ---------------------------- *)
+
+module Transport = P.Svc_transport
+
+(* The framer's contract, as a one-shot split: complete lines (CR
+   stripped) up to the first one over the limit, then one overflow —
+   also when the over-limit line is the unterminated tail. *)
+let split_model ~max_line s =
+  let strip l =
+    let n = String.length l in
+    if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+  in
+  let rec go acc = function
+    | [] -> (List.rev acc, 0)
+    | [ tail ] -> (List.rev acc, if String.length tail > max_line then 1 else 0)
+    | l :: _ when String.length l > max_line -> (List.rev acc, 1)
+    | l :: rest -> go (strip l :: acc) rest
+  in
+  go [] (String.split_on_char '\n' s)
+
+(* Feed [s] cut at [cuts], each chunk framed from the middle of a larger
+   buffer so offsets are exercised too. *)
+let framed ~max_line s cuts =
+  let f = Transport.framer ~max_line in
+  let lines = ref [] and overflows = ref 0 in
+  let cuts =
+    List.sort_uniq compare (List.map (fun c -> c mod (String.length s + 1)) cuts)
+  in
+  let rec go from = function
+    | [] -> feed from (String.length s)
+    | c :: rest ->
+        feed from c;
+        go c rest
+  and feed a b =
+    let b' = Bytes.of_string ("<<" ^ String.sub s a (b - a) ^ ">>") in
+    Transport.feed f b' 2 (b - a)
+      ~on_line:(fun l -> lines := l :: !lines)
+      ~on_overflow:(fun () -> incr overflows)
+  in
+  go 0 cuts;
+  (List.rev !lines, !overflows)
+
+let prop_framer_chunking =
+  let stream =
+    QCheck.Gen.(
+      string_size ~gen:(oneofl [ 'a'; 'b'; '\r'; '\n' ]) (int_bound 120))
+  in
+  QCheck.Test.make ~name:"transport framer ignores chunking" ~count:2000
+    QCheck.(
+      triple (make ~print:String.escaped stream) (list small_nat)
+        (int_range 0 12))
+    (fun (s, cuts, max_line) ->
+      framed ~max_line s cuts = split_model ~max_line s
+      && framed ~max_line s [] = split_model ~max_line s)
+
+let socket_pair () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock a;
+  Unix.set_nonblock b;
+  (Transport.create ~max_line:1024 a, b)
+
+(* Read what [peer] receives until [want] bytes arrived (or 10 s passed),
+   flushing [conn] between reads. *)
+let drain_into conn peer want =
+  let got = Buffer.create want and chunk = Bytes.create 65536 in
+  let stop = Unix.gettimeofday () +. 10.0 in
+  while Buffer.length got < want && Unix.gettimeofday () < stop do
+    (match Unix.read peer chunk 0 (Bytes.length chunk) with
+    | n -> Buffer.add_subbytes got chunk 0 n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ());
+    Transport.flush_all ~grace:0.01 [ conn ]
+  done;
+  Buffer.contents got
+
+let test_transport_queue_order () =
+  let conn, peer = socket_pair () in
+  let big = String.init (2 * 1024 * 1024) (fun i -> Char.chr (97 + (i mod 26))) in
+  Transport.send conn big;
+  Transport.send conn "second\n";
+  Transport.send conn "third\n";
+  Alcotest.(check bool) "kernel refused part; still alive" true
+    (Transport.alive conn);
+  let want = big ^ "second\nthird\n" in
+  let got = drain_into conn peer (String.length want) in
+  Alcotest.(check int) "every byte arrives" (String.length want)
+    (String.length got);
+  Alcotest.(check bool) "in order" true (got = want);
+  Transport.close conn;
+  Unix.close peer
+
+let test_transport_cap_drops () =
+  let conn, peer = socket_pair () in
+  let before = Transport.dropped () in
+  let line = String.make 65536 'x' in
+  let sent = ref 0 in
+  while Transport.alive conn && !sent < 4 * Transport.output_cap do
+    Transport.send conn line;
+    sent := !sent + String.length line
+  done;
+  Alcotest.(check bool) "dropped, not waited on" false (Transport.alive conn);
+  Alcotest.(check int) "counted once" (before + 1) (Transport.dropped ());
+  Alcotest.(check bool) "before twice the cap" true
+    (!sent <= 2 * Transport.output_cap);
+  Transport.close conn;
+  Unix.close peer
+
+let test_transport_big_reply_whole () =
+  let conn, peer = socket_pair () in
+  let big = String.init (Transport.output_cap + 4096) (fun i -> Char.chr (65 + (i mod 26))) in
+  Transport.send conn (big ^ "\n");
+  Alcotest.(check bool) "one reply over the cap is accepted" true
+    (Transport.alive conn);
+  let got = drain_into conn peer (String.length big + 1) in
+  Alcotest.(check bool) "delivered whole" true (got = big ^ "\n");
+  Transport.close conn;
+  Unix.close peer
+
 let suite =
   ( "svc",
     [
@@ -798,4 +915,11 @@ let suite =
         test_watchdog_unit;
       Alcotest.test_case "health verb + stall injection" `Quick
         test_health_verb_and_injection;
+      QCheck_alcotest.to_alcotest prop_framer_chunking;
+      Alcotest.test_case "transport queues behind a partial write" `Quick
+        test_transport_queue_order;
+      Alcotest.test_case "transport drops a peer past the cap" `Quick
+        test_transport_cap_drops;
+      Alcotest.test_case "transport sends one big reply whole" `Quick
+        test_transport_big_reply_whole;
     ] )
