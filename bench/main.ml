@@ -715,7 +715,6 @@ let serve ms =
                 P.Service.default_config with
                 P.Service.threads = 2;
                 max_batch = 32;
-                max_wait = 0.0;
                 tau_f = Some tau_f;
                 tau_u = Some tau_u;
                 max_budget = budget;
@@ -751,7 +750,7 @@ let serve ms =
                    deadline_ms = None;
                    trace = None;
                  });
-            (* max_wait = 0: every pending request is due immediately, so
+            (* Work-conserving: every pump batches whatever is queued, so
                batch size is bounded by arrival concurrency (here: the
                admission queue depth when we poll). *)
             ignore
@@ -840,7 +839,6 @@ let serve_coldwarm ms =
                   P.Service.default_config with
                   P.Service.threads = 2;
                   max_batch = 32;
-                  max_wait = 0.0;
                   context_sensitive = false;
                   preseed;
                   tau_f = Some tau_f;
@@ -957,7 +955,6 @@ let serve_cluster ms =
           P.Service.default_config with
           P.Service.threads = 2;
           max_batch = 32;
-          max_wait = 0.0;
           tau_f = Some tau_f;
           tau_u = Some tau_u;
           max_budget = budget;
@@ -1410,7 +1407,6 @@ let serve_oracle ms =
                   P.Service.default_config with
                   P.Service.threads = 2;
                   max_batch = 32;
-                  max_wait = 0.0;
                   context_sensitive = false;
                   oracle;
                   tau_f = Some tau_f;
@@ -1545,7 +1541,6 @@ let serve_explain ms =
                 P.Service.default_config with
                 P.Service.threads = 2;
                 max_batch = 32;
-                max_wait = 0.0;
                 tau_f = Some tau_f;
                 tau_u = Some tau_u;
                 max_budget = budget;

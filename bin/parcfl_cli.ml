@@ -438,10 +438,6 @@ let serve_cmd =
     let doc = "Micro-batch size cap." in
     Arg.(value & opt int 64 & info [ "max-batch" ] ~docv:"N" ~doc)
   in
-  let window_arg =
-    let doc = "Micro-batch accumulation window, milliseconds." in
-    Arg.(value & opt float 10.0 & info [ "window-ms" ] ~docv:"MS" ~doc)
-  in
   let queue_cap_arg =
     let doc = "Admission queue capacity (beyond it, requests are rejected)." in
     Arg.(value & opt int 1024 & info [ "queue-cap" ] ~docv:"N" ~doc)
@@ -547,7 +543,7 @@ let serve_cmd =
     Arg.(
       value & opt (some string) None & info [ "snapshot-in" ] ~docv:"FILE" ~doc)
   in
-  let run bench mode threads budget socket stdio max_batch window_ms queue_cap
+  let run bench mode threads budget socket stdio max_batch queue_cap
       cache_cap slowlog_cap wd_stall_s wd_starvation_s
       metrics_socket preseed insensitive oracle oracle_snapshot_out
       oracle_snapshot_in snapshot_out snapshot_in trace_out bench_json =
@@ -570,7 +566,6 @@ let serve_cmd =
             P.Service.threads;
             mode;
             max_batch;
-            max_wait = window_ms /. 1000.0;
             queue_capacity = queue_cap;
             cache_capacity = cache_cap;
             max_budget = budget;
@@ -703,7 +698,7 @@ let serve_cmd =
           admission control)")
     Term.(
       const run $ bench_arg $ mode_arg $ threads_arg $ budget_arg $ socket_arg
-      $ stdio_arg $ max_batch_arg $ window_arg $ queue_cap_arg $ cache_cap_arg
+      $ stdio_arg $ max_batch_arg $ queue_cap_arg $ cache_cap_arg
       $ slowlog_cap_arg $ wd_stall_arg $ wd_starvation_arg
       $ metrics_socket_arg
       $ preseed_arg $ serve_insensitive_arg $ oracle_arg

@@ -105,7 +105,6 @@ module Escape_client = Parcfl_clients.Escape_client
 module Svc_protocol = Parcfl_svc.Protocol
 module Svc_cache = Parcfl_svc.Cache
 module Svc_admission = Parcfl_svc.Admission
-module Svc_batcher = Parcfl_svc.Batcher
 module Svc_engine = Parcfl_svc.Engine
 module Svc_metrics = Parcfl_svc.Metrics
 module Svc_slowlog = Parcfl_svc.Slowlog

@@ -3,8 +3,8 @@
     Admission is all-or-nothing: {!try_add} either enqueues or reports the
     queue full, and the caller answers the client with an explicit
     [rejected] response instead of buffering unboundedly. FIFO order is
-    preserved from admission to batch formation (the micro-batcher takes a
-    prefix; the scheduler may reorder {e within} the batch). *)
+    preserved from admission to batch formation (each batch takes a prefix;
+    the scheduler may reorder {e within} the batch). *)
 
 type 'a t
 
@@ -19,7 +19,7 @@ val try_add : 'a t -> 'a -> bool
 (** [false] means full — reject, do not retry internally. *)
 
 val peek : 'a t -> 'a option
-(** Oldest queued item, not removed (the batcher reads its arrival time). *)
+(** Oldest queued item, not removed (the watchdog reads its arrival time). *)
 
 val take : 'a t -> max:int -> 'a list
 (** Dequeue up to [max] oldest items, admission order. *)

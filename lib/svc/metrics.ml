@@ -13,7 +13,7 @@ type counter =
   | Batched_queries
   | Coalesced
   | Flush_full
-  | Flush_window
+  | Flush_idle
   | Flush_forced
   | Sched_groups
   | Early_terms
@@ -31,7 +31,7 @@ let all =
   [
     Admitted; Rejected; Cache_hit; Cache_miss; Completed; Timeout_budget;
     Timeout_deadline; Batches; Batched_queries; Coalesced; Flush_full;
-    Flush_window; Flush_forced; Sched_groups; Early_terms; Stage_queue_us;
+    Flush_idle; Flush_forced; Sched_groups; Early_terms; Stage_queue_us;
     Stage_batch_us; Stage_solve_us; Stage_respond_us; Oracle_hit;
     Oracle_miss; Oracle_fallback; Explain_ok; Explain_miss;
   ]
@@ -48,7 +48,7 @@ let index = function
   | Batched_queries -> 8
   | Coalesced -> 9
   | Flush_full -> 10
-  | Flush_window -> 11
+  | Flush_idle -> 11
   | Flush_forced -> 12
   | Sched_groups -> 13
   | Early_terms -> 14
@@ -74,7 +74,7 @@ let name = function
   | Batched_queries -> "batched_queries"
   | Coalesced -> "coalesced"
   | Flush_full -> "flushes_full"
-  | Flush_window -> "flushes_window"
+  | Flush_idle -> "flushes_idle"
   | Flush_forced -> "flushes_forced"
   | Sched_groups -> "sched_groups"
   | Early_terms -> "early_terminations"

@@ -17,8 +17,8 @@ type counter =
   | Batches  (** micro-batches executed *)
   | Batched_queries  (** queries executed across all batches (post-coalesce) *)
   | Coalesced  (** duplicate in-batch queries folded into one solve *)
-  | Flush_full  (** batches formed because the queue hit [max_batch] *)
-  | Flush_window  (** batches formed because the oldest query aged out *)
+  | Flush_full  (** batches formed with the queue at [max_batch] or more *)
+  | Flush_idle  (** batches formed below [max_batch] once input ran dry *)
   | Flush_forced  (** batches formed by an explicit [drain] *)
   | Sched_groups  (** scheduling units executed across all batches *)
   | Early_terms  (** early terminations observed across all batches *)

@@ -64,19 +64,15 @@ let serve ?stdio ?socket_path ?metrics_socket_path service =
     let live, dead = List.partition Transport.alive t.conns in
     List.iter Transport.close dead;
     t.conns <- live;
-    let now = Unix.gettimeofday () in
-    if Service.due t.service ~now then ignore (Service.pump t.service ~now);
     if listen_fd = None && t.conns = [] && Service.queue_depth t.service = 0
     then
       (* No clients left and nothing queued: pure stdio stopped at EOF
          already; a socket server keeps waiting for the next client. *)
       t.stopping <- true
     else begin
-      let timeout =
-        match Service.wait_hint t.service ~now:(Unix.gettimeofday ()) with
-        | Some s -> Float.max 0.0 (Float.min s 1.0)
-        | None -> 1.0
-      in
+      (* Never sleep on queued work: a queue left over by a capped batch
+         is served as soon as this turn's input is in. *)
+      let timeout = if Service.queue_depth t.service > 0 then 0.0 else 1.0 in
       let pending, ready =
         Transport.wait ~listeners ~read:t.conns ~write:t.conns timeout
       in
@@ -88,7 +84,9 @@ let serve ?stdio ?socket_path ?metrics_socket_path service =
               (fun c -> t.conns <- c :: t.conns)
               (Transport.accept ~max_line fd))
         pending;
-      List.iter (read t) ready
+      List.iter (read t) ready;
+      (* Every ready connection has been read: batch what is queued now. *)
+      ignore (Service.pump t.service ~now:(Unix.gettimeofday ()))
     end
   done;
   (* Graceful shutdown: stop intake, finish what was admitted, flush the

@@ -2,10 +2,11 @@
 
     One single-threaded event loop multiplexes every connected client with
     [select]; the parallelism lives inside the service's batch execution
-    (the engine's domain pool). The loop's poll timeout is the service's
-    {!Service.wait_hint}, so a pending micro-batch fires when its window
-    expires even while the line is quiet, and input never waits on a
-    running batch longer than the batch itself.
+    (the engine's domain pool). Each turn reads every ready connection,
+    then calls {!Service.pump}, so a request is batched as soon as the
+    input at hand is in — no timer holds it. Requests that arrive during
+    a solve wait in their sockets and form the next, larger batch; while
+    a capped batch left work queued, the next [select] does not block.
 
     Transports, usable together:
     - {b stdio}: requests on [stdin], responses on [stdout] — `parcfl

@@ -15,7 +15,6 @@ type config = {
   threads : int;
   mode : Mode.t;
   max_batch : int;
-  max_wait : float;
   queue_capacity : int;
   cache_capacity : int;
   max_budget : int;
@@ -34,7 +33,6 @@ let default_config =
     threads = 4;
     mode = Mode.Share_sched;
     max_batch = 64;
-    max_wait = 0.01;
     queue_capacity = 1024;
     cache_capacity = 4096;
     max_budget = Config.default.Config.budget;
@@ -66,7 +64,6 @@ type t = {
   engine : Engine.t;
   cache : Cache.t;
   queue : pending Admission.t;
-  batcher : Batcher.t;
   metrics : Metrics.t;
   slowlog : Slowlog.t;
   registry : Registry.t;
@@ -304,6 +301,8 @@ let register_collectors t =
       ])
 
 let create ?(config = default_config) ?tracer ~type_level pag =
+  if config.max_batch <= 0 then
+    invalid_arg "Svc.Service.create: max_batch must be > 0";
   let solver_config =
     {
       (Config.with_budget config.max_budget Config.default) with
@@ -328,9 +327,6 @@ let create ?(config = default_config) ?tracer ~type_level pag =
       engine;
       cache = Cache.create ~capacity:config.cache_capacity ();
       queue = Admission.create ~capacity:config.queue_capacity;
-      batcher =
-        Batcher.create ~max_batch:config.max_batch ~max_wait:config.max_wait
-          ();
       metrics = Metrics.create ();
       slowlog = Slowlog.create ~capacity:config.slowlog_capacity;
       registry = Registry.create ();
@@ -581,13 +577,6 @@ let finish t p ~respond_us ~steps ~outcome make_response =
   note_trace t p;
   p.p_respond (make_response ~latency_us ~breakdown:bd)
 
-let due t ~now =
-  Batcher.due t.batcher ~now ~depth:(queue_depth t)
-    ~oldest_arrival:(oldest_arrival t)
-
-let wait_hint t ~now =
-  Batcher.wait_hint t.batcher ~now ~oldest_arrival:(oldest_arrival t)
-
 let respond_timeout t ~respond_us ~steps p reason =
   Metrics.incr t.metrics
     (match reason with
@@ -709,19 +698,11 @@ let run_batch t ~now live =
     live;
   t.in_flight <- 0
 
-let pump ?(force = false) t ~now =
-  let reason =
-    Batcher.flush_reason t.batcher ~now ~depth:(queue_depth t)
-      ~oldest_arrival:(oldest_arrival t)
-  in
-  if queue_depth t = 0 || ((not force) && reason = None) then 0
+let form_batch t ~now reason =
+  if queue_depth t = 0 then 0
   else begin
-    Metrics.incr t.metrics
-      (match reason with
-      | Some Batcher.Full -> Metrics.Flush_full
-      | Some Batcher.Window -> Metrics.Flush_window
-      | None -> Metrics.Flush_forced);
-    let batch = Admission.take t.queue ~max:(Batcher.max_batch t.batcher) in
+    Metrics.incr t.metrics reason;
+    let batch = Admission.take t.queue ~max:t.cfg.max_batch in
     let batch_us = now *. 1e6 in
     List.iter (fun p -> Span.stamp_batch p.p_span ~us:batch_us) batch;
     let live, expired =
@@ -743,8 +724,16 @@ let pump ?(force = false) t ~now =
     List.length batch
   end
 
+(* Work-conserving: the front end pumps once it has read all its ready
+   input, so whatever is queued then forms a batch at once. Batches grow
+   only as load makes them; [max_batch] is the one cap. *)
+let pump t ~now =
+  form_batch t ~now
+    (if queue_depth t >= t.cfg.max_batch then Metrics.Flush_full
+     else Metrics.Flush_idle)
+
 let drain t ~now =
-  while pump ~force:true t ~now > 0 do
+  while form_batch t ~now Metrics.Flush_forced > 0 do
     ()
   done
 

@@ -1,8 +1,8 @@
 (** The analysis service: admission → cache → micro-batch → solve → respond.
 
     A service owns an {!Engine} (PAG, jmp store, scheduling plan), a
-    {!Cache}, an {!Admission} queue and a {!Batcher} policy, and turns a
-    stream of {!Protocol} requests into responses:
+    {!Cache} and an {!Admission} queue, and turns a stream of {!Protocol}
+    requests into responses:
 
     + {!submit} answers [ping]/[stats] immediately and resolves a query's
       variable. With the {b oracle tier} enabled, a budget-free,
@@ -14,11 +14,13 @@
       traversal rate, and the service maximum — whichever is smallest),
       then consults the cache. A hit responds immediately; a miss enters
       the admission queue or is {e rejected} with backpressure when full.
-    + {!pump} forms a micro-batch when the {!Batcher} says one is due
-      (or when forced during drain): expired-deadline requests are answered
-      [Timeout] without solving, duplicate in-batch queries are coalesced
-      into one solve, and the batch runs on the engine's domain pool with
-      the scheduler's direct-grouping + CD/DD order.
+    + {!pump} forms a micro-batch from whatever is queued — at most
+      [max_batch] queries, with no timer: the front end pumps once it has
+      read all its ready input, so batches grow only with load (requests
+      pile up while a synchronous solve runs). Expired-deadline requests
+      are answered [Timeout] without solving, duplicate in-batch queries
+      are coalesced into one solve, and the batch runs on the engine's
+      domain pool with the scheduler's direct-grouping + CD/DD order.
     + Completed solves are answered, cached for later identical requests,
       and checked against each request's own budget and deadline — a query
       whose deadline passed or whose budget the solve exceeded reports
@@ -41,8 +43,7 @@
 type config = {
   threads : int;  (** engine domain pool size *)
   mode : Parcfl_par.Mode.t;
-  max_batch : int;
-  max_wait : float;  (** micro-batch window, seconds *)
+  max_batch : int;  (** micro-batch cap, queries *)
   queue_capacity : int;  (** admission bound; beyond it requests are rejected *)
   cache_capacity : int;
   max_budget : int;  (** service-wide per-query step-budget ceiling *)
@@ -67,7 +68,7 @@ type config = {
 }
 
 val default_config : config
-(** 4 threads, [Share_sched], batches of 64 / 10 ms, queue 1024, cache
+(** 4 threads, [Share_sched], batches of at most 64, queue 1024, cache
     4096, budget and context sensitivity {!Parcfl_cfl.Config.default}'s,
     no preseed, no oracle, slowlog 32, watchdog
     {!Watchdog.default_config}'s thresholds. *)
@@ -80,6 +81,7 @@ val create :
   type_level:(int -> int) ->
   Parcfl_pag.Pag.t ->
   t
+(** @raise Invalid_argument when [config.max_batch <= 0]. *)
 
 val config : t -> config
 val engine : t -> Engine.t
@@ -136,16 +138,17 @@ val submit :
     {!pump}/{!drain}. [Protocol.Quit] is transport-level and ignored
     here. *)
 
-val due : t -> now:float -> bool
-val wait_hint : t -> now:float -> float option
-
-val pump : ?force:bool -> t -> now:float -> int
-(** Execute one micro-batch if due ([force] overrides the policy). Returns
-    the number of requests answered. *)
+val pump : t -> now:float -> int
+(** Execute one micro-batch of the oldest [min depth max_batch] queued
+    requests, if any; returns the number of requests answered. The flush
+    counts as [flushes_full] when the queue held [max_batch] or more, else
+    as [flushes_idle]. Call it once the input at hand has been read: there
+    is no window, so a lone request is solved on the pump that follows
+    its arrival. *)
 
 val drain : t -> now:float -> unit
-(** Graceful shutdown: keep pumping (forced) until the queue is empty —
-    every in-flight request gets a real response. *)
+(** Graceful shutdown: keep forming batches ([flushes_forced]) until the
+    queue is empty — every in-flight request gets a real response. *)
 
 val draining : t -> bool
 (** Whether a [drain] request has been handled: once set, new queries are

@@ -27,8 +27,8 @@ type config = {
 }
 
 val default_config : config
-(** 5 s stall, 1 s starvation — an order of magnitude above any healthy
-    micro-batch window, see DESIGN.md S20. *)
+(** 5 s stall, 1 s starvation — orders of magnitude above a healthy
+    batch's solve time, see DESIGN.md S20. *)
 
 type t
 

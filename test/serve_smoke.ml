@@ -6,7 +6,10 @@
    while queries wait in a micro-batch: every one must still be answered.
    A socket leg drives `serve --socket` with a client that pipelines stats
    and never reads: another client's round trips must stay fast, and the
-   non-reader must be dropped and counted.
+   non-reader must be dropped and counted. The same leg then checks work
+   conservation: a lone query on the idle server waits under 2 ms before
+   its solve, and a 128-query burst in one write still forms a full
+   batch.
 
    Usage: serve_smoke.exe <path/to/parcfl_cli.exe> *)
 
@@ -491,6 +494,47 @@ let () =
           | None -> fail "slow-reader leg: no slow-peer counter in the exposition"))
   | r, _ -> fail "slow-reader leg: expected metrics, got %s"
               (Proto.response_to_string r));
+  (* Work conservation: a lone cache miss on an idle server is batched on
+     the read turn that brings it in. *)
+  let miss_var = if v0 = 0 then 1 else 0 in
+  (match
+     round_trip
+       (Proto.Query
+          { id = 100; var = Printf.sprintf "#%d" miss_var; budget = None;
+            deadline_ms = None; trace = None })
+   with
+  | Proto.Answer { id = 100; cached = false; breakdown = bd; _ }, _ ->
+      let waited = bd.P.Svc_span.bd_queue_wait_us +. bd.P.Svc_span.bd_batch_wait_us in
+      if waited >= 2000.0 then
+        fail "idle server held a lone query %.0f us before solving it" waited
+  | r, _ -> fail "idle leg: expected an uncached answer, got %s"
+              (Proto.response_to_string r));
+  (* Batches still group under burst: 128 distinct (variable, budget)
+     cache misses in one write arrive in one read turn, so at least one
+     batch is formed full. *)
+  let burst = 128 in
+  let lines =
+    List.init burst (fun k ->
+        Proto.request_to_string
+          (Proto.Query
+             { id = 200 + k; var = Printf.sprintf "#%d" (k mod 64);
+               budget = Some (1_000 + k); deadline_ms = None; trace = None })
+        ^ "\n")
+    |> String.concat ""
+  in
+  ignore (Unix.write_substring b lines 0 (String.length lines));
+  for _ = 1 to burst do
+    match Proto.response_of_string (recv_line ()) with
+    | Ok (Proto.Answer { cached = false; _ } | Proto.Timeout { cached = false; _ }) -> ()
+    | Ok r -> fail "burst leg: unexpected %s" (Proto.response_to_string r)
+    | Error e -> fail "burst leg: bad reply: %s" e
+  done;
+  (match round_trip (Proto.Stats 98) with
+  | Proto.Stats_reply { id = 98; stats = P.Json.Obj fields }, _ -> (
+      match List.assoc_opt "flushes_full" fields with
+      | Some (P.Json.Int n) when n >= 1 -> ()
+      | _ -> fail "burst leg: %d queries in one write formed no full batch" burst)
+  | r, _ -> fail "burst leg: expected stats, got %s" (Proto.response_to_string r));
   ignore (Unix.write_substring b "quit\n" 0 5);
   let _, status = Unix.waitpid [] pid in
   exited := true;

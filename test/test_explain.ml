@@ -201,7 +201,6 @@ let service_config =
     P.Service.default_config with
     P.Service.threads = 1;
     max_batch = 8;
-    max_wait = 0.0;
   }
 
 let make_service ?(config = service_config) () =
@@ -211,7 +210,7 @@ let make_service ?(config = service_config) () =
 let submit_collect svc req =
   let got = ref None in
   P.Service.submit svc ~now:0.0 ~respond:(fun r -> got := Some r) req;
-  ignore (P.Service.pump ~force:true svc ~now:0.0);
+  ignore (P.Service.pump svc ~now:0.0);
   P.Service.drain svc ~now:0.0;
   match !got with
   | Some r -> r
@@ -419,7 +418,7 @@ let test_oracle_tier_zero_stamps () =
          deadline_ms = None;
          trace = Some 77;
        });
-  ignore (P.Service.pump ~force:true svc ~now:0.0);
+  ignore (P.Service.pump svc ~now:0.0);
   P.Service.drain svc ~now:0.0;
   (* The tier answered before any batch existed: the wire breakdown and
      the flight-recorder row must both read zero queue/batch wait — a
@@ -459,7 +458,7 @@ let test_slowlog_trace_ids () =
     P.Service.submit svc ~now:0.0
       ~respond:(fun r -> got := Some r)
       (Proto.Query { id; var = "#0"; budget = None; deadline_ms = None; trace });
-    ignore (P.Service.pump ~force:true svc ~now:0.0);
+    ignore (P.Service.pump svc ~now:0.0);
     P.Service.drain svc ~now:0.0;
     match !got with
     | Some (Proto.Answer { cached; _ }) -> cached

@@ -170,7 +170,6 @@ let test_preseed_service_equivalence () =
         P.Service.default_config with
         P.Service.threads = 1;
         max_batch = 8;
-        max_wait = 0.0;
         context_sensitive;
         preseed;
       }
@@ -201,7 +200,7 @@ let test_preseed_service_equivalence () =
                deadline_ms = None;
                trace = None;
              });
-        ignore (P.Service.pump ~force:true svc ~now:0.0))
+        ignore (P.Service.pump svc ~now:0.0))
       b.P.Suite.queries;
     results
   in

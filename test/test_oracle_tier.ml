@@ -196,7 +196,6 @@ let make_service ?(context_sensitive = false) ~oracle () =
       P.Service.default_config with
       P.Service.threads = 1;
       max_batch = 8;
-      max_wait = 0.0;
       context_sensitive;
       oracle;
     }
@@ -229,7 +228,7 @@ let drive_and_table svc queries =
              deadline_ms = None;
              trace = None;
            });
-      ignore (P.Service.pump ~force:true svc ~now:(float_of_int i)))
+      ignore (P.Service.pump svc ~now:(float_of_int i)))
     queries;
   P.Service.drain svc ~now:1e6;
   table
@@ -268,7 +267,7 @@ let submit_one svc ~id ~var ~budget ~deadline_ms =
   P.Service.submit svc ~now:0.0
     ~respond:(fun r -> got := Some r)
     (P.Svc_protocol.Query { id; var; budget; deadline_ms; trace = None });
-  ignore (P.Service.pump ~force:true svc ~now:0.0);
+  ignore (P.Service.pump svc ~now:0.0);
   P.Service.drain svc ~now:0.0;
   !got
 

@@ -1,5 +1,5 @@
 (* The persistent analysis service (lib/svc): wire protocol, result cache,
-   admission control, micro-batching policy, and the service state machine
+   admission control, the work-conserving batching rule, and the service state machine
    driven deterministically through submit/pump/drain with an explicit
    clock — no server process, no sleeping. *)
 
@@ -392,27 +392,6 @@ let test_admission () =
   Alcotest.(check (list int)) "drain fifo" [ 2; 3 ] (P.Svc_admission.drain q);
   Alcotest.(check int) "empty" 0 (P.Svc_admission.depth q)
 
-(* ----------------------------- batcher ----------------------------- *)
-
-let test_batcher () =
-  let b = P.Svc_batcher.create ~max_batch:4 ~max_wait:1.0 () in
-  Alcotest.(check bool) "empty never due" false
-    (P.Svc_batcher.due b ~now:10.0 ~depth:0 ~oldest_arrival:None);
-  Alcotest.(check bool) "full is due" true
-    (P.Svc_batcher.due b ~now:0.0 ~depth:4 ~oldest_arrival:(Some 0.0));
-  Alcotest.(check bool) "window open" false
-    (P.Svc_batcher.due b ~now:0.5 ~depth:1 ~oldest_arrival:(Some 0.0));
-  Alcotest.(check bool) "window expired" true
-    (P.Svc_batcher.due b ~now:1.5 ~depth:1 ~oldest_arrival:(Some 0.0));
-  Alcotest.(check bool) "hint when empty" true
-    (P.Svc_batcher.wait_hint b ~now:0.0 ~oldest_arrival:None = None);
-  (match P.Svc_batcher.wait_hint b ~now:0.25 ~oldest_arrival:(Some 0.0) with
-  | Some s -> Alcotest.(check (float 1e-9)) "hint" 0.75 s
-  | None -> Alcotest.fail "expected a wait hint");
-  match P.Svc_batcher.wait_hint b ~now:5.0 ~oldest_arrival:(Some 0.0) with
-  | Some s -> Alcotest.(check (float 1e-9)) "overdue hint" 0.0 s
-  | None -> Alcotest.fail "expected a zero hint"
-
 (* ----------------------------- service ----------------------------- *)
 
 let service_config =
@@ -420,7 +399,6 @@ let service_config =
     P.Service.default_config with
     P.Service.threads = 1;
     max_batch = 8;
-    max_wait = 0.0;
   }
 
 let make_service ?(config = service_config) () =
@@ -444,7 +422,7 @@ let test_cached_equals_cold () =
   let v = b.P.Suite.queries.(0) in
   let responses, respond = collector () in
   P.Service.submit svc ~now:0.0 ~respond (query 1 v);
-  ignore (P.Service.pump ~force:true svc ~now:0.0);
+  ignore (P.Service.pump svc ~now:0.0);
   P.Service.submit svc ~now:1.0 ~respond (query 2 v);
   let expected =
     P.Query.objects (solve_outcome v).P.Query.result
@@ -483,12 +461,71 @@ let test_queue_full_rejection () =
       Alcotest.failf "expected rejection, got %s"
         (match r with Some r -> Proto.response_to_string r | None -> "none"));
   (* The admitted request is untouched by the rejection. *)
-  ignore (P.Service.pump ~force:true svc ~now:0.0);
+  ignore (P.Service.pump svc ~now:0.0);
   match Hashtbl.find_opt responses 1 with
   | Some (Proto.Answer _) -> ()
   | r ->
       Alcotest.failf "expected an answer, got %s"
         (match r with Some r -> Proto.response_to_string r | None -> "none")
+
+(* The work-conserving batching rule on a logical clock. Each turn
+   submits 0-200 queries — duplicates, repeats of answered ones and
+   budgets tight enough to time out included — then pumps once, as the
+   server does after a read turn. *)
+let prop_batching_policy =
+  let max_batch = 8 in
+  let gen_turn =
+    QCheck.Gen.(list_size (0 -- 200) (pair nat (opt (1 -- 100))))
+  in
+  QCheck.Test.make ~name:"batching policy is work-conserving" ~count:40
+    (QCheck.make
+       ~print:(fun turns ->
+         String.concat "," (List.map (fun t -> string_of_int (List.length t)) turns))
+       QCheck.Gen.(list_size (1 -- 8) gen_turn))
+    (fun turns ->
+      let b, svc =
+        make_service ~config:{ service_config with P.Service.max_batch } ()
+      in
+      let qs = b.P.Suite.queries in
+      let replies = Hashtbl.create 256 in
+      let respond r =
+        match Proto.response_id r with
+        | Some id ->
+            Hashtbl.replace replies id
+              (1 + Option.value ~default:0 (Hashtbl.find_opt replies id))
+        | None -> QCheck.Test.fail_report "reply without an id"
+      in
+      let sent = ref 0 in
+      List.iteri
+        (fun turn reqs ->
+          let now = float_of_int turn in
+          List.iter
+            (fun (k, budget) ->
+              P.Service.submit svc ~now ~respond
+                (query ?budget !sent qs.(k mod Array.length qs));
+              incr sent)
+            reqs;
+          let depth = P.Service.queue_depth svc in
+          let n = P.Service.pump svc ~now in
+          if n > max_batch then
+            QCheck.Test.fail_reportf "a batch of %d over max_batch %d" n
+              max_batch;
+          if depth <= max_batch && P.Service.queue_depth svc <> 0 then
+            QCheck.Test.fail_reportf "%d of %d queued requests held back"
+              (P.Service.queue_depth svc) depth)
+        turns;
+      P.Service.drain svc ~now:(float_of_int (List.length turns));
+      for id = 0 to !sent - 1 do
+        match Hashtbl.find_opt replies id with
+        | Some 1 -> ()
+        | Some c -> QCheck.Test.fail_reportf "request %d answered %d times" id c
+        | None -> QCheck.Test.fail_reportf "request %d never answered" id
+      done;
+      let m = P.Service.metrics svc in
+      let get = P.Svc_metrics.get m in
+      get P.Svc_metrics.Flush_full + get P.Svc_metrics.Flush_idle
+      + get P.Svc_metrics.Flush_forced
+      = get P.Svc_metrics.Batches)
 
 let test_drain_completes_inflight () =
   let b, svc = make_service () in
@@ -559,7 +596,7 @@ let test_deadline_expired_is_timeout () =
     (query ~deadline_ms:1.0 1 b.P.Suite.queries.(0));
   (* The batch forms long after the deadline: the service must report
      Timeout `Deadline without fabricating a points-to answer. *)
-  ignore (P.Service.pump ~force:true svc ~now:10.0);
+  ignore (P.Service.pump svc ~now:10.0);
   match Hashtbl.find_opt responses 1 with
   | Some (Proto.Timeout { reason = `Deadline; latency_us; breakdown; _ }) ->
       (* The whole wait happened in the queue; nothing was solved. *)
@@ -585,7 +622,7 @@ let test_budget_exhausted_is_timeout () =
   | Some v ->
       let responses, respond = collector () in
       P.Service.submit svc ~now:0.0 ~respond (query ~budget:1 1 v);
-      ignore (P.Service.pump ~force:true svc ~now:0.0);
+      ignore (P.Service.pump svc ~now:0.0);
       (match Hashtbl.find_opt responses 1 with
       | Some (Proto.Timeout { reason = `Budget; _ }) -> ()
       | r ->
@@ -599,7 +636,7 @@ let test_stats_count_hits () =
   let _, respond = collector () in
   let v = b.P.Suite.queries.(0) in
   P.Service.submit svc ~now:0.0 ~respond (query 1 v);
-  ignore (P.Service.pump ~force:true svc ~now:0.0);
+  ignore (P.Service.pump svc ~now:0.0);
   P.Service.submit svc ~now:1.0 ~respond (query 2 v);
   P.Service.submit svc ~now:1.0 ~respond (query 3 v);
   let m = P.Service.metrics svc in
@@ -670,7 +707,7 @@ let test_breakdown_sums_to_latency () =
   let responses, respond = collector () in
   P.Service.submit svc ~now:(Unix.gettimeofday ()) ~respond
     (query 1 b.P.Suite.queries.(0));
-  ignore (P.Service.pump ~force:true svc ~now:(Unix.gettimeofday ()));
+  ignore (P.Service.pump svc ~now:(Unix.gettimeofday ()));
   (match Hashtbl.find_opt responses 1 with
   | Some (Proto.Answer { cached; latency_us; breakdown; _ }) ->
       Alcotest.(check bool) "cold" false cached;
@@ -895,7 +932,7 @@ let suite =
       Alcotest.test_case "cache concurrent inserts" `Quick
         test_cache_concurrent_inserts;
       Alcotest.test_case "admission backpressure" `Quick test_admission;
-      Alcotest.test_case "batcher policy" `Quick test_batcher;
+      QCheck_alcotest.to_alcotest prop_batching_policy;
       Alcotest.test_case "cached result equals cold solve" `Quick
         test_cached_equals_cold;
       Alcotest.test_case "queue full rejects" `Quick test_queue_full_rejection;

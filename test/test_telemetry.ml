@@ -372,7 +372,6 @@ let make_service () =
       P.Service.default_config with
       P.Service.threads = 1;
       max_batch = 8;
-      max_wait = 0.0;
       slowlog_capacity = 3;
     }
   in
@@ -392,7 +391,7 @@ let drive_queries svc queries =
              deadline_ms = None;
              trace = None;
            });
-      ignore (P.Service.pump ~force:true svc ~now:(float_of_int i)))
+      ignore (P.Service.pump svc ~now:(float_of_int i)))
     queries
 
 let test_service_exposition () =
@@ -411,7 +410,8 @@ let test_service_exposition () =
   check_contains "latency inf bucket" "parcfl_svc_latency_us_bucket{le=\"+Inf\"}"
     text;
   check_contains "latency count" "parcfl_svc_latency_us_count " text;
-  check_contains "batcher" "parcfl_svc_flushes_forced_total " text;
+  check_contains "idle flushes" "parcfl_svc_flushes_idle_total " text;
+  check_contains "forced flushes" "parcfl_svc_flushes_forced_total " text;
   check_contains "worker busy" "parcfl_worker_busy_us_total{worker=\"0\"}" text;
   (* Scrapes are deterministic between state changes (modulo uptime). *)
   Alcotest.(check string) "stable bytes" (strip_uptime text)
@@ -472,6 +472,86 @@ let test_service_metrics_request () =
       | _ -> Alcotest.fail "metrics reply did not round trip")
   | _ -> Alcotest.fail "expected one metrics reply"
 
+(* Fuzzing the exposition parser: byte soup built from the format's own
+   tokens, and a real service scrape with bytes flipped, cut or
+   duplicated. The parser must answer Ok/Error and never raise; what it
+   accepts must re-render to text it parses back to the same families. *)
+let live_scrape =
+  lazy
+    (let b, svc = make_service () in
+     drive_queries svc b.P.Suite.queries;
+     P.Service.metrics_text svc)
+
+let gen_expo_soup =
+  let open QCheck.Gen in
+  let token =
+    oneofl
+      [ "# HELP "; "# TYPE "; "# "; "counter"; "gauge"; "histogram";
+        "summary"; "x"; "x_total"; "h"; "h_bucket"; "h_count"; "h_sum";
+        "{"; "}"; "le="; "a="; "\""; ","; "\\"; "\\n"; "\\t"; " "; "\n";
+        "\r"; "\000"; "\xff"; "1"; "-2.5e3"; "+Inf"; "-Inf"; "NaN"; "1e309";
+        "0x1p3"; "_"; ":" ]
+  in
+  oneof
+    [
+      string_size ~gen:char (0 -- 200);
+      map (String.concat "") (list_size (0 -- 60) token);
+    ]
+
+let gen_mutated_scrape =
+  let open QCheck.Gen in
+  let* edits =
+    list_size (1 -- 4)
+      (triple (0 -- 4) nat (pair nat char))
+  in
+  let text = Lazy.force live_scrape in
+  (* Byte edits: flip one, cut a range, duplicate a range; line edits:
+     drop a line, duplicate a line (which keeps every line well formed). *)
+  let line_edit kind i s =
+    let lines = String.split_on_char '\n' s in
+    let i = i mod List.length lines in
+    List.concat
+      (List.mapi
+         (fun k l -> if k <> i then [ l ] else if kind = 3 then [] else [ l; l ])
+         lines)
+    |> String.concat "\n"
+  in
+  return
+    (List.fold_left
+       (fun s (kind, i, (j, c)) ->
+         let n = String.length s in
+         if n = 0 then s
+         else
+           let i = i mod n and j = j mod n in
+           let lo = min i j and hi = max i j in
+           match kind with
+           | 0 -> String.mapi (fun k x -> if k = i then c else x) s
+           | 1 -> String.sub s 0 lo ^ String.sub s hi (n - hi)
+           | 2 -> String.sub s 0 hi ^ String.sub s lo (n - lo)
+           | _ -> line_edit kind i s)
+       text edits)
+
+let prop_parse_families_total =
+  QCheck.Test.make ~name:"exposition parser never raises" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(oneof [ gen_expo_soup; gen_mutated_scrape ]))
+    (fun text ->
+      match E.parse_families text with
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok fams -> (
+          let once = E.render fams in
+          match E.parse_families once with
+          | exception e ->
+              QCheck.Test.fail_reportf "re-parse raised %s"
+                (Printexc.to_string e)
+          | Error e -> QCheck.Test.fail_reportf "re-parse failed: %s" e
+          | Ok fams' ->
+              (* Render is injective up to its sort order and 12-digit
+                 values, so equal bytes mean the same families. *)
+              E.render fams' = once))
+
 let suite =
   ( "telemetry",
     [
@@ -495,4 +575,5 @@ let suite =
       Alcotest.test_case "service slowlog" `Quick test_service_slowlog;
       Alcotest.test_case "service metrics request" `Quick
         test_service_metrics_request;
+      QCheck_alcotest.to_alcotest prop_parse_families_total;
     ] )
