@@ -6,8 +6,10 @@
      dune exec bench/main.exe -- -b h2 fig8   -- restrict benchmarks
      dune exec bench/main.exe -- --keep 20    -- prune history beyond 20 runs
 
-   Sections: table1 table2 fig6 fig7 fig8 mem ablate refinecmp serve
-   serve_coldwarm serve_cluster serve_oracle micro.
+   Sections: table1 table2 fig6 fig7 fig8 mem ablate refinecmp micro.
+   Serving numbers come from real processes over real sockets
+   (python3 perfbench/run.py); the service's deterministic invariants
+   are dune runtest cases.
 
    Figures 6 and 8 report *simulated* multicore speedups: the host has a
    single core, so parallel scaling is measured with the deterministic
@@ -693,604 +695,6 @@ let refinecmp ms =
     "@.(GP = general-purpose configuration — the paper's choice; RF =      refinement. RF wins when early passes prove casts safe; for clients      needing exact sets — null detection — RF degenerates to GP plus      wasted passes, which is why the paper runs GP.)@."
 
 (* ------------------------------------------------------------------ *)
-(* Service: the persistent analysis front end (lib/svc). Drives an      *)
-(* in-process service through submit/pump with a skewed query mix and   *)
-(* reports micro-batching throughput and cross-batch cache behaviour.   *)
-
-let serve_entries : P.Json.t list ref = ref []
-
-let serve ms =
-  let ms = ablation_sample ms in
-  Format.printf
-    "@.== Service: micro-batched serving with a cross-batch cache ==@.@.";
-  let rows =
-    List.map
-      (fun m ->
-        let b = m.bench in
-        let name = b.P.Suite.profile.P.Profile.name in
-        let service =
-          P.Service.create
-            ~config:
-              {
-                P.Service.default_config with
-                P.Service.threads = 2;
-                max_batch = 32;
-                tau_f = Some tau_f;
-                tau_u = Some tau_u;
-                max_budget = budget;
-              }
-            ~type_level:b.P.Suite.type_level b.P.Suite.pag
-        in
-        let mix = P.Suite.query_mix b ~n:400 in
-        let answered = ref 0 in
-        (* Answers/timeouts whose stage breakdown accounts for the reported
-           latency (within 5% + 1µs) — the regress gate holds this at the
-           request count, so a span-stamping regression fails CI. *)
-        let with_breakdown = ref 0 in
-        let note_response r =
-          incr answered;
-          match r with
-          | P.Svc_protocol.Answer { latency_us; breakdown; _ }
-          | P.Svc_protocol.Timeout { latency_us; breakdown; _ } ->
-              let sum = P.Svc_span.total_us breakdown in
-              if abs_float (sum -. latency_us) <= (0.05 *. latency_us) +. 1.0
-              then incr with_breakdown
-          | _ -> ()
-        in
-        let t0 = Unix.gettimeofday () in
-        Array.iter
-          (fun v ->
-            P.Service.submit service ~now:(Unix.gettimeofday ())
-              ~respond:note_response
-              (P.Svc_protocol.Query
-                 {
-                   id = !answered;
-                   var = Printf.sprintf "#%d" v;
-                   budget = None;
-                   deadline_ms = None;
-                   trace = None;
-                 });
-            (* Work-conserving: every pump batches whatever is queued, so
-               batch size is bounded by arrival concurrency (here: the
-               admission queue depth when we poll). *)
-            ignore
-              (P.Service.pump service ~now:(Unix.gettimeofday ())))
-          mix;
-        P.Service.drain service ~now:(Unix.gettimeofday ());
-        let wall = Unix.gettimeofday () -. t0 in
-        let metrics = P.Service.metrics service in
-        let hits = P.Svc_metrics.get metrics P.Svc_metrics.Cache_hit in
-        let qps =
-          if wall > 0.0 then float_of_int !answered /. wall else 0.0
-        in
-        let hit_rate = P.Svc_metrics.cache_hit_rate metrics in
-        serve_entries :=
-          P.Json.Obj
-            [
-              ("section", P.Json.String "serve");
-              ("bench", P.Json.String name);
-              ("requests", P.Json.Int !answered);
-              ("completed_with_breakdown", P.Json.Int !with_breakdown);
-              ("qps", P.Json.Float qps);
-              ("cache_hit_rate", P.Json.Float hit_rate);
-              ("wall_seconds", P.Json.Float wall);
-              ("stats", P.Service.metrics_json service);
-            ]
-          :: !serve_entries;
-        P.Service.shutdown service;
-        [
-          name;
-          string_of_int !answered;
-          T.fmt_float ~decimals:0 qps;
-          T.fmt_float hit_rate;
-          string_of_int hits;
-          string_of_int (P.Svc_metrics.get metrics P.Svc_metrics.Batches);
-          T.fmt_float ~decimals:1 (P.Svc_metrics.mean_batch_size metrics);
-        ])
-      ms
-  in
-  T.render
-    ~header:
-      [
-        "Benchmark"; "#req"; "req/s"; "hit rate"; "#hits"; "#batches";
-        "batch sz";
-      ]
-    Format.std_formatter rows
-
-(* ------------------------------------------------------------------ *)
-(* Cold start vs pre-seeding: the same query mix against an unseeded     *)
-(* service and one pre-seeded from the whole-program matrix kernel       *)
-(* (the CLI's --preseed). Both sides run the context-insensitive         *)
-(* engine — the configuration under which the kernel's facts replay in   *)
-(* full — so the only difference is the jmp store's starting contents.   *)
-(* On budget-bound benches warm p95 runs higher than cold — cold gives   *)
-(* up at the step budget where warm replays full seeded sets and         *)
-(* completes more queries — so the regress.ml gate holds warm strictly   *)
-(* below cold only where the committed baseline won decisively (the CI   *)
-(* workload), and both completion counts at their baselines everywhere.  *)
-
-let coldwarm_entries : P.Json.t list ref = ref []
-
-(* p95 over a microsecond sample list — shared by the coldwarm and
-   cluster sections. *)
-let p95_us = function
-  | [] -> 0.0
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      a.(min (n - 1) (max 0 (int_of_float (ceil (0.95 *. float_of_int n)) - 1)))
-
-let serve_coldwarm ms =
-  let ms = ablation_sample ms in
-  Format.printf
-    "@.== Service: cold start vs matrix-kernel pre-seeding ==@.@.";
-  let rows =
-    List.map
-      (fun m ->
-        let b = m.bench in
-        let name = b.P.Suite.profile.P.Profile.name in
-        let mix = P.Suite.query_mix b ~n:400 in
-        let run_side ~preseed =
-          let service =
-            P.Service.create
-              ~config:
-                {
-                  P.Service.default_config with
-                  P.Service.threads = 2;
-                  max_batch = 32;
-                  context_sensitive = false;
-                  preseed;
-                  tau_f = Some tau_f;
-                  tau_u = Some tau_u;
-                  max_budget = budget;
-                }
-              ~type_level:b.P.Suite.type_level b.P.Suite.pag
-          in
-          let completed = ref 0 and answered = ref 0 and solves = ref [] in
-          (* Cache hits carry an all-zero breakdown; only real solves
-             enter the latency population, so both sides measure the same
-             set of unique queries. *)
-          let note r =
-            incr answered;
-            match r with
-            | P.Svc_protocol.Answer { breakdown; _ } ->
-                incr completed;
-                if breakdown.P.Svc_span.bd_solve_us > 0.0 then
-                  solves := breakdown.P.Svc_span.bd_solve_us :: !solves
-            | P.Svc_protocol.Timeout { breakdown; _ } ->
-                if breakdown.P.Svc_span.bd_solve_us > 0.0 then
-                  solves := breakdown.P.Svc_span.bd_solve_us :: !solves
-            | _ -> ()
-          in
-          Array.iteri
-            (fun i v ->
-              P.Service.submit service ~now:(Unix.gettimeofday ())
-                ~respond:note
-                (P.Svc_protocol.Query
-                   {
-                     id = i;
-                     var = Printf.sprintf "#%d" v;
-                     budget = None;
-                     deadline_ms = None;
-                     trace = None;
-                   });
-              ignore (P.Service.pump service ~now:(Unix.gettimeofday ())))
-            mix;
-          P.Service.drain service ~now:(Unix.gettimeofday ());
-          let seeds = P.Svc_engine.preseeded_edges (P.Service.engine service) in
-          P.Service.shutdown service;
-          (!completed, !answered, p95_us !solves, seeds)
-        in
-        let t0 = Unix.gettimeofday () in
-        let cold_completed, requests, cold_p95, _ = run_side ~preseed:false in
-        let warm_completed, _, warm_p95, seeds = run_side ~preseed:true in
-        let wall = Unix.gettimeofday () -. t0 in
-        coldwarm_entries :=
-          P.Json.Obj
-            [
-              ("section", P.Json.String "serve_coldwarm");
-              ("bench", P.Json.String name);
-              ("requests", P.Json.Int requests);
-              ("cold_completed", P.Json.Int cold_completed);
-              ("warm_completed", P.Json.Int warm_completed);
-              ("cold_solve_p95_us", P.Json.Float cold_p95);
-              ("warm_solve_p95_us", P.Json.Float warm_p95);
-              ("preseeded_edges", P.Json.Int seeds);
-              ("wall_seconds", P.Json.Float wall);
-            ]
-          :: !coldwarm_entries;
-        [
-          name;
-          string_of_int requests;
-          T.fmt_float ~decimals:0 cold_p95;
-          T.fmt_float ~decimals:0 warm_p95;
-          T.fmt_float ~decimals:1
-            (if warm_p95 > 0.0 then cold_p95 /. warm_p95 else 0.0);
-          string_of_int cold_completed;
-          string_of_int warm_completed;
-          T.fmt_int seeds;
-        ])
-      ms
-  in
-  T.render
-    ~header:
-      [
-        "Benchmark"; "#req"; "cold p95 us"; "warm p95 us"; "x";
-        "cold ok"; "warm ok"; "seeds";
-      ]
-    Format.std_formatter rows
-
-(* ------------------------------------------------------------------ *)
-(* Cluster scale-out: the shard-affine partition behind lib/cluster's   *)
-(* router, measured without processes. The 400-query mix is split by    *)
-(* Shard_map.home — direct-component rendezvous ownership, exactly the  *)
-(* router's routing rule — and each shard's substream runs serially     *)
-(* through its own in-process service. With one core per replica the    *)
-(* cluster finishes when its busiest replica does, so the modelled      *)
-(* cluster wall is the max over per-replica walls and qps is the total  *)
-(* request count over that wall. Affinity keeps every repeat of a       *)
-(* variable on one replica, so cross-batch cache hits survive the       *)
-(* split; the speedup column is qps relative to the 1-replica arm.      *)
-(*                                                                      *)
-(* A second measurement prices snapshot warm-up for a joining replica:  *)
-(* the first 100 queries of the mix against a fresh service, cold vs    *)
-(* seeded with a warmed donor's export_snapshot (the jmpsnap text the   *)
-(* cluster CLI hands joiners), comparing solve-stage p95. The entry     *)
-(* reuses the serve_coldwarm field names so the regress gates (both     *)
-(* completion floors and warm-beats-cold where the baseline won         *)
-(* decisively) apply unchanged.                                         *)
-
-let cluster_entries : P.Json.t list ref = ref []
-
-let serve_cluster ms =
-  let ms = ablation_sample ms in
-  Format.printf
-    "@.== Cluster: shard-affine scale-out (modelled, one core per replica) \
-     ==@.@.";
-  let mk_service b =
-    P.Service.create
-      ~config:
-        {
-          P.Service.default_config with
-          P.Service.threads = 2;
-          max_batch = 32;
-          tau_f = Some tau_f;
-          tau_u = Some tau_u;
-          max_budget = budget;
-        }
-      ~type_level:b.P.Suite.type_level b.P.Suite.pag
-  in
-  (* Drive one replica's substream exactly like the serve section: submit
-     then pump, drain at the end. Returns (wall, answered, completed,
-     [(request id, solve_us)] of real solves). *)
-  let run_stream service vars =
-    let answered = ref 0 and completed = ref 0 and solves = ref [] in
-    let note r =
-      incr answered;
-      match r with
-      | P.Svc_protocol.Answer { id; breakdown; _ } ->
-          incr completed;
-          if breakdown.P.Svc_span.bd_solve_us > 0.0 then
-            solves := (id, breakdown.P.Svc_span.bd_solve_us) :: !solves
-      | P.Svc_protocol.Timeout { id; breakdown; _ } ->
-          if breakdown.P.Svc_span.bd_solve_us > 0.0 then
-            solves := (id, breakdown.P.Svc_span.bd_solve_us) :: !solves
-      | _ -> ()
-    in
-    (* The timed walls here are a few milliseconds; a major slice
-       inherited from whatever section ran before would dwarf them, so
-       every stream starts from a settled heap. *)
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    Array.iteri
-      (fun i v ->
-        P.Service.submit service ~now:(Unix.gettimeofday ()) ~respond:note
-          (P.Svc_protocol.Query
-             {
-               id = i;
-               var = Printf.sprintf "#%d" v;
-               budget = None;
-               deadline_ms = None;
-               trace = None;
-             });
-        ignore (P.Service.pump service ~now:(Unix.gettimeofday ())))
-      vars;
-    P.Service.drain service ~now:(Unix.gettimeofday ());
-    let wall = Unix.gettimeofday () -. t0 in
-    (* Each substream gets a fresh service; join its worker domains so a
-       whole bench run stays under the runtime's domain limit. *)
-    P.Service.shutdown service;
-    (wall, !answered, !completed, !solves)
-  in
-  (* The walls under measurement are a few milliseconds, and the host's
-     throughput drifts tens of percent between runs, so ratios of walls
-     measured seconds apart are unusable. Instead each repeat times the
-     1-replica stream and every arm's buckets back-to-back — one
-     repeat's ratios share the same host conditions — and the reported
-     speedup is the median of the per-repeat ratios. *)
-  let repeats = 5 in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let scale_rows = ref [] and join_rows = ref [] in
-  let rebalance_rows = ref [] in
-  List.iter
-    (fun m ->
-      let b = m.bench in
-      let name = b.P.Suite.profile.P.Profile.name in
-      let mix = P.Suite.query_mix b ~n:400 in
-      let plan =
-        P.Schedule.prepare ~pag:b.P.Suite.pag
-          ~type_level:b.P.Suite.type_level
-      in
-      let arms = [ 2; 4; 8 ] in
-      (* Partition the mix once per arm; the buckets are deterministic.
-         The map is load-balanced against a measured cost profile — the
-         capacity-planning case where the operator knows the traffic.
-         One calibration stream prices each variable: its first request
-         pays the solve, every repeat pays the (uniform) fast-path cost,
-         so load(v) = solve_us(v) + count(v) * overhead_us. Request
-         counts alone are a poor proxy — per-variable solve costs spread
-         over orders of magnitude. *)
-      let load = Array.make (P.Pag.n_vars b.P.Suite.pag) 0 in
-      let cal_wall, _, _, cal_solves = run_stream (mk_service b) mix in
-      let solve_total =
-        List.fold_left (fun acc (_, us) -> acc +. us) 0.0 cal_solves
-      in
-      let overhead_us =
-        Float.max 1.0
-          ((cal_wall *. 1e6) -. solve_total)
-        /. float_of_int (max 1 (Array.length mix))
-      in
-      Array.iter
-        (fun v ->
-          load.(v) <- load.(v) + int_of_float (Float.max 1.0 overhead_us))
-        mix;
-      List.iter
-        (fun (id, us) ->
-          let v = mix.(id) in
-          load.(v) <- load.(v) + int_of_float us)
-        cal_solves;
-      let buckets_of replicas =
-        let map =
-          P.Shard_map.of_plan_balanced ~candidates:64 ~n_shards:replicas
-            ~load plan
-        in
-        let buckets = Array.make replicas [] in
-        Array.iter
-          (fun v ->
-            let s = P.Shard_map.home map v in
-            buckets.(s) <- v :: buckets.(s))
-          mix;
-        Array.to_list buckets
-        |> List.filter_map (function
-             | [] -> None
-             | l -> Some (Array.of_list (List.rev l)))
-      in
-      let arm_buckets = List.map (fun r -> (r, buckets_of r)) arms in
-      let n_arms = List.length arms in
-      (* Each timed point is the better of two back-to-back streams: the
-         arm wall is a max over buckets, which a single slow outlier
-         biases upward, so trimming each bucket's tail first keeps the
-         ratio honest under background noise. *)
-      let timed vars =
-        let w1', a, c, s = run_stream (mk_service b) vars in
-        let w2', _, _, _ = run_stream (mk_service b) vars in
-        (Float.min w1' w2', a, c, s)
-      in
-      let w1_samples = ref [] in
-      let arm_walls = Array.make n_arms [] in
-      let arm_ratios = Array.make n_arms [] in
-      let a1 = ref 0 and c1 = ref 0 in
-      let solves1 = ref [] in
-      let arm_answered = Array.make n_arms 0 in
-      let arm_completed = Array.make n_arms 0 in
-      let arm_solves = Array.make n_arms [] in
-      for rep = 1 to repeats do
-        let w1, a, c, solves = timed mix in
-        if rep = 1 then begin
-          a1 := a;
-          c1 := c;
-          solves1 := List.map snd solves
-        end;
-        w1_samples := w1 :: !w1_samples;
-        List.iteri
-          (fun i (_, buckets) ->
-            let wall = ref 0.0 and ans = ref 0 and comp = ref 0 in
-            List.iter
-              (fun vars ->
-                let w, a, c, solves = timed vars in
-                wall := Float.max !wall w;
-                ans := !ans + a;
-                comp := !comp + c;
-                if rep = 1 then
-                  arm_solves.(i) <-
-                    List.rev_append (List.map snd solves) arm_solves.(i))
-              buckets;
-            if rep = 1 then begin
-              arm_answered.(i) <- !ans;
-              arm_completed.(i) <- !comp
-            end;
-            arm_walls.(i) <- !wall :: arm_walls.(i);
-            arm_ratios.(i) <- (w1 /. !wall) :: arm_ratios.(i))
-          arm_buckets
-      done;
-      let w1 = median !w1_samples in
-      let qps1 = if w1 > 0.0 then float_of_int !a1 /. w1 else 0.0 in
-      let note_arm ~replicas ~wall ~qps ~speedup ~answered ~completed
-          ~busiest ~solve_p95 =
-        cluster_entries :=
-          P.Json.Obj
-            [
-              ("section", P.Json.String "serve_cluster");
-              ("bench", P.Json.String name);
-              ("replicas", P.Json.Int replicas);
-              ("requests", P.Json.Int answered);
-              ("completed", P.Json.Int completed);
-              ("qps", P.Json.Float qps);
-              ("speedup", P.Json.Float speedup);
-              ("solve_p95_us", P.Json.Float solve_p95);
-              ("busiest_share", P.Json.Float busiest);
-              ("wall_seconds", P.Json.Float wall);
-            ]
-          :: !cluster_entries;
-        scale_rows :=
-          [
-            name;
-            string_of_int replicas;
-            string_of_int answered;
-            T.fmt_float ~decimals:0 qps;
-            T.fmt_float ~decimals:2 speedup;
-            T.fmt_float ~decimals:0 solve_p95;
-            T.fmt_float ~decimals:2 busiest;
-          ]
-          :: !scale_rows
-      in
-      note_arm ~replicas:1 ~wall:w1 ~qps:qps1 ~speedup:1.0 ~answered:!a1
-        ~completed:!c1 ~busiest:1.0 ~solve_p95:(p95_us !solves1);
-      List.iteri
-        (fun i (replicas, buckets) ->
-          let biggest =
-            List.fold_left
-              (fun acc vars -> max acc (Array.length vars))
-              0 buckets
-          in
-          let busiest =
-            float_of_int biggest /. float_of_int (Array.length mix)
-          in
-          let speedup = median arm_ratios.(i) in
-          note_arm ~replicas
-            ~wall:(median arm_walls.(i))
-            ~qps:(qps1 *. speedup) ~speedup ~answered:arm_answered.(i)
-            ~completed:arm_completed.(i) ~busiest
-            ~solve_p95:(p95_us arm_solves.(i)))
-        arm_buckets;
-      (* Telemetry-driven rebalance, modelled: the placement the cluster
-         boots with knows only request counts (the uniform profile the
-         CLI builds), while the router's live profile weights each
-         variable by its observed solve cost. Re-running the seed scan
-         against the observed profile — exactly what the router's
-         rebalance tick does — must never leave the busiest shard worse
-         off, and Shard_map.diff_owners prices the migration. *)
-      let load_uniform = Array.make (P.Pag.n_vars b.P.Suite.pag) 0 in
-      Array.iter
-        (fun v -> load_uniform.(v) <- load_uniform.(v) + 1)
-        mix;
-      List.iter
-        (fun replicas ->
-          let rt0 = Unix.gettimeofday () in
-          let map0 =
-            P.Shard_map.of_plan_balanced ~candidates:64 ~n_shards:replicas
-              ~load:load_uniform plan
-          in
-          let before = P.Shard_map.busiest_share map0 ~load in
-          let map1 = P.Shard_map.rebalance ~candidates:64 map0 ~load in
-          let after = P.Shard_map.busiest_share map1 ~load in
-          let migrated = List.length (P.Shard_map.diff_owners map0 map1) in
-          let components = P.Shard_map.n_keys map0 in
-          let rwall = Unix.gettimeofday () -. rt0 in
-          cluster_entries :=
-            P.Json.Obj
-              [
-                ("section", P.Json.String "serve_cluster_rebalance");
-                ("bench", P.Json.String name);
-                ("replicas", P.Json.Int replicas);
-                ("busiest_before", P.Json.Float before);
-                ("busiest_after", P.Json.Float after);
-                ("migrated", P.Json.Int migrated);
-                ("components", P.Json.Int components);
-                ("wall_seconds", P.Json.Float rwall);
-              ]
-            :: !cluster_entries;
-          rebalance_rows :=
-            [
-              name;
-              string_of_int replicas;
-              T.fmt_int components;
-              T.fmt_int migrated;
-              T.fmt_float ~decimals:2 before;
-              T.fmt_float ~decimals:2 after;
-            ]
-            :: !rebalance_rows)
-        arms;
-      (* Join warm-up: a replica re-admitted after a drain (or freshly
-         added) either solves from scratch or installs a running donor's
-         Finished-only snapshot first. *)
-      let donor = mk_service b in
-      let _ = run_stream donor mix in
-      let snapshot_text, snapshot_records =
-        match P.Svc_engine.export_snapshot (P.Service.engine donor) with
-        | Ok (text, n) -> (text, n)
-        | Error e -> failwith ("serve_cluster: snapshot export failed: " ^ e)
-      in
-      let first = Array.sub mix 0 (min 100 (Array.length mix)) in
-      let join_side ~warm =
-        let service = mk_service b in
-        if warm then begin
-          match P.Service.import_snapshot service snapshot_text with
-          | Ok _ -> ()
-          | Error e ->
-              failwith ("serve_cluster: snapshot import failed: " ^ e)
-        end;
-        let _, _, completed, solves = run_stream service first in
-        (completed, p95_us (List.map snd solves))
-      in
-      let jt0 = Unix.gettimeofday () in
-      let cold_completed, cold_p95 = join_side ~warm:false in
-      let warm_completed, warm_p95 = join_side ~warm:true in
-      let join_wall = Unix.gettimeofday () -. jt0 in
-      cluster_entries :=
-        P.Json.Obj
-          [
-            ("section", P.Json.String "serve_cluster_join");
-            ("bench", P.Json.String name);
-            ("requests", P.Json.Int (Array.length first));
-            ("cold_completed", P.Json.Int cold_completed);
-            ("warm_completed", P.Json.Int warm_completed);
-            ("cold_solve_p95_us", P.Json.Float cold_p95);
-            ("warm_solve_p95_us", P.Json.Float warm_p95);
-            ("snapshot_records", P.Json.Int snapshot_records);
-            ("wall_seconds", P.Json.Float join_wall);
-          ]
-        :: !cluster_entries;
-      join_rows :=
-        [
-          name;
-          T.fmt_int snapshot_records;
-          T.fmt_float ~decimals:0 cold_p95;
-          T.fmt_float ~decimals:0 warm_p95;
-          T.fmt_float ~decimals:1
-            (if warm_p95 > 0.0 then cold_p95 /. warm_p95 else 0.0);
-        ]
-        :: !join_rows)
-    ms;
-  T.render
-    ~header:
-      [
-        "Benchmark"; "replicas"; "#req"; "req/s"; "speedup"; "p95 us";
-        "busiest";
-      ]
-    Format.std_formatter (List.rev !scale_rows);
-  Format.printf
-    "@.-- telemetry-driven rebalance: uniform placement vs observed-cost \
-     re-scan --@.@.";
-  T.render
-    ~header:
-      [
-        "Benchmark"; "replicas"; "components"; "migrated"; "busiest before";
-        "busiest after";
-      ]
-    Format.std_formatter (List.rev !rebalance_rows);
-  Format.printf "@.-- joining replica: cold vs snapshot-warmed --@.@.";
-  T.render
-    ~header:
-      [ "Benchmark"; "snap recs"; "cold p95 us"; "warm p95 us"; "x" ]
-    Format.std_formatter (List.rev !join_rows)
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test per table/figure kernel.         *)
 
 let micro ms =
@@ -1377,239 +781,6 @@ let micro ms =
 (* bench/results/latest.json and mirrored at the repo root as           *)
 (* BENCH_parcfl.json so CI and plotting scripts have a stable path.     *)
 
-(* ------------------------------------------------------------------ *)
-(* O(1) oracle tier: the same 400-query mix against two in-process      *)
-(* services that differ only in [config.oracle]. The off arm's          *)
-(* population is its real solves (cache hits carry an all-zero          *)
-(* breakdown and are excluded); the on arm answers every request from   *)
-(* the oracle, so all 400 measured latencies enter its population —     *)
-(* duplicates included, because the tier has no cache in front of it.   *)
-(* Per-request answers are tabled by id and compared across arms:       *)
-(* [identical_answers] counts requests whose (var, objects) payloads    *)
-(* agree exactly, the differential the regress gate holds at no-drop.   *)
-
-let oracle_entries : P.Json.t list ref = ref []
-
-let serve_oracle ms =
-  let ms = ablation_sample ms in
-  Format.printf "@.== Service: O(1) oracle tier vs demand solver ==@.@.";
-  let rows =
-    List.map
-      (fun m ->
-        let b = m.bench in
-        let name = b.P.Suite.profile.P.Profile.name in
-        let mix = P.Suite.query_mix b ~n:400 in
-        let run_side ~oracle =
-          let service =
-            P.Service.create
-              ~config:
-                {
-                  P.Service.default_config with
-                  P.Service.threads = 2;
-                  max_batch = 32;
-                  context_sensitive = false;
-                  oracle;
-                  tau_f = Some tau_f;
-                  tau_u = Some tau_u;
-                  max_budget = budget;
-                }
-              ~type_level:b.P.Suite.type_level b.P.Suite.pag
-          in
-          let completed = ref 0 and solves = ref [] in
-          let answers = Hashtbl.create 512 in
-          let note r =
-            match r with
-            | P.Svc_protocol.Answer { id; var; objects; breakdown; _ } ->
-                incr completed;
-                Hashtbl.replace answers id (var, objects);
-                if oracle || breakdown.P.Svc_span.bd_solve_us > 0.0 then
-                  solves := breakdown.P.Svc_span.bd_solve_us :: !solves
-            | _ -> ()
-          in
-          Array.iteri
-            (fun i v ->
-              P.Service.submit service ~now:(Unix.gettimeofday ())
-                ~respond:note
-                (P.Svc_protocol.Query
-                   {
-                     id = i;
-                     var = Printf.sprintf "#%d" v;
-                     budget = None;
-                     deadline_ms = None;
-                     trace = None;
-                   });
-              ignore (P.Service.pump service ~now:(Unix.gettimeofday ())))
-            mix;
-          P.Service.drain service ~now:(Unix.gettimeofday ());
-          let svc_m = P.Service.metrics service in
-          let hits = P.Svc_metrics.get svc_m P.Svc_metrics.Oracle_hit in
-          let falls = P.Svc_metrics.get svc_m P.Svc_metrics.Oracle_fallback in
-          let shape =
-            match P.Svc_engine.oracle (P.Service.engine service) with
-            | Some o ->
-                ( P.Oracle.distinct_rows o,
-                  P.Oracle.compressed_bytes o,
-                  P.Oracle.build_seconds o )
-            | None -> (0, 0, 0.0)
-          in
-          P.Service.shutdown service;
-          (!completed, p95_us !solves, answers, hits, falls, shape)
-        in
-        let t0 = Unix.gettimeofday () in
-        let off_completed, fallback_p95, off_answers, _, _, _ =
-          run_side ~oracle:false
-        in
-        let on_completed, oracle_p95, on_answers, hits, falls, shape =
-          run_side ~oracle:true
-        in
-        let distinct_rows, compressed_bytes, build_seconds = shape in
-        let wall = Unix.gettimeofday () -. t0 in
-        let requests = Array.length mix in
-        let identical = ref 0 in
-        for i = 0 to requests - 1 do
-          match (Hashtbl.find_opt off_answers i, Hashtbl.find_opt on_answers i)
-          with
-          | Some a, Some b when a = b -> incr identical
-          | _ -> ()
-        done;
-        let hit_rate =
-          if requests = 0 then 0.0
-          else float_of_int hits /. float_of_int requests
-        in
-        oracle_entries :=
-          P.Json.Obj
-            [
-              ("section", P.Json.String "serve_oracle");
-              ("bench", P.Json.String name);
-              ("requests", P.Json.Int requests);
-              ("off_completed", P.Json.Int off_completed);
-              ("on_completed", P.Json.Int on_completed);
-              ("fallback_solve_p95_us", P.Json.Float fallback_p95);
-              ("oracle_solve_p95_us", P.Json.Float oracle_p95);
-              ("hit_rate", P.Json.Float hit_rate);
-              ("oracle_fallbacks", P.Json.Int falls);
-              ("identical_answers", P.Json.Int !identical);
-              ("distinct_rows", P.Json.Int distinct_rows);
-              ("compressed_bytes", P.Json.Int compressed_bytes);
-              ("build_seconds", P.Json.Float build_seconds);
-              ("wall_seconds", P.Json.Float wall);
-            ]
-          :: !oracle_entries;
-        [
-          name;
-          string_of_int requests;
-          T.fmt_float ~decimals:1 fallback_p95;
-          T.fmt_float ~decimals:1 oracle_p95;
-          T.fmt_float ~decimals:1
-            (if oracle_p95 > 0.0 then fallback_p95 /. oracle_p95 else 0.0);
-          T.fmt_float ~decimals:2 hit_rate;
-          Printf.sprintf "%d/%d" !identical requests;
-          T.fmt_int distinct_rows;
-          T.fmt_int compressed_bytes;
-        ])
-      ms
-  in
-  T.render
-    ~header:
-      [
-        "Benchmark"; "#req"; "solver p95 us"; "oracle p95 us"; "x";
-        "hit rate"; "identical"; "rows"; "bytes";
-      ]
-    Format.std_formatter rows
-
-(* ------------------------------------------------------------------ *)
-(* Service: the explain tier. One fact per sampled variable of the     *)
-(* 400-query mix goes through the explain verb on a live service; the   *)
-(* traced re-derivation's p95 and the found count are gated.            *)
-
-let explain_entries : P.Json.t list ref = ref []
-
-let serve_explain ms =
-  let ms = ablation_sample ms in
-  Format.printf "@.== Service: explain tier ==@.@.";
-  let rows =
-    List.map
-      (fun m ->
-        let b = m.bench in
-        let name = b.P.Suite.profile.P.Profile.name in
-        let mix = P.Suite.query_mix b ~n:400 in
-        let t0 = Unix.gettimeofday () in
-        let svc =
-          P.Service.create
-            ~config:
-              {
-                P.Service.default_config with
-                P.Service.threads = 2;
-                max_batch = 32;
-                tau_f = Some tau_f;
-                tau_u = Some tau_u;
-                max_budget = budget;
-              }
-            ~type_level:b.P.Suite.type_level b.P.Suite.pag
-        in
-        let sample =
-          Array.to_list mix |> List.sort_uniq compare
-          |> List.filteri (fun i _ -> i < 32)
-        in
-        let facts =
-          let s =
-            P.Solver.make_session ~config:P.Config.default
-              ~ctx_store:(P.Ctx.create_store ()) b.P.Suite.pag
-          in
-          List.filter_map
-            (fun v ->
-              match (P.Solver.points_to s v).P.Query.result with
-              | P.Query.Points_to ((o, _) :: _) -> Some (v, o)
-              | _ -> None)
-            sample
-        in
-        let explain_lats = ref [] and found = ref 0 in
-        List.iteri
-          (fun i (v, o) ->
-            P.Service.submit svc ~now:(Unix.gettimeofday ())
-              ~respond:(fun r ->
-                match r with
-                | P.Svc_protocol.Explain_reply
-                    { found = f; latency_us; _ } ->
-                    if f then incr found;
-                    explain_lats := latency_us :: !explain_lats
-                | _ -> ())
-              (P.Svc_protocol.Explain
-                 {
-                   id = i;
-                   var = Printf.sprintf "#%d" v;
-                   obj = Printf.sprintf "#%d" o;
-                 });
-            ignore (P.Service.pump svc ~now:(Unix.gettimeofday ())))
-          facts;
-        P.Service.shutdown svc;
-        let wall = Unix.gettimeofday () -. t0 in
-        let explain_p95 = p95_us !explain_lats in
-        explain_entries :=
-          P.Json.Obj
-            [
-              ("section", P.Json.String "serve_explain");
-              ("bench", P.Json.String name);
-              ("explains", P.Json.Int (List.length facts));
-              ("explains_found", P.Json.Int !found);
-              ("explain_p95_us", P.Json.Float explain_p95);
-              ("wall_seconds", P.Json.Float wall);
-            ]
-          :: !explain_entries;
-        [
-          name;
-          string_of_int (List.length facts);
-          string_of_int !found;
-          T.fmt_float ~decimals:1 explain_p95;
-        ])
-      ms
-  in
-  T.render
-    ~header:[ "Benchmark"; "#expl"; "found"; "explain p95 us" ]
-    Format.std_formatter rows
-
-(* ------------------------------------------------------------------ *)
-
 (* History files kept by --keep N (newest first); None leaves every run. *)
 let keep_history : int option ref = ref None
 
@@ -1628,11 +799,6 @@ let emit_results ms =
         ]
         @ List.map (fun t -> entry (m.dq_sim t)) [ 1; 2; 4; 8; 16 ])
       ms
-    @ List.rev !serve_entries
-    @ List.rev !coldwarm_entries
-    @ List.rev !cluster_entries
-    @ List.rev !oracle_entries
-    @ List.rev !explain_entries
   in
   let meta =
     [
@@ -1640,6 +806,7 @@ let emit_results ms =
       ("tau_f", P.Json.Int tau_f);
       ("tau_u", P.Json.Int tau_u);
       ("sim_threads", P.Json.Int sim_threads);
+      ("nproc", P.Json.Int (Domain.recommended_domain_count ()));
       ("benchmarks", P.Json.Int (List.length ms));
     ]
   in
@@ -1701,8 +868,7 @@ let () =
     if sections = [] then
       [
         "table1"; "table2"; "fig6"; "fig7"; "fig8"; "mem"; "ablate";
-        "refinecmp"; "serve"; "serve_coldwarm"; "serve_cluster";
-        "serve_oracle"; "serve_explain"; "micro";
+        "refinecmp"; "micro";
       ]
     else sections
   in
@@ -1725,11 +891,6 @@ let () =
       | "mem" -> mem ms
       | "ablate" -> ablate ms
       | "refinecmp" -> refinecmp ms
-      | "serve" -> serve ms
-      | "serve_coldwarm" -> serve_coldwarm ms
-      | "serve_cluster" -> serve_cluster ms
-      | "serve_oracle" -> serve_oracle ms
-      | "serve_explain" -> serve_explain ms
       | "micro" -> micro ms
       | s -> Format.printf "unknown section %S (skipped)@." s)
     sections;

@@ -9,11 +9,13 @@
      depth per replica is meaningful, their sum usually is not, so each
      sample gains a [replica="N"] label and all of them survive;
    - slowlog entries compete by worst latency across the whole cluster;
-   - stats keep every replica's object verbatim plus a summed totals
-     view of the numeric fields. *)
+   - stats keep every replica's object verbatim plus a totals view:
+     integer fields summed, ratios recomputed from the summed counters,
+     float gauges left per replica. *)
 
 module Expo = Parcfl_telemetry.Expo
 module Json = Parcfl_obs.Json
+module Metrics = Parcfl_svc.Metrics
 
 (* ----------------------------- metrics ----------------------------- *)
 
@@ -151,40 +153,38 @@ let merge_metrics ?(extra = []) parts =
 (* ------------------------------ stats ------------------------------ *)
 
 let merge_stats parts =
+  (* A field sums over replicas only when every replica reports it as an
+     integer: a partial sum would read as a cluster total and lie, and a
+     sum of rates or float gauges (uptime, build seconds) means nothing. *)
+  let int_total k =
+    List.fold_left
+      (fun acc (_, j) ->
+        match (acc, Json.member k j) with
+        | Some n, Some (Json.Int i) -> Some (n + i)
+        | _ -> None)
+      (Some 0) parts
+  in
+  (* Ratios are recomputed from the summed counters with Svc.Metrics'
+     own definitions, so a federated rate reads like a replica's. *)
+  let ratio k =
+    match List.assoc_opt k Metrics.ratios with
+    | Some f
+      when List.for_all
+             (fun c -> int_total (Metrics.name c) <> None)
+             Metrics.all ->
+        Some (f (fun c -> Option.get (int_total (Metrics.name c))))
+    | _ -> None
+  in
   let totals =
     match parts with
-    | [] -> []
-    | (_, first) :: _ -> (
-        match first with
-        | Json.Obj fields ->
-            List.filter_map
-              (fun (k, _) ->
-                (* Sum a field over replicas only when every replica
-                   reports it numerically — a partial sum would read as
-                   a cluster total and lie. *)
-                let values =
-                  List.map
-                    (fun (_, j) ->
-                      match j with
-                      | Json.Obj fs -> (
-                          match List.assoc_opt k fs with
-                          | Some (Json.Int i) -> Some (float_of_int i, true)
-                          | Some (Json.Float f) -> Some (f, false)
-                          | _ -> None)
-                      | _ -> None)
-                    parts
-                in
-                if List.for_all Option.is_some values then
-                  let values = List.map Option.get values in
-                  let sum =
-                    List.fold_left (fun acc (v, _) -> acc +. v) 0.0 values
-                  in
-                  if List.for_all snd values then
-                    Some (k, Json.Int (int_of_float sum))
-                  else Some (k, Json.Float sum)
-                else None)
-              fields
-        | _ -> [])
+    | (_, Json.Obj fields) :: _ ->
+        List.filter_map
+          (fun (k, _) ->
+            match int_total k with
+            | Some n -> Some (k, Json.Int n)
+            | None -> Option.map (fun r -> (k, Json.Float r)) (ratio k))
+          fields
+    | _ -> []
   in
   Json.Obj
     [

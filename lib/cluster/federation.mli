@@ -33,11 +33,12 @@ val merge_families :
 val merge_stats :
   (int * Parcfl_obs.Json.t) list -> Parcfl_obs.Json.t
 (** One object over all replies: [replicas] (how many answered),
-    [totals] (each top-level numeric field that {e every} replica
-    reports, summed — integer when all sides are integers), and
-    [per_replica] (each replica's stats object verbatim, tagged with its
-    index) — the unsummable fields stay inspectable without lying in a
-    total. *)
+    [totals] (each top-level integer field that {e every} replica reports
+    as an integer, summed, plus the {!Parcfl_svc.Metrics.ratios}
+    recomputed from the summed counters), and [per_replica] (each
+    replica's stats object verbatim, tagged with its index) — float
+    gauges and the other unsummable fields stay inspectable there without
+    lying in a total. *)
 
 val merge_health :
   ?drained:string list ->

@@ -101,21 +101,22 @@ let add ?(worker = 0) t c n = Counter.add t.counters.(index c) ~worker n
 let get t c = Counter.value t.counters.(index c)
 let uptime_s t = Float.max 0.0 (Unix.gettimeofday () -. t.created)
 
-let cache_hit_rate t =
-  let h = get t Cache_hit and m = get t Cache_miss in
+let hit_rate get =
+  let h = get Cache_hit and m = get Cache_miss in
   if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
 
-let mean_batch_size t =
-  let b = get t Batches in
-  if b = 0 then 0.0
-  else float_of_int (get t Batched_queries) /. float_of_int b
+let batch_mean get =
+  let b = get Batches in
+  if b = 0 then 0.0 else float_of_int (get Batched_queries) /. float_of_int b
+
+let ratios = [ ("cache_hit_rate", hit_rate); ("mean_batch_size", batch_mean) ]
+let cache_hit_rate t = hit_rate (get t)
 
 let to_json ?(extra = []) t ~queue_depth ~cache_size ~in_flight =
   Json.Obj
     (List.map (fun c -> (name c, Json.Int (get t c))) all
+    @ List.map (fun (k, f) -> (k, Json.Float (f (get t)))) ratios
     @ [
-        ("cache_hit_rate", Json.Float (cache_hit_rate t));
-        ("mean_batch_size", Json.Float (mean_batch_size t));
         ("queue_depth", Json.Int queue_depth);
         ("in_flight", Json.Int in_flight);
         ("cache_size", Json.Int cache_size);

@@ -58,10 +58,14 @@ val get : t -> counter -> int
 val uptime_s : t -> float
 (** Seconds since {!create}. *)
 
-val cache_hit_rate : t -> float
-(** [hits / (hits + misses)]; 0 before any lookup. *)
+val ratios : (string * ((counter -> int) -> float)) list
+(** The derived [stats] fields, by wire name, each computed from counter
+    values: [cache_hit_rate] ([hits / (hits + misses)], 0 before any
+    lookup) and [mean_batch_size] ([batched_queries / batches], 0 before
+    any batch). The cluster's federated [stats] totals recompute them
+    from summed counters with these same definitions. *)
 
-val mean_batch_size : t -> float
+val cache_hit_rate : t -> float
 
 val to_json :
   ?extra:(string * Parcfl_obs.Json.t) list ->

@@ -2,8 +2,9 @@
 
     Requests are single lines of space-separated tokens; responses are
     single-line JSON objects ({!Parcfl_obs.Json}). The same parser/printer
-    pair backs every front end (stdio pipe, Unix domain socket) and the
-    load-generator client, so client and server cannot drift.
+    pair backs every front end (stdio pipe, Unix domain socket) and every
+    client (the cluster router, [perfbench]), so client and server cannot
+    drift.
 
     Request grammar (one request per line; blank lines are ignored by the
     transports):
@@ -79,7 +80,7 @@ val request_id : request -> int option
     collide at the replica. *)
 
 val request_to_string : request -> string
-(** The canonical line for a request (used by the load-gen client);
+(** The canonical line for a request (used by the router and perfbench);
     [parse_request (request_to_string r) = Ok r]. *)
 
 type timeout_reason = [ `Budget | `Deadline ]

@@ -1,6 +1,7 @@
 (* Cluster primitives: the shard-affine variable map (rendezvous
-   ownership, oversized-component splitting, drain stability), the
-   failover state machine, and snapshot file/fetch plumbing. The
+   ownership, oversized-component splitting, drain stability), its
+   placement of the serving mix's load profile, the failover state
+   machine, stats federation, and snapshot plumbing and warm-up. The
    router's end-to-end behaviour — failover replay over real processes —
    is covered by test/cluster_smoke.ml under `dune build @ci`. *)
 module P = Parcfl
@@ -180,6 +181,34 @@ let test_rebalance_incumbent_stays () =
   Alcotest.(check (list int)) "no migration" []
     (P.Shard_map.diff_owners m next)
 
+(* The serving mix's load profile as the router's placement sees it:
+   load(v) = requests for v plus the steps its answers report, from one
+   cold run of the _200_check mix on the context-insensitive engine. *)
+let mix_profile =
+  lazy
+    (let b = Lazy.force Serve_mix.check in
+     let vars = Serve_mix.mix b in
+     let svc = Serve_mix.service ~context_sensitive:false b in
+     let responses = Serve_mix.drive svc vars in
+     P.Service.shutdown svc;
+     let pag = b.P.Suite.pag in
+     let counts = Array.make (P.Pag.n_vars pag) 0 in
+     let load = Array.make (P.Pag.n_vars pag) 0 in
+     Array.iteri
+       (fun i v ->
+         counts.(v) <- counts.(v) + 1;
+         load.(v) <-
+           (load.(v) + 1
+           +
+           match responses.(i) with
+           | P.Svc_protocol.Answer { steps; _ } -> steps
+           | _ -> 0))
+       vars;
+     let plan =
+       P.Schedule.prepare ~pag ~type_level:b.P.Suite.type_level
+     in
+     (plan, counts, load))
+
 let test_rebalance_never_worse () =
   (* Whatever the profile, the re-scan's strict-improvement rule bounds
      it by the incumbent. *)
@@ -189,7 +218,39 @@ let test_rebalance_never_worse () =
   let next = P.Shard_map.rebalance ~candidates:32 m ~load in
   Alcotest.(check bool) "never worse than the incumbent" true
     (P.Shard_map.busiest_share next ~load
-    <= P.Shard_map.busiest_share m ~load)
+    <= P.Shard_map.busiest_share m ~load);
+  (* The router's case: a placement balanced on request counts alone,
+     re-scanned against the observed profile. *)
+  let plan, counts, load = Lazy.force mix_profile in
+  List.iter
+    (fun r ->
+      let m =
+        P.Shard_map.of_plan_balanced ~candidates:64 ~n_shards:r ~load:counts
+          plan
+      in
+      let next = P.Shard_map.rebalance ~candidates:64 m ~load in
+      if
+        P.Shard_map.busiest_share next ~load
+        > P.Shard_map.busiest_share m ~load
+      then Alcotest.failf "mix profile, %d shards: rebalance made it worse" r)
+    [ 2; 4; 8 ]
+
+(* The scale-out the cluster can reach on the mix is bounded by its
+   busiest shard's share of the load: a replica per shard finishes when
+   the busiest one does. Balanced on the observed profile, that share
+   must admit 1.6x at 2 replicas, 2.5x at 4 and 3.0x at 8. *)
+let test_mix_busiest_share_floors () =
+  let plan, _, load = Lazy.force mix_profile in
+  List.iter
+    (fun (r, speedup) ->
+      let m =
+        P.Shard_map.of_plan_balanced ~candidates:64 ~n_shards:r ~load plan
+      in
+      let share = P.Shard_map.busiest_share m ~load in
+      if share > 1.0 /. speedup then
+        Alcotest.failf "%d shards: busiest share %.3f > 1/%.1f" r share
+          speedup)
+    [ (2, 1.6); (4, 2.5); (8, 3.0) ]
 
 let test_diff_owners_rejects_mismatch () =
   let a = P.Shard_map.create ~n_shards:2 ~root_of:even_roots () in
@@ -315,9 +376,41 @@ let test_federation_stats_totals () =
       | None -> ()
       | Some _ -> Alcotest.fail "non-numeric fields must not be summed")
   | None -> Alcotest.fail "totals present");
-  match J.member "per_replica" merged with
+  (match J.member "per_replica" merged with
   | Some (J.List [ _; _ ]) -> ()
-  | _ -> Alcotest.fail "per-replica stats kept verbatim"
+  | _ -> Alcotest.fail "per-replica stats kept verbatim");
+  (* Real replica payloads: ratios are recomputed from the summed
+     counters, never summed themselves, and float gauges stay per
+     replica. Both replicas hit at 0.8, so the cluster does too. *)
+  let replica ~hits ~misses ~batches ~batched =
+    let m = P.Svc_metrics.create () in
+    P.Svc_metrics.add m P.Svc_metrics.Cache_hit hits;
+    P.Svc_metrics.add m P.Svc_metrics.Cache_miss misses;
+    P.Svc_metrics.add m P.Svc_metrics.Batches batches;
+    P.Svc_metrics.add m P.Svc_metrics.Batched_queries batched;
+    P.Svc_metrics.to_json m ~queue_depth:1 ~cache_size:3 ~in_flight:0
+  in
+  let merged =
+    F.merge_stats
+      [
+        (0, replica ~hits:8 ~misses:2 ~batches:2 ~batched:6);
+        (1, replica ~hits:4 ~misses:1 ~batches:1 ~batched:5);
+      ]
+  in
+  let total k = Option.bind (J.member "totals" merged) (J.member k) in
+  (match total "cache_hit_rate" with
+  | Some (J.Float r) -> Alcotest.(check (float 1e-9)) "hit rate" 0.8 r
+  | _ -> Alcotest.fail "cache_hit_rate total");
+  (match total "mean_batch_size" with
+  | Some (J.Float r) ->
+      Alcotest.(check (float 1e-9)) "mean batch" (11.0 /. 3.0) r
+  | _ -> Alcotest.fail "mean_batch_size total");
+  (match total "cache_hits" with
+  | Some (J.Int 12) -> ()
+  | _ -> Alcotest.fail "cache_hits sums");
+  match total "uptime_s" with
+  | None -> ()
+  | Some _ -> Alcotest.fail "float gauges must not be summed"
 
 let test_federation_slowlog_order_and_limit () =
   let entry lat at = J.Obj [ ("latency_us", J.Float lat); ("at", J.Float at) ] in
@@ -461,6 +554,39 @@ let test_snapshot_fetch () =
   Alcotest.(check string) "request" "snapshot 0\n" (Bytes.sub_string sent 0 n);
   Unix.close peer
 
+(* A joining replica warmed from a running donor's Finished-only
+   snapshot answers the mix's first 100 queries in full, walking fewer
+   steps than a cold joiner. *)
+let test_snapshot_warmed_joiner () =
+  let b = Lazy.force Serve_mix.check in
+  let vars = Serve_mix.mix b in
+  let donor = Serve_mix.service b in
+  ignore (Serve_mix.drive donor vars);
+  let text =
+    match P.Svc_engine.export_snapshot (P.Service.engine donor) with
+    | Ok (text, _) -> text
+    | Error e -> Alcotest.failf "export: %s" e
+  in
+  P.Service.shutdown donor;
+  let first = Array.sub vars 0 100 in
+  let join ~warm =
+    let svc = Serve_mix.service b in
+    if warm then (
+      match P.Service.import_snapshot svc text with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "import: %s" e);
+    let responses = Serve_mix.drive svc first in
+    P.Service.shutdown svc;
+    (Serve_mix.completed responses, Serve_mix.steps responses)
+  in
+  let cold_ok, cold_steps = join ~warm:false in
+  let warm_ok, warm_steps = join ~warm:true in
+  Alcotest.(check int) "cold joiner completes" 100 cold_ok;
+  Alcotest.(check int) "warm joiner completes" 100 warm_ok;
+  if warm_steps >= cold_steps then
+    Alcotest.failf "warm joiner walked %d steps, cold %d" warm_steps
+      cold_steps
+
 let suite =
   ( "cluster",
     [
@@ -483,6 +609,10 @@ let suite =
         test_rebalance_incumbent_stays;
       Alcotest.test_case "rebalance never worse" `Quick
         test_rebalance_never_worse;
+      Alcotest.test_case "mix busiest share meets scale-out floors" `Quick
+        test_mix_busiest_share_floors;
+      Alcotest.test_case "snapshot-warmed joiner beats cold" `Quick
+        test_snapshot_warmed_joiner;
       Alcotest.test_case "diff_owners key-space guard" `Quick
         test_diff_owners_rejects_mismatch;
       Alcotest.test_case "federation counters/gauges" `Quick

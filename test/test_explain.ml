@@ -356,10 +356,9 @@ let test_service_explain () =
 
 (* The wire chain and the library witness describe the same derivation:
    equal depth, and the wire edge ids replay through Witness.edge_ids. *)
-let test_wire_matches_library () =
-  let b, svc = make_service () in
-  let pag = b.P.Suite.pag in
-  let v, o = known_fact pag b.P.Suite.queries in
+(* The wire chain is the library's witness, edge for edge, and that
+   witness replays against the PAG. *)
+let check_wire_chain svc pag (v, o) =
   let req =
     Proto.Explain
       { id = 9; var = Printf.sprintf "#%d" v; obj = Printf.sprintf "#%d" o }
@@ -367,11 +366,13 @@ let test_wire_matches_library () =
   match submit_collect svc req with
   | Proto.Explain_reply { found = true; depth; chain = Json.List edges; _ }
     -> (
-      let s = session pag in
-      match Solver.explain s v o with
-      | None -> Alcotest.fail "library explain lost the fact"
-      | Some w ->
+      match Solver.explain (session pag) v o with
+      | None -> Alcotest.failf "#%d: library explain lost the fact" v
+      | Some w -> (
           Alcotest.(check int) "wire depth = library depth" (W.depth w) depth;
+          (match W.replay pag ~query:v w with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "#%d: replay failed: %s" v e);
           let wire_ids =
             List.filter_map
               (fun e ->
@@ -383,14 +384,37 @@ let test_wire_matches_library () =
                 | _ -> None)
               edges
           in
-          (match W.edge_ids pag w with
+          match W.edge_ids pag w with
           | Ok ids ->
               Alcotest.(check (list int)) "wire ids = library chain ids" ids
                 wire_ids
-          | Error e -> Alcotest.failf "library chain has no ids: %s" e);
-          P.Service.shutdown svc)
+          | Error e -> Alcotest.failf "#%d: library chain has no ids: %s" v e))
   | r ->
-      Alcotest.failf "unexpected reply %s" (Proto.response_to_string r)
+      Alcotest.failf "#%d: unexpected reply %s" v (Proto.response_to_string r)
+
+(* On the tiny bench's first fact, and on 32 distinct variables of the
+   serving mix with a points-to fact each: every explain is found. *)
+let test_wire_matches_library () =
+  let b, svc = make_service () in
+  let pag = b.P.Suite.pag in
+  check_wire_chain svc pag (known_fact pag b.P.Suite.queries);
+  P.Service.shutdown svc;
+  let b = Lazy.force Serve_mix.check in
+  let pag = b.P.Suite.pag in
+  let s = session pag in
+  let facts =
+    Array.to_list (Serve_mix.mix b)
+    |> List.sort_uniq compare
+    |> List.filter_map (fun v ->
+           match (Solver.points_to s v).Query.result with
+           | Query.Points_to ((o, _) :: _) -> Some (v, o)
+           | _ -> None)
+    |> List.filteri (fun i _ -> i < 32)
+  in
+  Alcotest.(check int) "32 facts in the mix" 32 (List.length facts);
+  let svc = Serve_mix.service b in
+  List.iter (check_wire_chain svc pag) facts;
+  P.Service.shutdown svc
 
 (* ------------- oracle tier: zero batch stamps (bugfix) ------------- *)
 

@@ -260,7 +260,47 @@ let test_service_identity () =
   Alcotest.(check int) "off arm never counts oracle hits" 0
     (P.Svc_metrics.get (P.Service.metrics off) P.Svc_metrics.Oracle_hit);
   P.Service.shutdown off;
-  P.Service.shutdown on
+  P.Service.shutdown on;
+  (* The serving mix: 400 requests, every one an oracle hit with the
+     solver's payload. None reaches the pipeline: no step walked, no
+     queue or batch wait, and the on arm never forms a batch. *)
+  let b = Lazy.force Serve_mix.check in
+  let vars = Serve_mix.mix b in
+  let arm oracle =
+    let svc = Serve_mix.service ~context_sensitive:false ~oracle b in
+    let responses = Serve_mix.drive svc vars in
+    let m = P.Service.metrics svc in
+    let counts =
+      ( P.Svc_metrics.get m P.Svc_metrics.Oracle_hit,
+        P.Svc_metrics.get m P.Svc_metrics.Batches )
+    in
+    P.Service.shutdown svc;
+    (responses, counts)
+  in
+  let off_r, _ = arm false in
+  let on_r, (hits, batches) = arm true in
+  Alcotest.(check int) "every mix request an oracle hit" 400 hits;
+  Alcotest.(check int) "the oracle arm never batches" 0 batches;
+  Array.iteri
+    (fun i r ->
+      match (off_r.(i), r) with
+      | ( P.Svc_protocol.Answer { var; objects; _ },
+          P.Svc_protocol.Answer
+            { var = var'; objects = objects'; steps; breakdown; _ } ) ->
+          if (var, objects) <> (var', objects') then
+            Alcotest.failf "mix request %d differs between the arms" i;
+          if
+            steps <> 0
+            || breakdown.P.Svc_span.bd_queue_wait_us <> 0.0
+            || breakdown.P.Svc_span.bd_batch_wait_us <> 0.0
+          then
+            Alcotest.failf "mix request %d entered the pipeline (%d steps)" i
+              steps
+      | _ ->
+          Alcotest.failf "mix request %d: %s vs %s" i
+            (P.Svc_protocol.response_to_string off_r.(i))
+            (P.Svc_protocol.response_to_string r))
+    on_r
 
 let submit_one svc ~id ~var ~budget ~deadline_ms =
   let got = ref None in

@@ -733,13 +733,67 @@ let test_breakdown_sums_to_latency () =
       ]
   in
   Alcotest.(check bool) "stage counters accumulated" true (stage_total >= 0);
-  match P.Service.metrics_json svc with
+  (match P.Service.metrics_json svc with
   | P.Json.Obj fields ->
       Alcotest.(check bool) "stats has in_flight" true
         (List.assoc_opt "in_flight" fields = Some (P.Json.Int 0));
       Alcotest.(check bool) "stats has stage aggregate" true
         (List.mem_assoc "stage_solve_us" fields)
-  | _ -> Alcotest.fail "stats payload is not an object"
+  | _ -> Alcotest.fail "stats payload is not an object");
+  (* The serving mix: every one of its 400 requests is answered (drive
+     fails on a lost one), and every answer's or timeout's stages account
+     for its latency. *)
+  let b = Lazy.force Serve_mix.check in
+  let svc = Serve_mix.service b in
+  let responses = Serve_mix.drive svc (Serve_mix.mix b) in
+  P.Service.shutdown svc;
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Proto.Answer { latency_us; breakdown; _ }
+      | Proto.Timeout { latency_us; breakdown; _ } ->
+          let sum = P.Svc_span.total_us breakdown in
+          if abs_float (sum -. latency_us) > (0.05 *. latency_us) +. 1.0 then
+            Alcotest.failf "request %d: stages sum to %.1f, latency %.1f" i
+              sum latency_us
+      | r ->
+          Alcotest.failf "request %d: unexpected %s" i
+            (Proto.response_to_string r))
+    responses
+
+(* Matrix-kernel pre-seeding on the context-insensitive engine: the same
+   mix against a cold service and a pre-seeded one. Both answer it in
+   full, and the warm side walks fewer steps — the seeds serve traffic. *)
+let coldwarm b vars =
+  let side preseed =
+    let svc = Serve_mix.service ~context_sensitive:false ~preseed b in
+    let responses = Serve_mix.drive svc vars in
+    P.Service.shutdown svc;
+    (Serve_mix.completed responses, Serve_mix.steps responses)
+  in
+  (side false, side true)
+
+let test_preseed_cuts_steps () =
+  let b = Lazy.force Serve_mix.check in
+  let (cold_ok, cold_steps), (warm_ok, warm_steps) =
+    coldwarm b (Serve_mix.mix b)
+  in
+  Alcotest.(check int) "cold completes the mix" 400 cold_ok;
+  Alcotest.(check int) "warm completes the mix" 400 warm_ok;
+  if warm_steps >= cold_steps then
+    Alcotest.failf "warm walked %d steps, cold %d" warm_steps cold_steps
+
+(* On budget-bound benchmarks the win is completions: cold gives up at
+   the step budget where the seeded store replays whole target sets. *)
+let test_preseed_completes_budget_bound () =
+  List.iter
+    (fun (name, cold_floor) ->
+      let b = Option.get (P.Suite.build_by_name name) in
+      let (cold_ok, _), (warm_ok, _) = coldwarm b (Serve_mix.mix b) in
+      if cold_ok < cold_floor then
+        Alcotest.failf "%s: cold completed %d < %d" name cold_ok cold_floor;
+      Alcotest.(check int) (name ^ ": warm completes the mix") 400 warm_ok)
+    [ ("avrora", 181); ("luindex", 211) ]
 
 let test_watchdog_unit () =
   let module W = P.Svc_watchdog in
@@ -948,6 +1002,10 @@ let suite =
       Alcotest.test_case "runner query stamps" `Quick test_runner_query_stamps;
       Alcotest.test_case "breakdown sums to latency" `Quick
         test_breakdown_sums_to_latency;
+      Alcotest.test_case "preseed cuts the mix's steps" `Quick
+        test_preseed_cuts_steps;
+      Alcotest.test_case "preseed completes budget-bound mixes" `Slow
+        test_preseed_completes_budget_bound;
       Alcotest.test_case "watchdog stall + starvation" `Quick
         test_watchdog_unit;
       Alcotest.test_case "health verb + stall injection" `Quick

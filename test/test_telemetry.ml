@@ -1,6 +1,6 @@
 (* Telemetry: Prometheus text exposition (lib/telemetry), the collector
-   registry, the slow-query flight recorder, the load generator's honest
-   percentiles, and the tracer's dropped-event footer. The exposition tests
+   registry, the slow-query flight recorder, and the tracer's
+   dropped-event footer. The exposition tests
    diff rendered text because the renderer promises deterministic bytes. *)
 
 module P = Parcfl
@@ -319,33 +319,6 @@ let test_slowlog_bound_and_order () =
   P.Svc_slowlog.clear sl2;
   Alcotest.(check int) "clear" 0 (P.Svc_slowlog.size sl2)
 
-(* --------------------------- percentiles --------------------------- *)
-
-let test_percentile_honesty () =
-  let sorted n = Array.init n (fun i -> float_of_int (i + 1)) in
-  (match P.Load_gen.percentile [||] 0.5 with
-  | Error _ -> ()
-  | Ok v -> Alcotest.failf "empty sample set produced %f" v);
-  (match P.Load_gen.percentile (sorted 10) 1.5 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "q out of range accepted");
-  (match P.Load_gen.percentile (sorted 10) Float.nan with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "NaN quantile accepted");
-  (* p99 needs ceil(1/0.01) = 100 samples: 50 is not enough. *)
-  (match P.Load_gen.percentile (sorted 50) 0.99 with
-  | Error _ -> ()
-  | Ok v -> Alcotest.failf "p99 of 50 samples produced %f" v);
-  (match P.Load_gen.percentile (sorted 100) 0.99 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "p99 of 100 samples refused: %s" e);
-  (match P.Load_gen.percentile (sorted 2) 0.5 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "p50 of 2 samples refused: %s" e);
-  match P.Load_gen.percentile (sorted 3) 1.0 with
-  | Ok v -> Alcotest.(check (float 0.0)) "q=1 is the max" 3.0 v
-  | Error e -> Alcotest.failf "q=1 refused: %s" e
-
 (* ------------------------- tracer footer --------------------------- *)
 
 let test_tracer_dropped_footer () =
@@ -568,7 +541,6 @@ let suite =
       Alcotest.test_case "registry isolates collectors" `Quick test_registry;
       Alcotest.test_case "slowlog bound and order" `Quick
         test_slowlog_bound_and_order;
-      Alcotest.test_case "percentile honesty" `Quick test_percentile_honesty;
       Alcotest.test_case "tracer dropped footer" `Quick
         test_tracer_dropped_footer;
       Alcotest.test_case "service exposition" `Quick test_service_exposition;
