@@ -118,7 +118,6 @@ let request_with_id req id =
   | Proto.Slowlog s -> Proto.Slowlog { s with id }
   | Proto.Health _ -> Proto.Health id
   | Proto.Drain _ -> Proto.Drain id
-  | Proto.Snapshot _ -> Proto.Snapshot id
   | Proto.Ping _ -> Proto.Ping id
   | Proto.Quit -> Proto.Quit
 
@@ -135,7 +134,6 @@ let response_with_id resp id =
   | Proto.Explain_reply e -> Proto.Explain_reply { e with id }
   | Proto.Health_reply h -> Proto.Health_reply { h with id }
   | Proto.Drained d -> Proto.Drained { d with id }
-  | Proto.Snapshot_reply s -> Proto.Snapshot_reply { s with id }
 
 let fresh_rid t =
   let rid = t.next_rid in
@@ -409,7 +407,7 @@ and route t client req =
     when t.config.admin_replica = None ->
       scatter t client req
   | _ -> (
-      (* drain/snapshot, or admin verbs pinned to one replica. *)
+      (* drain, or admin verbs pinned to one replica. *)
       let target =
         match t.config.admin_replica with
         | Some i ->

@@ -46,8 +46,8 @@
     families as the [parcfl_router_*] namespace. A replica that dies
     mid-scatter only shrinks the merge; it never wedges the reply.
     Setting [admin_replica] restores the single-replica behaviour
-    (inspect one replica in isolation). [drain] and [snapshot] stay
-    single-replica verbs — first live, or [admin_replica] when set.
+    (inspect one replica in isolation). [drain] stays a
+    single-replica verb — first live, or [admin_replica] when set.
 
     {b Live rebalancing.} When [rebalance_interval > 0] the router folds
     every answer's [solve_us] into a per-variable load profile (decayed

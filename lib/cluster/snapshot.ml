@@ -1,5 +1,4 @@
 module Transport = Parcfl_svc.Transport
-module Proto = Parcfl_svc.Protocol
 
 let save_file ~path text =
   let tmp = path ^ ".tmp" in
@@ -37,29 +36,3 @@ let wait_for_file ?(timeout_s = 30.0) ~path () =
       Error
         (Printf.sprintf "snapshot %s did not appear within %.1fs" path
            timeout_s)
-
-(* One snapshot round trip on a fresh connection: send the verb, read the
-   single JSON reply line (the multi-line body travels inside it as a JSON
-   string). *)
-let fetch ~connect () =
-  match connect () with
-  | exception (Unix.Unix_error (_, _, _) | Sys_error _) ->
-      Error "snapshot fetch: connect failed"
-  | fd -> (
-      let conn = Transport.create ~max_line:max_int fd in
-      Transport.send conn "snapshot 0\n";
-      let reply = ref None in
-      while !reply = None && Transport.readable conn do
-        Transport.read conn ~on_overflow:ignore ~on_line:(fun l ->
-            if !reply = None then reply := Some l)
-      done;
-      Transport.close conn;
-      match Option.map Proto.response_of_string !reply with
-      | None -> Error "snapshot fetch: connection closed before reply"
-      | Some (Ok (Proto.Snapshot_reply { generation; records; body; _ })) ->
-          Ok (generation, records, body)
-      | Some (Ok (Proto.Error { reason; _ })) ->
-          Error (Printf.sprintf "snapshot fetch: peer said %s" reason)
-      | Some (Ok _) -> Error "snapshot fetch: unexpected reply"
-      | Some (Error e) ->
-          Error (Printf.sprintf "snapshot fetch: bad reply: %s" e))

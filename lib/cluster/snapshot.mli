@@ -1,15 +1,13 @@
-(** Moving [jmpsnap] snapshots between replicas.
+(** Moving [oraclesnap] snapshots between replicas.
 
-    The snapshot itself — a generation-tagged, Finished-only dump of the
-    jmp store — is produced and consumed by
-    {!Parcfl_sharing.Jmp_store.export_finished} /
-    [import_finished]; this module only transports it: atomically through
-    the filesystem (a warm replica writes, a joining replica waits and
-    reads) or over the wire with the [snapshot] protocol verb. The
-    generation-stability rule lives at import: a snapshot whose generation
-    differs from the importing engine's is rejected before any record is
-    touched, so a replica that reloaded its PAG can never be warmed with
-    stale facts. *)
+    The snapshot itself — the oracle tier's generation-tagged compressed
+    rows — is produced and consumed by {!Parcfl_oracle.Oracle.export} /
+    [import]; this module only transports it, atomically through the
+    filesystem: a warm replica writes, a joining replica waits and reads.
+    The validity rule lives at import: a snapshot whose generation or
+    graph shape differs from the importing engine's is rejected before
+    any row is built, so a replica can never be warmed with another PAG's
+    answers. *)
 
 val save_file : path:string -> string -> (unit, string) result
 (** Write-to-temp then rename, so a concurrently-waiting reader never
@@ -22,10 +20,3 @@ val wait_for_file :
 (** Poll until [path] exists (then load it) or [timeout_s] (default 30 s)
     elapses — how a joining replica waits for the warm peer's export.
     Polls back off from 1 ms to 50 ms ({!Parcfl_svc.Transport.poll}). *)
-
-val fetch :
-  connect:(unit -> Unix.file_descr) ->
-  unit ->
-  (int * int * string, string) result
-(** One [snapshot] verb round trip on a fresh connection:
-    [(generation, records, body)]. *)

@@ -7,8 +7,9 @@
     multi-domain row-range parallelism) rather than by demand-driven
     traversal. On Java-style PAGs this relation equals field-sensitive
     Andersen's analysis and the demand solver's oracle mode, which makes it
-    both a pre-seeding source for the jmp store ({!Seed}) and a
-    differential cross-check of the demand engine (test_matrix).
+    both the saturation pass of the O(1) oracle tier
+    ({!Parcfl_oracle.Oracle}) and a differential cross-check of the demand
+    engine (test_matrix).
 
     The kernel is deterministic for any thread count: row-range
     partitioning gives every points-to row a single writer, and rows missed

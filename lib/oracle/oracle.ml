@@ -19,6 +19,7 @@ type t = {
 
 let generation t = t.generation
 let n_vars t = t.n_vars
+let n_objs t = t.n_objs
 let distinct_rows t = Array.length t.rows
 let build_seconds t = t.build_seconds
 
@@ -104,10 +105,9 @@ let compress ~generation ~n_vars ~n_objs ~build_seconds ~components row_for =
     build_seconds;
   }
 
-let of_kernel ?since ~generation pag kernel =
-  let t0 =
-    match since with Some s -> s | None -> Unix.gettimeofday ()
-  in
+let build ?(threads = 1) ~generation pag =
+  let t0 = Unix.gettimeofday () in
+  let kernel = Kernel.solve ~threads pag in
   let n_vars = Pag.n_vars pag in
   let succs v =
     let out = ref [] in
@@ -122,17 +122,17 @@ let of_kernel ?since ~generation pag kernel =
   in
   { t with build_seconds = Unix.gettimeofday () -. t0 }
 
-let build ?(threads = 1) ~generation pag =
-  let t0 = Unix.gettimeofday () in
-  let kernel = Kernel.solve ~threads pag in
-  of_kernel ~since:t0 ~generation pag kernel
-
 (* ------------------------------------------------------------------ *)
-(* Snapshots: a line-oriented text format in the jmpsnap tradition.
+(* Snapshots: a line-oriented text format.
 
      oraclesnap 1 <generation> <n_vars> <n_objs> <n_rows>
      <n_rows lines: the distinct rows' object ids, ascending>
-     <one line: n_vars row ids, var order>                              *)
+     <one line: n_vars row ids, var order>
+
+   Import accepts exactly what [export] writes: canonical decimals, single
+   spaces, strictly ascending rows and one trailing newline. So an
+   accepted text re-exports byte-identically, and the shape is checked
+   against the serving PAG before any row is allocated. *)
 
 let export t =
   let buf = Buffer.create (4096 + (t.n_vars * 3)) in
@@ -156,81 +156,75 @@ let export t =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let import ~generation text =
+(* A line of single-space-separated canonical decimals; "" is empty. *)
+let ints line =
+  if line = "" then Some []
+  else
+    let toks = String.split_on_char ' ' line in
+    let nums =
+      List.filter_map
+        (fun s ->
+          match int_of_string_opt s with
+          | Some x when string_of_int x = s -> Some x
+          | _ -> None)
+        toks
+    in
+    if List.compare_lengths nums toks = 0 then Some nums else None
+
+let rec ascending = function
+  | a :: (b :: _ as rest) -> a < b && ascending rest
+  | _ -> true
+
+let import ~generation pag text =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let ints line =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-    |> List.fold_left
-         (fun acc s ->
-           match (acc, int_of_string_opt s) with
-           | Ok xs, Some x -> Ok (x :: xs)
-           | Ok _, None -> Error s
-           | (Error _ as e), _ -> e)
-         (Ok [])
-    |> Result.map List.rev
-  in
+  let n_vars = Pag.n_vars pag and n_objs = Pag.n_objs pag in
+  let magic = "oraclesnap 1 " in
   match String.split_on_char '\n' text with
-  | header :: body -> (
-      match String.split_on_char ' ' header with
-      | [ "oraclesnap"; "1"; g; nv; no; nr ] -> (
-          match
-            ( int_of_string_opt g, int_of_string_opt nv, int_of_string_opt no,
-              int_of_string_opt nr )
-          with
-          | Some g, Some n_vars, Some n_objs, Some n_rows
-            when n_vars >= 0 && n_objs >= 0 && n_rows >= 0 ->
-              if g <> generation then
-                err "oracle snapshot is generation %d, engine is %d" g
-                  generation
-              else if List.length body < n_rows + 1 then
-                err "oracle snapshot truncated: %d row line(s), need %d"
-                  (List.length body) (n_rows + 1)
-              else begin
-                let rows = Array.make n_rows (Bitset.create ()) in
-                let rec read_rows i = function
-                  | rest when i = n_rows -> Ok rest
-                  | line :: rest -> (
-                      match ints line with
-                      | Error s -> err "oracle snapshot row %d: bad id %S" i s
-                      | Ok ids ->
-                          if List.exists (fun o -> o < 0 || o >= n_objs) ids
-                          then err "oracle snapshot row %d: object out of range" i
-                          else begin
-                            rows.(i) <- Bitset.of_list ids;
-                            read_rows (i + 1) rest
-                          end)
-                  | [] -> err "oracle snapshot truncated at row %d" i
-                in
-                match read_rows 0 body with
-                | Error _ as e -> e
-                | Ok (map_line :: _) -> (
-                    match ints map_line with
-                    | Error s -> err "oracle snapshot map: bad row id %S" s
-                    | Ok ids when List.length ids <> n_vars ->
-                        err "oracle snapshot map has %d entr%s, need %d"
-                          (List.length ids)
-                          (if List.length ids = 1 then "y" else "ies")
-                          n_vars
-                    | Ok ids ->
-                        if List.exists (fun r -> r < 0 || r >= n_rows) ids
-                        then err "oracle snapshot map: row id out of range"
-                        else
-                          Ok
-                            {
-                              generation;
-                              n_vars;
-                              n_objs;
-                              row_of = Array.of_list ids;
-                              rows;
-                              row_pairs = Array.map pairs_of_row rows;
-                              build_seconds = 0.0;
-                            })
-                | Ok [] -> err "oracle snapshot has no row map"
-              end
-          | _ -> err "oracle snapshot header is malformed"
-          )
-      | magic :: _ when magic <> "oraclesnap" ->
-          err "not an oracle snapshot (magic %S)" magic
+  | header :: body when String.starts_with ~prefix:magic header -> (
+      let m = String.length magic in
+      match ints (String.sub header m (String.length header - m)) with
+      | Some [ g; nv; no; n_rows ] ->
+          if g <> generation then
+            err "oracle snapshot is generation %d, engine is %d" g generation
+          else if nv <> n_vars || no <> n_objs then
+            err
+              "oracle snapshot is for a PAG of %d vars / %d objs, this PAG \
+               has %d vars / %d objs"
+              nv no n_vars n_objs
+          else if n_rows < 0 || List.length body <> n_rows + 2 then
+            err "oracle snapshot has %d line(s) after its header, need %d rows + 2"
+              (List.length body) n_rows
+          else begin
+            let rows = Array.make n_rows (Bitset.create ()) in
+            let rec read i = function
+              | [ map; "" ] when i = n_rows -> (
+                  match ints map with
+                  | Some ids
+                    when List.length ids = n_vars
+                         && List.for_all (fun r -> r >= 0 && r < n_rows) ids
+                    ->
+                      Ok
+                        {
+                          generation;
+                          n_vars;
+                          n_objs;
+                          row_of = Array.of_list ids;
+                          rows;
+                          row_pairs = Array.map pairs_of_row rows;
+                          build_seconds = 0.0;
+                        }
+                  | _ -> err "oracle snapshot row map is malformed")
+              | line :: rest when i < n_rows -> (
+                  match ints line with
+                  | Some ids
+                    when ascending ids
+                         && List.for_all (fun o -> o >= 0 && o < n_objs) ids ->
+                      rows.(i) <- Bitset.of_list ids;
+                      read (i + 1) rest
+                  | _ -> err "oracle snapshot row %d is malformed" i)
+              | _ -> err "oracle snapshot lacks its trailing newline"
+            in
+            read 0 body
+          end
       | _ -> err "oracle snapshot header is malformed")
-  | [] -> err "empty oracle snapshot"
+  | _ -> err "not an oracle snapshot (bad header)"

@@ -25,25 +25,14 @@
     solver.
 
     An oracle is frozen against one PAG generation: it answers for the
-    graph it decomposed and must be discarded on reload, exactly like the
-    jmp preseed ({!generation} is checked by importers). *)
+    graph it decomposed and must be discarded on reload ({!generation} is
+    checked by importers). *)
 
 type t
 
 val build : ?threads:int -> generation:int -> Parcfl_pag.Pag.t -> t
 (** Run the offline pass: kernel fixpoint ([threads] defaults to 1) plus
     decomposition and row compression. *)
-
-val of_kernel :
-  ?since:float ->
-  generation:int ->
-  Parcfl_pag.Pag.t ->
-  Parcfl_matrix.Kernel.t ->
-  t
-(** Compress an already-solved kernel (so one kernel run can feed both the
-    jmp preseed and the oracle). [since] is the wall-clock start the
-    reported {!build_seconds} is measured from; it defaults to the start
-    of compression. *)
 
 (* {2 Queries} *)
 
@@ -68,6 +57,7 @@ val outcome : t -> Parcfl_pag.Pag.var -> Parcfl_cfl.Query.outcome
 
 val generation : t -> int
 val n_vars : t -> int
+val n_objs : t -> int
 
 val distinct_rows : t -> int
 (** Distinct points-to sets across all variables — the compression's
@@ -82,11 +72,16 @@ val build_seconds : t -> float
 (* {2 Snapshots (cluster warm-up)} *)
 
 val export : t -> string
-(** A self-describing text snapshot ([oraclesnap]), generation-tagged like
-    the jmp snapshot, for shipping to joining replicas over the existing
-    {!Parcfl_cluster.Snapshot} transport. *)
+(** A self-describing, generation-tagged text snapshot ([oraclesnap]) —
+    the one warm-start artefact a joining replica loads, shipped through
+    {!Parcfl_cluster.Snapshot}. *)
 
-val import : generation:int -> string -> (t, string) result
-(** Rebuild an oracle from {!export}ed text. Refused when the snapshot's
-    generation differs from [generation] — a reloaded PAG can never be
-    served from a stale decomposition. *)
+val import :
+  generation:int -> Parcfl_pag.Pag.t -> string -> (t, string) result
+(** Rebuild an oracle for the given PAG from {!export}ed text. Refused when
+    the snapshot's generation differs from [generation] (a reloaded PAG
+    can never be served from a stale decomposition) or its
+    [n_vars]/[n_objs] differ from the PAG's (a snapshot of another graph
+    would answer out-of-range rows); the error names both shapes. The
+    parser is strict — it accepts exactly what {!export} writes, so an
+    accepted text re-exports byte-identically — and never raises. *)

@@ -117,8 +117,6 @@ let n_unfinished t = Atomic.get t.n_unf
 let n_hits t = Atomic.get t.n_hit
 let n_misses t = Atomic.get t.n_miss
 let n_jumps t = n_finished t + n_unfinished t
-let tau_f t = t.tau_f
-let tau_u t = t.tau_u
 
 let histogram t ~buckets =
   let bucket_of = Parcfl_stats.Histogram.bucket ~buckets in
@@ -146,165 +144,3 @@ let clear t =
   Atomic.set t.n_unf 0;
   Atomic.set t.n_hit 0;
   Atomic.set t.n_miss 0
-
-(* ---------------------- snapshot export / import ---------------------- *)
-
-(* Finished records are immutable facts about one PAG generation, so a
-   joining replica can load them verbatim instead of re-deriving them —
-   that is the cluster warm-up path. Two rules keep this sound:
-
-   - Finished-only: Unfinished records are progress markers ("a walk spent
-     s steps here and gave up"), not facts; they never travel.
-   - Generation-stability: the header carries the exporter's generation and
-     the importer refuses any mismatch, because a record is only valid for
-     the exact PAG it was derived from.
-
-   Context ids are store-local (interning order differs per process), so a
-   snapshot spells each context out structurally — its call-site list,
-   outermost first — and the importer re-interns against its own store. *)
-
-let snap_magic = "jmpsnap"
-let snap_version = 1
-
-let split_on_ws line =
-  String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
-
-let ctx_to_token store c =
-  match Ctx.to_list store c with
-  | [] -> "-"
-  | sites -> String.concat "," (List.map string_of_int sites)
-
-let ctx_of_token store tok =
-  if tok = "-" then Ok Ctx.empty
-  else
-    let rec go acc = function
-      | [] -> Ok (Ctx.of_list store (List.rev acc))
-      | p :: rest -> (
-          match int_of_string_opt p with
-          | Some s -> go (s :: acc) rest
-          | None -> Error (Printf.sprintf "malformed context site %S" p))
-    in
-    go [] (String.split_on_char ',' tok)
-
-let export_finished t ~generation ~ctx_store =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d gen=%d\n" snap_magic snap_version generation);
-  let (_ : int) =
-    Tbl.fold
-      (fun (dv, c) r count ->
-        match r.fin with
-        | None -> count
-        | Some { Hooks.cost; targets } ->
-            Buffer.add_string buf
-              (Printf.sprintf "fin %d %d %s %d" (dv land 1) (dv lsr 1)
-                 (ctx_to_token ctx_store (Ctx.unsafe_of_int c))
-                 cost);
-            Array.iter
-              (fun (tv, tc) ->
-                Buffer.add_string buf
-                  (Printf.sprintf " %d@%s" tv (ctx_to_token ctx_store tc)))
-              targets;
-            Buffer.add_char buf '\n';
-            count + 1)
-      t.tbl 0
-  in
-  Buffer.contents buf
-
-(* Install without the tau_f admission filter: the exporter already applied
-   its threshold, and a snapshot fact is worth keeping even if our own
-   threshold is stricter. First write still wins against local records. *)
-let install_finished t dir var ctx ~cost ~targets =
-  if not (skip t dir) then begin
-    let added = ref false in
-    Tbl.update t.tbl (Key.make dir var ctx) (function
-      | None ->
-          added := true;
-          Some { fin = Some { Hooks.cost; targets }; unf = None }
-      | Some r ->
-          if r.fin = None then begin
-            added := true;
-            r.fin <- Some { Hooks.cost; targets }
-          end;
-          Some r);
-    if !added then ignore (Atomic.fetch_and_add t.n_fin 1)
-  end
-
-let import_finished t ~generation ~ctx_store text =
-  let ( let* ) = Result.bind in
-  let* body =
-    match String.split_on_char '\n' text with
-    | header :: body -> (
-        match split_on_ws header with
-        | [ magic; version; genkv ] when magic = snap_magic -> (
-            let* () =
-              match int_of_string_opt version with
-              | Some v when v = snap_version -> Ok ()
-              | _ ->
-                  Error
-                    (Printf.sprintf "unsupported snapshot version %S" version)
-            in
-            match
-              if String.length genkv > 4 && String.sub genkv 0 4 = "gen=" then
-                int_of_string_opt
-                  (String.sub genkv 4 (String.length genkv - 4))
-              else None
-            with
-            | None -> Error (Printf.sprintf "malformed generation %S" genkv)
-            | Some g when g <> generation ->
-                Error
-                  (Printf.sprintf
-                     "snapshot is for generation %d, this store serves \
-                      generation %d"
-                     g generation)
-            | Some _ -> Ok body)
-        | _ -> Error "not a jmp snapshot (bad header)")
-    | [] -> Error "empty snapshot"
-  in
-  let parse_target tok =
-    match String.index_opt tok '@' with
-    | None -> Error (Printf.sprintf "malformed target %S" tok)
-    | Some i -> (
-        let v = String.sub tok 0 i in
-        let c = String.sub tok (i + 1) (String.length tok - i - 1) in
-        match int_of_string_opt v with
-        | None -> Error (Printf.sprintf "malformed target variable %S" v)
-        | Some v ->
-            let* ctx = ctx_of_token ctx_store c in
-            Ok (v, ctx))
-  in
-  let rec targets_of acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | tok :: rest ->
-        let* tgt = parse_target tok in
-        targets_of (tgt :: acc) rest
-  in
-  let imported = ref 0 in
-  let rec go lineno = function
-    | [] -> Ok !imported
-    | line :: rest -> (
-        if String.trim line = "" then go (lineno + 1) rest
-        else
-          match split_on_ws line with
-          | "fin" :: d :: var :: ctx :: cost :: targets -> (
-              match
-                (int_of_string_opt d, int_of_string_opt var,
-                 int_of_string_opt cost)
-              with
-              | Some d, Some var, Some cost when d = 0 || d = 1 ->
-                  let dir = if d = 0 then Hooks.Bwd else Hooks.Fwd in
-                  let* ctx = ctx_of_token ctx_store ctx in
-                  let* targets = targets_of [] targets in
-                  let before = n_finished t in
-                  install_finished t dir var ctx ~cost ~targets;
-                  imported := !imported + (n_finished t - before);
-                  go (lineno + 1) rest
-              | _ ->
-                  Error
-                    (Printf.sprintf "line %d: malformed fin record" lineno))
-          | kw :: _ ->
-              Error
-                (Printf.sprintf "line %d: unknown directive %S" lineno kw)
-          | [] -> go (lineno + 1) rest)
-  in
-  go 2 body

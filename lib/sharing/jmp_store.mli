@@ -51,9 +51,6 @@ val n_hits : t -> int
 val n_misses : t -> int
 (** Lookups that found no record for the key. *)
 
-val tau_f : t -> int
-val tau_u : t -> int
-
 val histogram : t -> buckets:int -> int array * int array
 (** [(finished, unfinished)] counts bucketed by [log2] of the steps saved
     per jmp edge (Fig. 7): bucket [i] counts records whose cost/threshold
@@ -61,24 +58,3 @@ val histogram : t -> buckets:int -> int array * int array
     overflow. *)
 
 val clear : t -> unit
-
-val export_finished :
-  t -> generation:int -> ctx_store:Parcfl_pag.Ctx.store -> string
-(** Serialize every Finished record to a generation-tagged text snapshot
-    ([jmpsnap 1 gen=<g>] framing, one [fin] line per record). Unfinished
-    records never travel: they are progress markers, not facts. Context ids
-    are store-local, so each context is spelled out structurally (its
-    call-site list) and re-interned on import. *)
-
-val import_finished :
-  t ->
-  generation:int ->
-  ctx_store:Parcfl_pag.Ctx.store ->
-  string ->
-  (int, string) result
-(** Load a snapshot produced by {!export_finished} into this store,
-    re-interning contexts against [ctx_store]. Returns the number of
-    records installed (existing records win ties). A snapshot whose
-    generation differs from [generation] is rejected before any record is
-    touched — a record is only valid for the exact PAG it was derived
-    from. A malformed line also fails the import. *)

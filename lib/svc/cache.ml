@@ -89,7 +89,7 @@ let put t k outcome =
     | Some _ ->
         (* Replace the outcome, not just the recency tick: a re-put may
            upgrade a cached Out_of_budget to a real answer (e.g. after the
-           jmp store warms up or is pre-seeded). *)
+           jmp store warms up). *)
         Some { outcome; tick }
     | None -> Some { outcome; tick });
   if Map.size t.map > t.cap then evict t

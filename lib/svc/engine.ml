@@ -25,10 +25,9 @@ type t = {
          outlive them, so it is renewed exactly when the jmp store is *)
   mutable generation : int;
   mutable rate : float option;  (* EWMA steps/second *)
-  mutable preseeded : int;  (* Finished records installed by preseed *)
   mutable oracle : Oracle.t option;
-      (* the O(1) CI answer tier; dies with the PAG generation exactly
-         like the jmp preseed — [load] discards it *)
+      (* the O(1) CI answer tier; dies with the PAG generation — [load]
+         discards it *)
   mutable pool : Domain_pool.t option;
       (* worker domains persist across batches — spawned on the first
          multi-threaded execute, joined by [shutdown] *)
@@ -56,7 +55,6 @@ let create ?(mode = Mode.Share_sched) ?(threads = 4) ?tau_f ?tau_u
       ctx_store = Ctx.create_store ();
       generation = 0;
       rate = None;
-      preseeded = 0;
       oracle = None;
       pool = None;
     }
@@ -109,41 +107,16 @@ let load t ?type_level pag =
   t.plan <- Schedule.prepare ~pag ~type_level;
   t.store <- fresh_store t;
   t.ctx_store <- Ctx.create_store ();
-  t.preseeded <- 0;
   t.oracle <- None;
   t.generation <- t.generation + 1
 
-(* Warm start: run the whole-program bitset kernel over the loaded PAG
-   once and feed every consumer that wants it — the jmp preseed installs
-   the kernel's facts as Finished edges, and the oracle compresses the
-   kernel's rows into the O(1) answer tier. Both artefacts are keyed to
-   the current generation, so a later [load] discards them — only
-   generation-stable facts ever survive. The oracle answers the CI
-   relation; a context-sensitive engine never builds one. *)
-let warm_start t ~preseed ~oracle =
-  let want_oracle = oracle && not t.solver_config.Config.context_sensitive in
-  if not (preseed || want_oracle) then 0
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let kernel = Parcfl_matrix.Kernel.solve ~threads:t.threads t.pag in
-    if want_oracle then
-      t.oracle <-
-        Some
-          (Parcfl_oracle.Oracle.of_kernel ~since:t0 ~generation:t.generation
-             t.pag kernel);
-    match t.store with
-    | Some store when preseed ->
-        let n =
-          Parcfl_matrix.Seed.preseed ~kernel ~pag:t.pag ~store
-            ~context_sensitive:t.solver_config.Config.context_sensitive
-        in
-        t.preseeded <- t.preseeded + n;
-        n
-    | _ -> 0
-  end
-
-let preseed t = warm_start t ~preseed:true ~oracle:false
-let preseeded_edges t = t.preseeded
+(* Warm start: the O(1) answer tier, keyed to the current generation so a
+   later [load] discards it. It answers the CI relation; a
+   context-sensitive engine never builds one. *)
+let warm_start t =
+  if not t.solver_config.Config.context_sensitive then
+    t.oracle <-
+      Some (Oracle.build ~threads:t.threads ~generation:t.generation t.pag)
 
 (* The oracle accessor re-checks the generation so a caller holding the
    engine across a [load] can never read answers for a dead PAG. *)
@@ -152,33 +125,11 @@ let oracle t =
   | Some o when Oracle.generation o = t.generation -> Some o
   | _ -> None
 
-(* Cluster warm-up hooks: a replica exports its Finished-only jmp store and
-   a joining replica imports it instead of re-deriving the same facts. The
-   snapshot is tagged with this engine's generation; import refuses a
-   mismatch, so a stale snapshot can never poison a reloaded PAG. *)
-let export_snapshot t =
-  match t.store with
-  | None -> Error "engine mode shares no jmp store"
-  | Some store ->
-      Ok
-        ( Jmp_store.export_finished store ~generation:t.generation
-            ~ctx_store:t.ctx_store,
-          Jmp_store.n_finished store )
-
-let import_snapshot t text =
-  match t.store with
-  | None -> Error "engine mode shares no jmp store"
-  | Some store ->
-      Result.map
-        (fun n ->
-          t.preseeded <- t.preseeded + n;
-          n)
-        (Jmp_store.import_finished store ~generation:t.generation
-           ~ctx_store:t.ctx_store text)
-
-(* Oracle ride-along for cluster warm-up: replica 0 exports its compressed
-   rows, joiners import them instead of re-running the kernel. Same
-   generation discipline as the jmp snapshot. *)
+(* Cluster warm-up: replica 0 exports its compressed rows, joiners import
+   them instead of re-running the kernel. A row is only valid for the
+   exact PAG it was derived from, so import refuses both a generation
+   mismatch and a snapshot shaped for a different graph — a stale file
+   must be an [Error], never an out-of-range row on the first query. *)
 let export_oracle t =
   match oracle t with
   | None -> Error "engine holds no live oracle"
@@ -192,7 +143,7 @@ let import_oracle t text =
       (fun o ->
         t.oracle <- Some o;
         Oracle.distinct_rows o)
-      (Oracle.import ~generation:t.generation text)
+      (Oracle.import ~generation:t.generation t.pag text)
 
 let jmp_edges t =
   match t.store with Some s -> Jmp_store.n_jumps s | None -> 0

@@ -59,37 +59,18 @@ val load : t -> ?type_level:(int -> int) -> Parcfl_pag.Pag.t -> unit
     and rebuilds the scheduling plan. [type_level] defaults to the previous
     one (pass it whenever the new graph has its own type hierarchy). *)
 
-val warm_start : t -> preseed:bool -> oracle:bool -> int
-(** One whole-program bitset-kernel run ({!Parcfl_matrix.Kernel}) feeding
-    up to two consumers: with [preseed], install the kernel's facts as
-    Finished jmp edges ({!Parcfl_matrix.Seed}); with [oracle], compress
-    the kernel's rows into the O(1) pair-query oracle
-    ({!Parcfl_oracle.Oracle.of_kernel}). Asking for both shares the single
-    kernel solve. The oracle answers the CI relation, so a
-    context-sensitive engine silently skips it. Returns the jmp records
-    accepted (0 when preseeding was not requested or the mode has no jmp
-    store). Both artefacts die with the generation: a later {!load}
-    discards them. *)
-
-val preseed : t -> int
-(** Warm start (ROADMAP item 3): [warm_start ~preseed:true ~oracle:false].
-    Solves the whole-program bitset kernel over the loaded PAG on the
-    engine's thread count and installs its facts as Finished jmp edges —
-    the full context-insensitive heap-step sets when the engine is
-    context-insensitive, only the empty ones when it is context-sensitive.
-    Returns the records accepted (0 when the mode has no jmp store). Call
-    before accepting traffic; a later {!load} discards the seeds with the
-    store they live in. *)
+val warm_start : t -> unit
+(** Build the O(1) oracle tier for the current generation
+    ({!Parcfl_oracle.Oracle.build} on the engine's thread count: one
+    whole-program bitset-kernel run plus row compression). The oracle
+    answers the CI relation, so a context-sensitive engine silently skips
+    it. A later {!load} discards it. *)
 
 val oracle : t -> Parcfl_oracle.Oracle.t option
 (** The live O(1) answer tier, if one was built or imported for the
     {e current} generation. Never returns an oracle from a previous
     generation: {!load} both clears the field and bumps the counter the
     accessor checks. *)
-
-val preseeded_edges : t -> int
-(** Finished records installed by {!preseed} into the current store (reset
-    to 0 by {!load}). *)
 
 val jmp_edges : t -> int
 (** jmp records accumulated across all batches so far. *)
@@ -123,18 +104,6 @@ val shutdown : t -> unit
     harnesses, tests) must call this to stay under the runtime's domain
     limit. *)
 
-val export_snapshot : t -> (string * int, string) result
-(** [(text, records)]: the engine's Finished-only jmp store as a
-    generation-tagged [jmpsnap] text
-    ({!Parcfl_sharing.Jmp_store.export_finished}) plus the record count.
-    Errors when the mode shares no jmp store. *)
-
-val import_snapshot : t -> string -> (int, string) result
-(** Install a peer's snapshot into this engine's jmp store, re-interning
-    contexts locally. Rejected when the snapshot's generation differs from
-    this engine's — only generation-stable facts ever replicate. Imported
-    records count toward {!preseeded_edges}. *)
-
 val export_oracle : t -> (string * int, string) result
 (** [(text, distinct_rows)]: the live oracle as a generation-tagged
     [oraclesnap] text ({!Parcfl_oracle.Oracle.export}). Errors when the
@@ -143,5 +112,8 @@ val export_oracle : t -> (string * int, string) result
 val import_oracle : t -> string -> (int, string) result
 (** Install a peer's oracle snapshot as this engine's answer tier,
     returning its distinct-row count. Rejected on a context-sensitive
-    engine (the oracle answers the CI relation) and on a generation
-    mismatch — the same rule as {!import_snapshot}. *)
+    engine (the oracle answers the CI relation), on a generation mismatch,
+    and when the snapshot's [n_vars]/[n_objs] differ from the loaded
+    PAG's (the error names both shapes) — see
+    {!Parcfl_oracle.Oracle.import}. A rejected import leaves the tier as
+    it was. *)

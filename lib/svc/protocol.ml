@@ -18,7 +18,6 @@ type request =
   | Slowlog of { id : int; limit : int option }
   | Health of int
   | Drain of int
-  | Snapshot of int
   | Ping of int
   | Quit
 
@@ -66,8 +65,6 @@ let parse_request line =
       Result.map (fun id -> Health id) (int_of_token "health id" id)
   | [ "drain"; id ] ->
       Result.map (fun id -> Drain id) (int_of_token "drain id" id)
-  | [ "snapshot"; id ] ->
-      Result.map (fun id -> Snapshot id) (int_of_token "snapshot id" id)
   | [ "slowlog"; id ] ->
       Result.map
         (fun id -> Slowlog { id; limit = None })
@@ -93,7 +90,7 @@ let parse_request line =
         (Printf.sprintf
            "unknown request %S \
             (want \
-            query|explain|stats|metrics|slowlog|health|drain|snapshot|ping|quit)"
+            query|explain|stats|metrics|slowlog|health|drain|ping|quit)"
            verb)
 
 (* Millisecond precision when it is exact, the shortest round-tripping
@@ -110,7 +107,6 @@ let request_to_string = function
   | Metrics id -> Printf.sprintf "metrics %d" id
   | Health id -> Printf.sprintf "health %d" id
   | Drain id -> Printf.sprintf "drain %d" id
-  | Snapshot id -> Printf.sprintf "snapshot %d" id
   | Slowlog { id; limit = None } -> Printf.sprintf "slowlog %d" id
   | Slowlog { id; limit = Some n } -> Printf.sprintf "slowlog %d %d" id n
   | Query { id; var; budget; deadline_ms; trace } ->
@@ -165,12 +161,6 @@ type response =
     }
   | Health_reply of { id : int; healthy : bool; reasons : string list }
   | Drained of { id : int; completed : int }
-  | Snapshot_reply of {
-      id : int;
-      generation : int;
-      records : int;
-      body : string;
-    }
 
 let reason_string = function `Budget -> "budget" | `Deadline -> "deadline"
 
@@ -258,17 +248,6 @@ let response_to_json = function
           ("id", Json.Int id);
           ("status", Json.String "drained");
           ("completed", Json.Int completed);
-        ]
-  | Snapshot_reply { id; generation; records; body } ->
-      (* Like the metrics exposition, the multi-line snapshot text rides
-         inside a JSON string to keep one-line-per-response framing. *)
-      Json.Obj
-        [
-          ("id", Json.Int id);
-          ("status", Json.String "snapshot");
-          ("generation", Json.Int generation);
-          ("records", Json.Int records);
-          ("body", Json.String body);
         ]
 
 let response_to_string r = Json.to_string (response_to_json r)
@@ -402,12 +381,6 @@ let response_of_json j =
       let* id = require "id" (member_int "id" j) in
       let* completed = require "completed" (member_int "completed" j) in
       Ok (Drained { id; completed })
-  | "snapshot" ->
-      let* id = require "id" (member_int "id" j) in
-      let* generation = require "generation" (member_int "generation" j) in
-      let* records = require "records" (member_int "records" j) in
-      let* body = require "body" (member_string "body" j) in
-      Ok (Snapshot_reply { id; generation; records; body })
   | s -> Stdlib.Error (Printf.sprintf "unknown response status %S" s)
 
 let response_of_string s = Result.bind (Json.of_string s) response_of_json
@@ -420,7 +393,6 @@ let request_id = function
   | Slowlog { id; _ }
   | Health id
   | Drain id
-  | Snapshot id
   | Ping id ->
       Some id
   | Quit -> None
@@ -435,7 +407,6 @@ let response_id = function
   | Slowlog_reply { id; _ }
   | Explain_reply { id; _ }
   | Health_reply { id; _ }
-  | Drained { id; _ }
-  | Snapshot_reply { id; _ } ->
+  | Drained { id; _ } ->
       Some id
   | Error { id; _ } -> id

@@ -17,7 +17,6 @@
     slowlog <id> [<limit>]
     health <id>
     drain <id>
-    snapshot <id>
     ping <id>
     quit
     v}
@@ -56,10 +55,6 @@ type request =
       (** stop admitting queries (subsequent ones are [Rejected] with
           reason ["draining"]), finish everything in flight, then report
           {!Drained} — the rolling-restart / failover hand-off verb *)
-  | Snapshot of int
-      (** export the engine's Finished-only jmp store as a
-          generation-tagged snapshot ({!Parcfl_sharing.Jmp_store}) for
-          warming a joining replica *)
   | Ping of int
   | Quit  (** begin graceful drain and shut the server down *)
 
@@ -142,14 +137,6 @@ type response =
   | Drained of { id : int; completed : int }
       (** the drain finished; [completed] counts the queued requests that
           were answered while draining *)
-  | Snapshot_reply of {
-      id : int;
-      generation : int;  (** the PAG generation the snapshot is valid for *)
-      records : int;  (** Finished records in [body] *)
-      body : string;
-          (** the multi-line [jmpsnap] text, carried as one JSON string so
-              the response still fits on one line *)
-    }
 
 val response_to_json : response -> Parcfl_obs.Json.t
 

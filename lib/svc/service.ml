@@ -19,7 +19,6 @@ type config = {
   cache_capacity : int;
   max_budget : int;
   context_sensitive : bool;
-  preseed : bool;
   oracle : bool;
   tau_f : int option;
   tau_u : int option;
@@ -37,7 +36,6 @@ let default_config =
     cache_capacity = 4096;
     max_budget = Config.default.Config.budget;
     context_sensitive = Config.default.Config.context_sensitive;
-    preseed = false;
     oracle = false;
     tau_f = None;
     tau_u = None;
@@ -242,9 +240,6 @@ let register_collectors t =
         c ~name:"parcfl_jmp_unfinished_total"
           ~help:"Unfinished jmp records accepted"
           (float_of_int (Engine.jmp_unfinished t.engine));
-        g ~name:"parcfl_jmp_preseeded"
-          ~help:"Finished jmp records installed by the warm-start kernel"
-          (float_of_int (Engine.preseeded_edges t.engine));
       ]);
   (* O(1) oracle tier: outcome counters plus the live artefact's shape.
      The three *_total families read the same Metrics counters the [stats]
@@ -314,12 +309,9 @@ let create ?(config = default_config) ?tracer ~type_level pag =
       ?tau_f:config.tau_f ?tau_u:config.tau_u ~solver_config ?tracer
       ~type_level pag
   in
-  (* Warm start before any traffic: one whole-program kernel run feeds the
-     jmp store (preseed) and/or the O(1) oracle tier, both keyed to the
-     engine's initial generation. *)
-  if config.preseed || config.oracle then
-    ignore
-      (Engine.warm_start engine ~preseed:config.preseed ~oracle:config.oracle);
+  (* Warm start before any traffic: one whole-program kernel run builds
+     the O(1) oracle tier, keyed to the engine's initial generation. *)
+  if config.oracle then Engine.warm_start engine;
   let buckets = Report.hist_buckets in
   let t =
     {
@@ -391,7 +383,6 @@ let metrics_json t =
       ("jmp_misses", Json.Int (Engine.jmp_misses t.engine));
       ("jmp_finished", Json.Int (Engine.jmp_finished t.engine));
       ("jmp_unfinished", Json.Int (Engine.jmp_unfinished t.engine));
-      ("preseeded_edges", Json.Int (Engine.preseeded_edges t.engine));
       ("cache_evictions", Json.Int (Cache.evictions t.cache));
       ( "steps_per_second",
         match Engine.steps_per_second t.engine with
@@ -739,7 +730,6 @@ let drain t ~now =
 
 let draining t = t.draining
 
-let import_snapshot t text = Engine.import_snapshot t.engine text
 let export_oracle t = Engine.export_oracle t.engine
 
 (* A successful import arms the tier even when the service was started
@@ -970,13 +960,6 @@ let submit t ~now ~respond req =
       let pending = queue_depth t in
       drain t ~now;
       respond (Protocol.Drained { id; completed = pending })
-  | Protocol.Snapshot id -> (
-      match Engine.export_snapshot t.engine with
-      | Error reason -> respond (Protocol.Error { id = Some id; reason })
-      | Ok (body, records) ->
-          respond
-            (Protocol.Snapshot_reply
-               { id; generation = Engine.generation t.engine; records; body }))
   | Protocol.Quit -> ()
   | Protocol.Query { id; _ } when t.draining ->
       Metrics.incr t.metrics Metrics.Rejected;

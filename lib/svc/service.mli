@@ -50,15 +50,10 @@ type config = {
   context_sensitive : bool;
       (** solver context sensitivity; [false] runs the Andersen-equivalent
           context-insensitive engine *)
-  preseed : bool;
-      (** warm-start: run the whole-program bitset kernel at {!create} and
-          install its facts as Finished jmp edges before any traffic (see
-          {!Engine.preseed}) *)
   oracle : bool;
       (** build the O(1) pair-query oracle at {!create} and answer
           budget-free, deadline-free queries from it before the cache and
-          solver (see {!Engine.warm_start}; shares the preseed's kernel
-          run). The oracle holds the CI relation, so a [context_sensitive]
+          solver (see {!Engine.warm_start}). The oracle holds the CI relation, so a [context_sensitive]
           service counts fallbacks instead of building one. *)
   tau_f : int option;
   tau_u : int option;
@@ -70,7 +65,7 @@ type config = {
 val default_config : config
 (** 4 threads, [Share_sched], batches of at most 64, queue 1024, cache
     4096, budget and context sensitivity {!Parcfl_cfl.Config.default}'s,
-    no preseed, no oracle, slowlog 32, watchdog
+    no oracle, slowlog 32, watchdog
     {!Watchdog.default_config}'s thresholds. *)
 
 type t
@@ -152,13 +147,8 @@ val drain : t -> now:float -> unit
 
 val draining : t -> bool
 (** Whether a [drain] request has been handled: once set, new queries are
-    rejected with reason ["draining"] while stats/health/metrics/snapshot
+    rejected with reason ["draining"] while stats/health/metrics
     keep answering (rolling restarts watch the hand-off this way). *)
-
-val import_snapshot : t -> string -> (int, string) result
-(** Warm this service's engine from a [jmpsnap] snapshot exported by a
-    peer replica (see {!Engine.import_snapshot}); returns the number of
-    Finished records installed. *)
 
 val export_oracle : t -> (string * int, string) result
 (** [(text, distinct_rows)]: the live oracle as a generation-tagged
@@ -169,7 +159,8 @@ val import_oracle : t -> string -> (int, string) result
 (** Install a peer's oracle snapshot and {e arm the tier} — a service
     started without [config.oracle] begins answering from the oracle after
     a successful import (cluster joiners warm up this way). Same
-    generation/CS rejection rules as {!Engine.import_oracle}. *)
+    generation/shape/CS rejection rules as {!Engine.import_oracle}; a
+    rejected import leaves the tier unarmed. *)
 
 val shutdown : t -> unit
 (** Join the engine's persistent worker domains (see {!Engine.shutdown}).

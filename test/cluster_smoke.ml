@@ -1,6 +1,6 @@
 (* CI smoke test for `parcfl cluster`: boot the real binary — a router in
-   front of two spawned replicas with snapshot warm-up, live rebalancing
-   and cluster tracing on — then:
+   front of two spawned replicas with live rebalancing and cluster
+   tracing on — then:
 
    1. warm up with 40 pipelined queries and check the *federated* scrape:
       the router's `metrics` must sum the two replicas' latency-histogram
@@ -30,7 +30,13 @@
    7. after the kill, `stats` and `slowlog` must federate over the
       surviving replica (replicas=1, entries tagged with their replica);
    8. after quit, the merged cluster trace must show at least one request
-      id in both the router lane (pid 0) and a replica lane (pid >= 1).
+      id in both the router lane (pid 0) and a replica lane (pid >= 1);
+   9. oracle ride-along: boot a second, context-insensitive cluster with
+      `--oracle` (replica 0 builds the tier and exports its rows, replica
+      1 arms its tier from that `.oraclesnap` file); every plain query
+      must come back with the in-process oracle's row, and the federated
+      `stats` must show both replicas' tiers live and one oracle hit per
+      query.
 
    Usage: cluster_smoke.exe <path/to/parcfl_cli.exe> *)
 
@@ -206,6 +212,25 @@ let hist_count name fams =
   in
   go fams
 
+(* Read a cluster's boot banner (one line per replica, then the router
+   line) and return the replica pids by id. *)
+let read_banner ic =
+  let pids = Hashtbl.create 2 in
+  let rec go () =
+    check_deadline ();
+    match input_line ic with
+    | exception End_of_file -> fail "cluster exited during boot"
+    | line ->
+        (try
+           Scanf.sscanf line "replica %d socket=%s@ pid=%d" (fun id _ pid ->
+               Hashtbl.replace pids id pid)
+         with Scanf.Scan_failure _ | End_of_file | Failure _ -> ());
+        if not (String.length line >= 6 && String.sub line 0 6 = "router")
+        then go ()
+  in
+  go ();
+  pids
+
 let () =
   if Array.length Sys.argv < 2 then fail "usage: cluster_smoke <parcfl_cli.exe>";
   let cli = Sys.argv.(1) in
@@ -247,7 +272,7 @@ let () =
     Unix.create_process cli
       [|
         cli; "cluster"; "-b"; "tiny"; "--socket"; sock; "-r"; "2";
-        "--preseed"; "-t"; "1"; "--poll-ms"; "100";
+        "-t"; "1"; "--poll-ms"; "100";
         "--rebalance-ms"; "150"; "--trace-out"; trace_path;
       |]
       Unix.stdin from_child_w Unix.stderr
@@ -260,23 +285,7 @@ let () =
   in
   at_exit cleanup;
 
-  (* Read the boot banner: two replica lines, then the router line. *)
-  let replica_pids = Hashtbl.create 2 in
-  let rec read_banner () =
-    check_deadline ();
-    match input_line cluster_out with
-    | exception End_of_file -> fail "cluster exited during boot"
-    | line ->
-        (try
-           Scanf.sscanf line "replica %d socket=%s@ pid=%d" (fun id _ pid ->
-               Hashtbl.replace replica_pids id pid)
-         with Scanf.Scan_failure _ | End_of_file | Failure _ -> ());
-        let is_router_line =
-          String.length line >= 6 && String.sub line 0 6 = "router"
-        in
-        if not is_router_line then read_banner ()
-  in
-  read_banner ();
+  let replica_pids = read_banner cluster_out in
   (* A failed check must not leave replicas behind (or stopped). *)
   at_exit (fun () ->
       Hashtbl.iter
@@ -864,13 +873,92 @@ let () =
   if not correlated then
     fail "no request id appears in both the router and a replica lane";
 
+  (* --------------- phase 9: oracle ride-along ----------------------- *)
+
+  let osock = sock ^ ".oracle" in
+  let oracle_r, oracle_w = Unix.pipe ~cloexec:false () in
+  let oracle_pid =
+    Unix.create_process cli
+      [|
+        cli; "cluster"; "-b"; "tiny"; "--socket"; osock; "-r"; "2"; "-t"; "1";
+        "--insensitive"; "--oracle";
+      |]
+      Unix.stdin oracle_w Unix.stderr
+  in
+  Unix.close oracle_w;
+  at_exit (fun () ->
+      try Unix.kill oracle_pid Sys.sigkill with Unix.Unix_error _ -> ());
+  let oracle_replicas = read_banner (Unix.in_channel_of_descr oracle_r) in
+  at_exit (fun () ->
+      Hashtbl.iter
+        (fun _ pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+        oracle_replicas);
+  let oracle = P.Oracle.build ~generation:0 bench.P.Suite.pag in
+  let oracle_row v =
+    P.Oracle.points_to_list oracle v
+    |> List.map (P.Pag.obj_name bench.P.Suite.pag)
+    |> List.sort_uniq compare
+  in
+  let o = reader (connect_path osock) in
+  let n_oracle = 64 in
+  for i = 0 to n_oracle - 1 do
+    send_line o (query_line (9500 + i) (var_of i))
+  done;
+  let seen = Hashtbl.create n_oracle in
+  for _ = 1 to n_oracle do
+    match next_line o ~timeout:10.0 with
+    | None -> fail "oracle leg: a reply is missing"
+    | Some line -> (
+        match Proto.response_of_string line with
+        | Ok (Proto.Answer { id; objects; _ })
+          when id >= 9500 && id < 9500 + n_oracle
+               && not (Hashtbl.mem seen id) ->
+            Hashtbl.add seen id ();
+            if objects <> oracle_row (var_of (id - 9500)) then
+              fail "oracle leg: query %d differs from the oracle row" id
+        | _ -> fail "oracle leg: unexpected reply %S" line)
+  done;
+  (match round_trip "oracle leg" o (Proto.Stats 9600) with
+  | Proto.Stats_reply { stats; _ }, _ -> (
+      (match P.Json.member "per_replica" stats with
+      | Some (P.Json.List ([ _; _ ] as reps)) ->
+          List.iter
+            (fun r ->
+              match
+                Option.bind (P.Json.member "stats" r)
+                  (P.Json.member "oracle_live")
+              with
+              | Some (P.Json.Int 1) -> ()
+              | _ ->
+                  fail "oracle leg: a replica has no live oracle: %s"
+                    (P.Json.to_string r))
+            reps
+      | _ -> fail "oracle leg: stats do not federate over 2 replicas");
+      match
+        Option.bind (P.Json.member "totals" stats)
+          (P.Json.member "oracle_hits")
+      with
+      | Some (P.Json.Int n) when n = n_oracle -> ()
+      | _ ->
+          fail "oracle leg: totals.oracle_hits is not %d: %s" n_oracle
+            (P.Json.to_string stats))
+  | r, _ ->
+      fail "oracle leg: expected stats, got %s" (Proto.response_to_string r));
+  send_line o (Proto.request_to_string Proto.Quit);
+  (match Unix.waitpid [] oracle_pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> fail "oracle cluster did not exit cleanly");
+  Unix.close o.fd;
+
   (try Sys.remove sock with Sys_error _ -> ());
   (try Sys.remove trace_path with Sys_error _ -> ());
   Array.iter
     (fun suffix ->
       try Sys.remove (sock ^ suffix) with Sys_error _ -> ())
-    [| ".r0"; ".r1"; ".r0.trace.json"; ".r1.trace.json"; ".jmpsnap" |];
+    [| ".r0"; ".r1"; ".r0.trace.json"; ".r1.trace.json"; ".oracle";
+       ".oracle.r0"; ".oracle.r1"; ".oracle.oraclesnap" |];
   Printf.printf
     "cluster smoke: ok (%d answers, replica 0 killed at 150, federated \
-     scrape consistent, trace lanes correlated)\n"
-    n_requests
+     scrape consistent, trace lanes correlated, %d oracle hits over 2 \
+     replicas)\n"
+    n_requests n_oracle

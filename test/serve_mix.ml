@@ -11,15 +11,13 @@ module P = Parcfl
 let check = lazy (Option.get (P.Suite.build_by_name "_200_check"))
 let mix b = P.Suite.query_mix b ~n:400
 
-let service ?(context_sensitive = true) ?(preseed = false) ?(oracle = false)
-    b =
+let service ?(context_sensitive = true) ?(oracle = false) b =
   let config =
     {
       P.Service.default_config with
       P.Service.threads = 2;
       max_batch = 32;
       context_sensitive;
-      preseed;
       oracle;
       tau_f = Some P.Profile.default_tau_f;
       tau_u = Some P.Profile.default_tau_u;

@@ -1,6 +1,7 @@
 (* CI smoke test for `parcfl serve`: start the real binary on a pipe pair
    (the stdio transport), send a ping, three queries — one repeated so the
-   cross-batch cache must hit — and a stats probe, then quit and check
+   cross-batch cache must hit — a retired `snapshot` verb (an error reply)
+   and a stats probe, then quit and check
    every response, including that served answers equal a direct in-process
    solve of the same variables. An EOF leg closes stdin without a quit
    while queries wait in a micro-batch: every one must still be answered.
@@ -107,6 +108,14 @@ let () =
   ask 12 v0;
   if not (expect_answer 12 v0 ~cached_ok:true) then
     fail "repeated query 12 missed the cache";
+
+  (* The retired snapshot verb is an unknown request like any other: one
+     error reply, and the server keeps answering (the stats probe next). *)
+  output_string oc "snapshot 1\n";
+  flush oc;
+  (match recv () with
+  | Proto.Error _ -> ()
+  | r -> fail "snapshot 1: expected an error, got %s" (Proto.response_to_string r));
 
   send (Proto.Stats 20);
   (match recv () with

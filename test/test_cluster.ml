@@ -1,7 +1,7 @@
 (* Cluster primitives: the shard-affine variable map (rendezvous
    ownership, oversized-component splitting, drain stability), its
    placement of the serving mix's load profile, the failover state
-   machine, stats federation, and snapshot plumbing and warm-up. The
+   machine, stats federation, and oracle-snapshot plumbing and warm-up. The
    router's end-to-end behaviour — failover replay over real processes —
    is covered by test/cluster_smoke.ml under `dune build @ci`. *)
 module P = Parcfl
@@ -518,7 +518,7 @@ let test_snapshot_file_roundtrip () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "parcfl_snap_test_%d" (Unix.getpid ()))
   in
-  let text = "jmpsnap 1 gen=3\nfin 1 4 - 7\n" in
+  let text = "oraclesnap 1 0 2 1 1\n0\n0 0\n" in
   (match P.Cluster_snapshot.save_file ~path text with
   | Ok () -> ()
   | Error e -> Alcotest.failf "save: %s" e);
@@ -534,58 +534,38 @@ let test_snapshot_file_roundtrip () =
   | Ok _ -> Alcotest.fail "wait on a missing file must time out"
   | Error _ -> ()
 
-(* The wire fetch reads its one reply line with the shared framer; the
-   peer's reply is already waiting in the socket when fetch connects. *)
-let test_snapshot_fetch () =
-  let mine, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let reply =
-    P.Svc_protocol.response_to_string
-      (P.Svc_protocol.Snapshot_reply
-         { id = 0; generation = 3; records = 1; body = "jmpsnap 1 gen=3\nfin 1 4 - 7\n" })
-  in
-  ignore (Unix.write_substring peer (reply ^ "\r\n") 0 (String.length reply + 2));
-  (match P.Cluster_snapshot.fetch ~connect:(fun () -> mine) () with
-  | Ok (gen, records, body) ->
-      Alcotest.(check (triple int int string)) "reply"
-        (3, 1, "jmpsnap 1 gen=3\nfin 1 4 - 7\n") (gen, records, body)
-  | Error e -> Alcotest.failf "fetch: %s" e);
-  let sent = Bytes.create 64 in
-  let n = Unix.read peer sent 0 64 in
-  Alcotest.(check string) "request" "snapshot 0\n" (Bytes.sub_string sent 0 n);
-  Unix.close peer
-
-(* A joining replica warmed from a running donor's Finished-only
-   snapshot answers the mix's first 100 queries in full, walking fewer
-   steps than a cold joiner. *)
+(* A joining replica armed from a donor's exported oracle rows answers
+   the mix's first 100 queries in full from the tier, walking no step;
+   a cold joiner has to walk them. *)
 let test_snapshot_warmed_joiner () =
   let b = Lazy.force Serve_mix.check in
-  let vars = Serve_mix.mix b in
-  let donor = Serve_mix.service b in
-  ignore (Serve_mix.drive donor vars);
+  let first = Array.sub (Serve_mix.mix b) 0 100 in
+  let donor = Serve_mix.service ~context_sensitive:false ~oracle:true b in
   let text =
-    match P.Svc_engine.export_snapshot (P.Service.engine donor) with
+    match P.Service.export_oracle donor with
     | Ok (text, _) -> text
     | Error e -> Alcotest.failf "export: %s" e
   in
   P.Service.shutdown donor;
-  let first = Array.sub vars 0 100 in
   let join ~warm =
-    let svc = Serve_mix.service b in
+    let svc = Serve_mix.service ~context_sensitive:false b in
     if warm then (
-      match P.Service.import_snapshot svc text with
+      match P.Service.import_oracle svc text with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "import: %s" e);
     let responses = Serve_mix.drive svc first in
+    let hits =
+      P.Svc_metrics.get (P.Service.metrics svc) P.Svc_metrics.Oracle_hit
+    in
     P.Service.shutdown svc;
-    (Serve_mix.completed responses, Serve_mix.steps responses)
+    (Serve_mix.completed responses, hits, Serve_mix.steps responses)
   in
-  let cold_ok, cold_steps = join ~warm:false in
-  let warm_ok, warm_steps = join ~warm:true in
-  Alcotest.(check int) "cold joiner completes" 100 cold_ok;
+  let warm_ok, warm_hits, warm_steps = join ~warm:true in
   Alcotest.(check int) "warm joiner completes" 100 warm_ok;
-  if warm_steps >= cold_steps then
-    Alcotest.failf "warm joiner walked %d steps, cold %d" warm_steps
-      cold_steps
+  Alcotest.(check int) "warm joiner answers from the tier" 100 warm_hits;
+  Alcotest.(check int) "warm joiner walks no step" 0 warm_steps;
+  let _, _, cold_steps = join ~warm:false in
+  if cold_steps <= 0 then Alcotest.fail "cold joiner walked no steps"
 
 let suite =
   ( "cluster",
@@ -633,6 +613,4 @@ let suite =
         test_failover_healthy_live_noop;
       Alcotest.test_case "snapshot file roundtrip" `Quick
         test_snapshot_file_roundtrip;
-      Alcotest.test_case "snapshot fetch over the wire" `Quick
-        test_snapshot_fetch;
     ] )

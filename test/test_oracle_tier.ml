@@ -165,7 +165,7 @@ let test_export_import () =
   let pag = (Lazy.force tiny).P.Suite.pag in
   let oracle = P.Oracle.build ~generation:3 pag in
   let text = P.Oracle.export oracle in
-  (match P.Oracle.import ~generation:3 text with
+  (match P.Oracle.import ~generation:3 pag text with
   | Error e -> Alcotest.failf "round trip refused: %s" e
   | Ok back ->
       for v = 0 to Pag.n_vars pag - 1 do
@@ -176,16 +176,113 @@ let test_export_import () =
       done;
       Alcotest.(check int) "distinct rows survive"
         (P.Oracle.distinct_rows oracle)
-        (P.Oracle.distinct_rows back));
-  (match P.Oracle.import ~generation:4 text with
+        (P.Oracle.distinct_rows back);
+      Alcotest.(check string) "re-export is byte-identical" text
+        (P.Oracle.export back));
+  (match P.Oracle.import ~generation:4 pag text with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "generation mismatch accepted");
-  (match P.Oracle.import ~generation:3 "jmpsnap 1 3 0 0\n" with
+  (match P.Oracle.import ~generation:3 pag "notasnap 1 3 0 0\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong magic accepted");
-  match P.Oracle.import ~generation:3 "oraclesnap 1 3 5 5 1\n" with
+  let header = List.hd (String.split_on_char '\n' text) in
+  match P.Oracle.import ~generation:3 pag (header ^ "\n") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated snapshot accepted"
+
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Fuzzing the one snapshot parser: token soup from the format's own
+   alphabet, and a real export with bytes flipped, lines cut, duplicated
+   or dropped, and numbers (header counts, row ids) replaced. [import]
+   must answer Ok/Error and never raise; what it accepts must re-export
+   byte-identically and answer every variable without raising. *)
+let tiny_export =
+  lazy
+    (P.Oracle.export
+       (P.Oracle.build ~generation:0 (Lazy.force tiny).P.Suite.pag))
+
+let gen_snap_soup =
+  let open QCheck.Gen in
+  let token =
+    oneofl
+      [ "oraclesnap"; "oraclesnap 1 0 "; "0"; "1"; "2"; "7"; "19"; "85";
+        "-1"; "+1"; "01"; "99999999999999999999"; " "; "  "; "\n"; "\r" ]
+  in
+  map (String.concat "") (list_size (0 -- 60) token)
+
+let gen_mutated_snap =
+  let open QCheck.Gen in
+  let* edits = list_size (1 -- 3) (triple (0 -- 5) nat (pair nat char)) in
+  let alphabet = "0123456789 \n-x" in
+  let char_of c = alphabet.[Char.code c mod String.length alphabet] in
+  let on_lines kind i s =
+    let lines = String.split_on_char '\n' s in
+    let i = i mod List.length lines in
+    List.concat
+      (List.mapi
+         (fun k l ->
+           if k < i then [ l ]
+           else if k > i then if kind = 2 then [] else [ l ]
+           else match kind with 2 -> [ l ] | 3 -> [] | _ -> [ l; l ])
+         lines)
+    |> String.concat "\n"
+  in
+  (* Replace one number (a maximal digit run) with [j mod 64], which
+     lands both inside and outside the row-id and object ranges. *)
+  let renumber i j s =
+    let len = String.length s in
+    let digit k = k >= 0 && k < len && s.[k] >= '0' && s.[k] <= '9' in
+    let starts =
+      List.init len Fun.id
+      |> List.filter (fun k -> digit k && not (digit (k - 1)))
+    in
+    match starts with
+    | [] -> s
+    | _ ->
+        let k = List.nth starts (i mod List.length starts) in
+        let stop = ref k in
+        while digit !stop do incr stop done;
+        String.sub s 0 k ^ string_of_int (j mod 64)
+        ^ String.sub s !stop (len - !stop)
+  in
+  return
+    (List.fold_left
+       (fun s (kind, i, (j, c)) ->
+         let n = String.length s in
+         if n = 0 then s
+         else
+           match kind with
+           | 0 ->
+               String.mapi (fun k x -> if k = i mod n then char_of c else x) s
+           | 1 -> renumber i j s
+           | _ -> on_lines kind i s)
+       (Lazy.force tiny_export) edits)
+
+let prop_import_total =
+  let pag = (Lazy.force tiny).P.Suite.pag in
+  QCheck.Test.make ~name:"oracle snapshot parser never raises" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(oneof [ gen_snap_soup; gen_mutated_snap ]))
+    (fun text ->
+      match P.Oracle.import ~generation:0 pag text with
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok o -> (
+          match
+            for v = 0 to P.Oracle.n_vars o - 1 do
+              ignore (P.Oracle.outcome o v);
+              ignore (P.Oracle.may_alias o v 0)
+            done
+          with
+          | exception e ->
+              QCheck.Test.fail_reportf "accepted, then a query raised %s"
+                (Printexc.to_string e)
+          | () -> P.Oracle.export o = text))
 
 (* ------------------------- service tier ---------------------------- *)
 
@@ -302,6 +399,64 @@ let test_service_identity () =
             (P.Svc_protocol.response_to_string r))
     on_r
 
+(* The warm start's whole effect on the serving mix: a cold service and
+   an oracle-armed one both answer it in full, the cold solver walks
+   steps for it and the oracle walks none. *)
+let test_oracle_cuts_steps () =
+  let b = Lazy.force Serve_mix.check in
+  let vars = Serve_mix.mix b in
+  let run oracle =
+    let svc = Serve_mix.service ~context_sensitive:false ~oracle b in
+    let responses = Serve_mix.drive svc vars in
+    P.Service.shutdown svc;
+    (Serve_mix.completed responses, Serve_mix.steps responses)
+  in
+  let cold_ok, cold_steps = run false in
+  let warm_ok, warm_steps = run true in
+  Alcotest.(check int) "cold completes the mix" 400 cold_ok;
+  Alcotest.(check int) "oracle completes the mix" 400 warm_ok;
+  Alcotest.(check int) "the oracle arm walks 0 steps" 0 warm_steps;
+  if cold_steps <= 0 then Alcotest.fail "the cold arm walked no steps"
+
+(* The measured row behind the oracle being the one warm start: on
+   avrora and luindex the cold CI solver leaves much of the 400-query mix
+   out of budget, while the oracle tier answers all of it with
+   Andersen's object sets. *)
+let test_oracle_completes_budget_bound () =
+  List.iter
+    (fun (name, cold_floor) ->
+      let b = Option.get (P.Suite.build_by_name name) in
+      let vars = Serve_mix.mix b in
+      let run oracle =
+        let svc = Serve_mix.service ~context_sensitive:false ~oracle b in
+        let responses = Serve_mix.drive svc vars in
+        P.Service.shutdown svc;
+        responses
+      in
+      let cold = Serve_mix.completed (run false) in
+      if cold < cold_floor then
+        Alcotest.failf "%s: cold CI completed %d < %d" name cold cold_floor;
+      let warm = run true in
+      Alcotest.(check int) (name ^ ": oracle completes the mix") 400
+        (Serve_mix.completed warm);
+      let pag = b.P.Suite.pag in
+      let andersen = P.Andersen.solve pag in
+      Array.iteri
+        (fun i r ->
+          match r with
+          | P.Svc_protocol.Answer { objects; _ } ->
+              let expect =
+                P.Andersen.points_to_list andersen vars.(i)
+                |> List.map (Pag.obj_name pag)
+                |> List.sort_uniq compare
+              in
+              if objects <> expect then
+                Alcotest.failf "%s request %d: oracle answer is not Andersen's"
+                  name i
+          | _ -> ())
+        warm)
+    [ ("avrora", 181); ("luindex", 211) ]
+
 let submit_one svc ~id ~var ~budget ~deadline_ms =
   let got = ref None in
   P.Service.submit svc ~now:0.0
@@ -402,6 +557,46 @@ let test_import_arms_tier () =
     (P.Svc_metrics.get m P.Svc_metrics.Oracle_hit);
   P.Service.shutdown svc
 
+(* A snapshot of another PAG passes the generation check (every fresh
+   process is generation 0) but answers rows of the wrong graph: the
+   import must be an [Error] naming both shapes, the tier must stay
+   unarmed, and the next query must be the solver's. *)
+let test_import_other_pag_refused () =
+  let small = Lazy.force tiny and big = Lazy.force Serve_mix.check in
+  let shape b =
+    Printf.sprintf "%d vars / %d objs"
+      (Pag.n_vars b.P.Suite.pag)
+      (Pag.n_objs b.P.Suite.pag)
+  in
+  List.iter
+    (fun (donor, joiner) ->
+      let text =
+        P.Oracle.export (P.Oracle.build ~generation:0 donor.P.Suite.pag)
+      in
+      let svc = Serve_mix.service ~context_sensitive:false joiner in
+      (match P.Service.import_oracle svc text with
+      | Ok rows -> Alcotest.failf "foreign oracle accepted (%d rows)" rows
+      | Error e ->
+          if not (contains e (shape donor) && contains e (shape joiner)) then
+            Alcotest.failf "error does not name both shapes: %s" e);
+      Alcotest.(check bool) "tier stays unarmed" true
+        (P.Svc_engine.oracle (P.Service.engine svc) = None);
+      (match submit_one svc ~id:0 ~var:"#0" ~budget:None ~deadline_ms:None with
+      | Some (P.Svc_protocol.Answer _) -> ()
+      | r ->
+          Alcotest.failf "query after a refused import: %s"
+            (match r with
+            | Some r -> P.Svc_protocol.response_to_string r
+            | None -> "no response"));
+      let m = P.Service.metrics svc in
+      Alcotest.(check int) "the solver answered" 1
+        (P.Svc_metrics.get m P.Svc_metrics.Batches);
+      Alcotest.(check int) "no oracle accounting" 0
+        (P.Svc_metrics.get m P.Svc_metrics.Oracle_hit
+        + P.Svc_metrics.get m P.Svc_metrics.Oracle_fallback);
+      P.Service.shutdown svc)
+    [ (small, big); (big, small) ]
+
 (* --------------------- stats/exposition parity --------------------- *)
 
 let counter_value fams name =
@@ -479,6 +674,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_may_alias_random;
       Alcotest.test_case "shape and bounds" `Quick test_shape;
       Alcotest.test_case "export/import round trip" `Quick test_export_import;
+      QCheck_alcotest.to_alcotest prop_import_total;
       Alcotest.test_case "service answers byte-identical" `Quick
         test_service_identity;
       Alcotest.test_case "refined requests fall through" `Quick
@@ -488,5 +684,11 @@ let suite =
       Alcotest.test_case "CS service never builds/imports" `Quick
         test_cs_service_never_builds;
       Alcotest.test_case "import arms the tier" `Quick test_import_arms_tier;
+      Alcotest.test_case "import of another PAG refused" `Quick
+        test_import_other_pag_refused;
+      Alcotest.test_case "oracle cuts the mix's steps" `Quick
+        test_oracle_cuts_steps;
+      Alcotest.test_case "oracle completes budget-bound mixes" `Slow
+        test_oracle_completes_budget_bound;
       Alcotest.test_case "stats/exposition parity" `Quick test_metrics_parity;
     ] )

@@ -270,79 +270,6 @@ let test_store_multicore_stress () =
   Alcotest.(check int) "one unfinished per key" n_keys
     (Jmp_store.n_unfinished st)
 
-(* ---------------------- snapshot export / import ------------------- *)
-
-let test_snapshot_round_trip () =
-  let src = Jmp_store.create ~tau_f:1 ~tau_u:1 () in
-  let src_ctxs = Ctx.create_store () in
-  let h = Jmp_store.hooks src in
-  let c0 = Ctx.empty in
-  let c1 = Ctx.of_list src_ctxs [ 3; 7 ] in
-  let c2 = Ctx.of_list src_ctxs [ 9 ] in
-  h.Hooks.record_finished Hooks.Bwd 5 c0 ~cost:10
-    ~targets:[| (1, c1); (2, c0) |];
-  h.Hooks.record_finished Hooks.Fwd 6 c1 ~cost:42 ~targets:[| (3, c2) |];
-  h.Hooks.record_finished Hooks.Bwd 7 c2 ~cost:99 ~targets:[||];
-  (* Unfinished records must NOT travel: they are progress markers. *)
-  h.Hooks.record_unfinished Hooks.Bwd 5 c0 ~s:1_000;
-  let text = Jmp_store.export_finished src ~generation:4 ~ctx_store:src_ctxs in
-  let dst = Jmp_store.create ~tau_f:1_000_000 ~tau_u:1 () in
-  let dst_ctxs = Ctx.create_store () in
-  (* Skew the destination's interning order so equal snapshot contexts only
-     round-trip if they really are re-interned structurally. *)
-  ignore (Ctx.of_list dst_ctxs [ 100; 200; 300 ]);
-  (match Jmp_store.import_finished dst ~generation:4 ~ctx_store:dst_ctxs text with
-  | Ok n -> Alcotest.(check int) "three records imported" 3 n
-  | Error e -> Alcotest.failf "import failed: %s" e);
-  Alcotest.(check int) "finished survived" 3 (Jmp_store.n_finished dst);
-  Alcotest.(check int) "unfinished left behind" 0 (Jmp_store.n_unfinished dst);
-  let dh = Jmp_store.hooks dst in
-  let d0 = Ctx.empty in
-  let d1 = Ctx.of_list dst_ctxs [ 3; 7 ] in
-  let d2 = Ctx.of_list dst_ctxs [ 9 ] in
-  (match (dh.Hooks.lookup Hooks.Bwd 5 d0 ~steps:0).Hooks.finished with
-  | Some { Hooks.cost = 10; targets } ->
-      Alcotest.(check int) "two targets" 2 (Array.length targets);
-      let tv, tc = targets.(0) in
-      Alcotest.(check int) "target var" 1 tv;
-      Alcotest.(check (list int)) "target ctx re-interned" [ 3; 7 ]
-        (Ctx.to_list dst_ctxs tc)
-  | _ -> Alcotest.fail "Bwd record lost");
-  (match (dh.Hooks.lookup Hooks.Fwd 6 d1 ~steps:0).Hooks.finished with
-  | Some { Hooks.cost = 42; _ } -> ()
-  | _ -> Alcotest.fail "Fwd record lost");
-  (match (dh.Hooks.lookup Hooks.Bwd 7 d2 ~steps:0).Hooks.finished with
-  | Some { Hooks.cost = 99; targets } ->
-      Alcotest.(check int) "empty targets" 0 (Array.length targets)
-  | _ -> Alcotest.fail "empty-target record lost");
-  (* Re-import is idempotent: existing records win. *)
-  match Jmp_store.import_finished dst ~generation:4 ~ctx_store:dst_ctxs text with
-  | Ok n -> Alcotest.(check int) "re-import adds nothing" 0 n
-  | Error e -> Alcotest.failf "re-import failed: %s" e
-
-let test_snapshot_wrong_generation_rejected () =
-  let src = Jmp_store.create ~tau_f:1 ~tau_u:1 () in
-  let ctxs = Ctx.create_store () in
-  (Jmp_store.hooks src).Hooks.record_finished Hooks.Bwd 1 Ctx.empty ~cost:5
-    ~targets:[||];
-  let text = Jmp_store.export_finished src ~generation:2 ~ctx_store:ctxs in
-  let dst = Jmp_store.create () in
-  (match Jmp_store.import_finished dst ~generation:3 ~ctx_store:ctxs text with
-  | Error e ->
-      Alcotest.(check bool) "error names generations" true
-        (let contains s sub =
-           let n = String.length sub and m = String.length s in
-           let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-           go 0
-         in
-         contains e "generation")
-  | Ok _ -> Alcotest.fail "stale-generation snapshot must be rejected");
-  Alcotest.(check int) "store untouched" 0 (Jmp_store.n_finished dst);
-  (* Garbage fails loudly too. *)
-  match Jmp_store.import_finished dst ~generation:2 ~ctx_store:ctxs "pag 1\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-snapshot text must be rejected"
-
 let suite =
   ( "sharing",
     [
@@ -358,7 +285,4 @@ let suite =
       Alcotest.test_case "sharing precision" `Quick test_sharing_precision;
       Alcotest.test_case "store multicore stress" `Quick
         test_store_multicore_stress;
-      Alcotest.test_case "snapshot round trip" `Quick test_snapshot_round_trip;
-      Alcotest.test_case "snapshot wrong generation rejected" `Quick
-        test_snapshot_wrong_generation_rejected;
     ] )

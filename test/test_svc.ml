@@ -25,7 +25,6 @@ let test_request_round_trip () =
       Proto.Explain { id = 12; var = "#5"; obj = "#2" };
       Proto.Explain { id = 13; var = "Main.x"; obj = "Main.Obj/3" };
       Proto.Drain 9;
-      Proto.Snapshot 10;
       Proto.Ping 7;
       Proto.Quit;
     ]
@@ -49,7 +48,7 @@ let test_request_errors () =
       "query 1 v budget=x"; "query 1 v trace=x"; "metrics"; "metrics x";
       "slowlog";
       "slowlog 1 -2"; "slowlog 1 x"; "health"; "health x";
-      "drain"; "drain x"; "snapshot"; "snapshot x";
+      "drain"; "drain x"; "snapshot"; "snapshot 1"; "snapshot x";
       "explain"; "explain 1"; "explain 1 v"; "explain x v o";
     ]
 
@@ -152,7 +151,6 @@ let gen_request =
       map (fun id -> Proto.Metrics id) id;
       map (fun id -> Proto.Health id) id;
       map (fun id -> Proto.Drain id) id;
-      map (fun id -> Proto.Snapshot id) id;
       map (fun id -> Proto.Ping id) id;
       pure Proto.Quit;
     ]
@@ -252,13 +250,6 @@ let test_response_round_trip () =
           reasons = [ "worker 0 stalled"; "queue starvation" ];
         };
       Proto.Drained { id = 12; completed = 3 };
-      Proto.Snapshot_reply
-        {
-          id = 13;
-          generation = 2;
-          records = 1;
-          body = "jmpsnap 1 gen=2\nfin 1 4 - 7\n";
-        };
     ]
   in
   List.iter
@@ -323,8 +314,8 @@ let test_cache_eviction () =
 let test_cache_reput_replaces () =
   (* Regression: put on a resident key used to keep the stale entry and
      only refresh its recency tick. A re-put must make the new outcome
-     observable — pre-seeding relies on upgrading a cached Out_of_budget
-     to a real answer under the same key. *)
+     observable — a warmed-up jmp store relies on upgrading a cached
+     Out_of_budget to a real answer under the same key. *)
   let b = Lazy.force tiny in
   let real = solve_outcome b.P.Suite.queries.(0) in
   let starved =
@@ -761,40 +752,6 @@ let test_breakdown_sums_to_latency () =
             (Proto.response_to_string r))
     responses
 
-(* Matrix-kernel pre-seeding on the context-insensitive engine: the same
-   mix against a cold service and a pre-seeded one. Both answer it in
-   full, and the warm side walks fewer steps — the seeds serve traffic. *)
-let coldwarm b vars =
-  let side preseed =
-    let svc = Serve_mix.service ~context_sensitive:false ~preseed b in
-    let responses = Serve_mix.drive svc vars in
-    P.Service.shutdown svc;
-    (Serve_mix.completed responses, Serve_mix.steps responses)
-  in
-  (side false, side true)
-
-let test_preseed_cuts_steps () =
-  let b = Lazy.force Serve_mix.check in
-  let (cold_ok, cold_steps), (warm_ok, warm_steps) =
-    coldwarm b (Serve_mix.mix b)
-  in
-  Alcotest.(check int) "cold completes the mix" 400 cold_ok;
-  Alcotest.(check int) "warm completes the mix" 400 warm_ok;
-  if warm_steps >= cold_steps then
-    Alcotest.failf "warm walked %d steps, cold %d" warm_steps cold_steps
-
-(* On budget-bound benchmarks the win is completions: cold gives up at
-   the step budget where the seeded store replays whole target sets. *)
-let test_preseed_completes_budget_bound () =
-  List.iter
-    (fun (name, cold_floor) ->
-      let b = Option.get (P.Suite.build_by_name name) in
-      let (cold_ok, _), (warm_ok, _) = coldwarm b (Serve_mix.mix b) in
-      if cold_ok < cold_floor then
-        Alcotest.failf "%s: cold completed %d < %d" name cold_ok cold_floor;
-      Alcotest.(check int) (name ^ ": warm completes the mix") 400 warm_ok)
-    [ ("avrora", 181); ("luindex", 211) ]
-
 let test_watchdog_unit () =
   let module W = P.Svc_watchdog in
   let wd = W.create ~workers:2 ~now:0.0 () in
@@ -1002,10 +959,6 @@ let suite =
       Alcotest.test_case "runner query stamps" `Quick test_runner_query_stamps;
       Alcotest.test_case "breakdown sums to latency" `Quick
         test_breakdown_sums_to_latency;
-      Alcotest.test_case "preseed cuts the mix's steps" `Quick
-        test_preseed_cuts_steps;
-      Alcotest.test_case "preseed completes budget-bound mixes" `Slow
-        test_preseed_completes_budget_bound;
       Alcotest.test_case "watchdog stall + starvation" `Quick
         test_watchdog_unit;
       Alcotest.test_case "health verb + stall injection" `Quick
