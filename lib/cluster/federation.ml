@@ -8,14 +8,13 @@
    - gauges are {e relabelled}, not summed — an instantaneous queue
      depth per replica is meaningful, their sum usually is not, so each
      sample gains a [replica="N"] label and all of them survive;
-   - slowlog entries compete by worst latency across the whole cluster;
-   - stats keep every replica's object verbatim plus a totals view:
-     integer fields summed, ratios recomputed from the summed counters,
-     float gauges left per replica. *)
+   - slowlog entries compete by worst latency across the whole cluster.
+
+   A federated `stats` is no separate merge: the router views the merged
+   counters (Router.federated_stats). *)
 
 module Expo = Parcfl_telemetry.Expo
 module Json = Parcfl_obs.Json
-module Metrics = Parcfl_svc.Metrics
 
 (* ----------------------------- metrics ----------------------------- *)
 
@@ -137,7 +136,7 @@ let merge_families parts =
   in
   go parts
 
-let merge_metrics ?(extra = []) parts =
+let parse_scrapes parts =
   let rec parse acc = function
     | [] -> Ok (List.rev acc)
     | (r, body) :: rest -> (
@@ -145,58 +144,13 @@ let merge_metrics ?(extra = []) parts =
         | Ok fams -> parse ((r, fams) :: acc) rest
         | Error e -> Error (Printf.sprintf "replica %d: %s" r e))
   in
-  Result.bind (parse [] parts) (fun parts ->
+  parse [] parts
+
+let merge_metrics ?(extra = []) parts =
+  Result.bind (parse_scrapes parts) (fun parts ->
       Result.map
         (fun fams -> Expo.render (extra @ fams))
         (merge_families parts))
-
-(* ------------------------------ stats ------------------------------ *)
-
-let merge_stats parts =
-  (* A field sums over replicas only when every replica reports it as an
-     integer: a partial sum would read as a cluster total and lie, and a
-     sum of rates or float gauges (uptime, build seconds) means nothing. *)
-  let int_total k =
-    List.fold_left
-      (fun acc (_, j) ->
-        match (acc, Json.member k j) with
-        | Some n, Some (Json.Int i) -> Some (n + i)
-        | _ -> None)
-      (Some 0) parts
-  in
-  (* Ratios are recomputed from the summed counters with Svc.Metrics'
-     own definitions, so a federated rate reads like a replica's. *)
-  let ratio k =
-    match List.assoc_opt k Metrics.ratios with
-    | Some f
-      when List.for_all
-             (fun c -> int_total (Metrics.name c) <> None)
-             Metrics.all ->
-        Some (f (fun c -> Option.get (int_total (Metrics.name c))))
-    | _ -> None
-  in
-  let totals =
-    match parts with
-    | (_, Json.Obj fields) :: _ ->
-        List.filter_map
-          (fun (k, _) ->
-            match int_total k with
-            | Some n -> Some (k, Json.Int n)
-            | None -> Option.map (fun r -> (k, Json.Float r)) (ratio k))
-          fields
-    | _ -> []
-  in
-  Json.Obj
-    [
-      ("replicas", Json.Int (List.length parts));
-      ("totals", Json.Obj totals);
-      ( "per_replica",
-        Json.List
-          (List.map
-             (fun (r, j) ->
-               Json.Obj [ ("replica", Json.Int r); ("stats", j) ])
-             parts) );
-    ]
 
 (* ------------------------------ health ----------------------------- *)
 

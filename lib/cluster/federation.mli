@@ -1,10 +1,11 @@
 (** Cluster-wide merges of per-replica observability payloads.
 
     The router answers one client [metrics]/[stats]/[slowlog] by
-    scattering it to every live replica and folding the replies through
-    these functions, so a single scrape describes the whole cluster
-    instead of one shard of it. Pure and synchronous — the router owns
-    the sockets; this module owns the semantics. *)
+    scattering it to every live replica (a [stats] goes out as
+    [metrics]) and folding the replies through these functions, so a
+    single scrape describes the whole cluster instead of one shard of
+    it. Pure and synchronous — the router owns the sockets; this module
+    owns the semantics. *)
 
 val merge_metrics :
   ?extra:Parcfl_telemetry.Expo.family list ->
@@ -28,17 +29,14 @@ val merge_metrics :
 val merge_families :
   (int * Parcfl_telemetry.Expo.family list) list ->
   (Parcfl_telemetry.Expo.family list, string) result
-(** The structural core of {!merge_metrics}, exposed for tests. *)
+(** The structural core of {!merge_metrics}; the router's federated
+    [stats] views its counters. *)
 
-val merge_stats :
-  (int * Parcfl_obs.Json.t) list -> Parcfl_obs.Json.t
-(** One object over all replies: [replicas] (how many answered),
-    [totals] (each top-level integer field that {e every} replica reports
-    as an integer, summed, plus the {!Parcfl_svc.Metrics.ratios}
-    recomputed from the summed counters), and [per_replica] (each
-    replica's stats object verbatim, tagged with its index) — float
-    gauges and the other unsummable fields stay inspectable there without
-    lying in a total. *)
+val parse_scrapes :
+  (int * string) list ->
+  ((int * Parcfl_telemetry.Expo.family list) list, string) result
+(** Parse each replica's exposition; the error names the first replica
+    whose text failed to parse. *)
 
 val merge_health :
   ?drained:string list ->

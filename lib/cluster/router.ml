@@ -4,6 +4,8 @@ module Transport = Parcfl_svc.Transport
 module Tracer = Parcfl_obs.Tracer
 module Registry = Parcfl_telemetry.Registry
 module Expo = Parcfl_telemetry.Expo
+module Json = Parcfl_obs.Json
+module Service = Parcfl_svc.Service
 
 type config = {
   poll_interval : float;  (* seconds between health-poll rounds *)
@@ -62,14 +64,14 @@ type pending = {
   p_forward_us : float;
 }
 
-(* One federated admin request (metrics, stats, slowlog or health):
-   scattered to every live replica, the replies gathered here and merged
-   once the last one lands (or its replica dies — a dead replica only
-   shrinks the merge, never wedges it). *)
+(* One federated gather: scattered to every live replica, the replies
+   gathered here and merged once the last one lands (or its replica dies —
+   a dead replica only shrinks the merge, never wedges it). It answers one
+   slowlog or health request, or every metrics and stats request of one
+   client read: those share one scrape of each replica. *)
 type agg = {
   g_client : client;
-  g_orig_id : int;
-  g_request : Proto.request;
+  g_requests : Proto.request list;  (* the client's, original ids *)
   mutable g_waiting : int;
   mutable g_replies : (int * Proto.response) list;  (* replica, reply *)
   mutable g_done : bool;
@@ -244,63 +246,100 @@ let drained_reasons t =
              (Replica.socket t.backends.(i).b_replica)))
     (replica_indices t)
 
+(* A federated [stats] is a view, not a merge of its own: each replica's
+   scrape viewed alone, and totals viewed over the counters of their
+   merge — so only counters sum, and the ratios are recomputed from the
+   summed counters. Gauges have no cluster total. *)
+let federated_stats bodies =
+  Result.bind (Federation.parse_scrapes bodies) (fun parts ->
+      Result.map
+        (fun merged ->
+          let counters =
+            List.filter (function Expo.Counter _ -> true | _ -> false) merged
+          in
+          Json.Obj
+            [
+              ("replicas", Json.Int (List.length parts));
+              ("totals", Service.view counters);
+              ( "per_replica",
+                Json.List
+                  (List.map
+                     (fun (r, fams) ->
+                       Json.Obj
+                         [
+                           ("replica", Json.Int r);
+                           ("stats", Service.view fams);
+                         ])
+                     parts) );
+            ])
+        (Federation.merge_families parts))
+
 let finish_agg t agg =
   if (not agg.g_done) && agg.g_waiting <= 0 then begin
     agg.g_done <- true;
     agg.g_client.outstanding <- agg.g_client.outstanding - 1;
-    let id = agg.g_orig_id in
-    let err reason = Proto.Error { id = Some id; reason } in
-    (* The replies of the expected kind, per replica, merged by [k]. *)
-    let merge pick k =
-      match
-        List.filter_map
-          (fun (i, r) -> Option.map (fun x -> (i, x)) (pick r))
-          (List.rev agg.g_replies)
-      with
-      | [] -> err "no live replica answered"
-      | xs -> k xs
+    (* The replies of the expected kind, per replica. *)
+    let gathered pick =
+      List.filter_map
+        (fun (i, r) -> Option.map (fun x -> (i, x)) (pick r))
+        (List.rev agg.g_replies)
+    in
+    let bodies =
+      lazy
+        (gathered (function
+          | Proto.Metrics_reply { body; _ } -> Some body
+          | _ -> None))
+    in
+    (* Merged once, however many requests share the scrape. *)
+    let metrics =
+      lazy
+        (Federation.merge_metrics ~extra:(Registry.collect t.registry)
+           (Lazy.force bodies))
+    in
+    let stats = lazy (federated_stats (Lazy.force bodies)) in
+    let answer req =
+      let id = Option.value (Proto.request_id req) ~default:0 in
+      let err reason = Proto.Error { id = Some id; reason } in
+      let merge xs k =
+        if xs = [] then err "no live replica answered" else k xs
+      in
+      match req with
+      | Proto.Metrics _ ->
+          merge (Lazy.force bodies) (fun _ ->
+              match Lazy.force metrics with
+              | Ok body -> Proto.Metrics_reply { id; body }
+              | Error reason -> err reason)
+      | Proto.Stats _ ->
+          merge (Lazy.force bodies) (fun _ ->
+              match Lazy.force stats with
+              | Ok stats -> Proto.Stats_reply { id; stats }
+              | Error reason -> err reason)
+      | Proto.Slowlog { limit; _ } ->
+          merge
+            (gathered (function
+              | Proto.Slowlog_reply { entries; _ } -> Some entries
+              | _ -> None))
+            (fun logs ->
+              Proto.Slowlog_reply
+                { id; entries = Federation.merge_slowlogs ?limit logs })
+      | _ ->
+          merge
+            (gathered (function
+              | Proto.Health_reply { healthy; reasons; _ } ->
+                  Some (healthy, reasons)
+              | _ -> None))
+            (fun verdicts ->
+              let healthy, reasons =
+                Federation.merge_health ~drained:(drained_reasons t)
+                  (List.map (fun (i, (h, r)) -> (i, h, r)) verdicts)
+              in
+              Proto.Health_reply { id; healthy; reasons })
     in
     (* A client dropped mid-gather is owed nothing: skip the merge. *)
     if Transport.alive agg.g_client.conn then
-      client_send agg.g_client
-        (match agg.g_request with
-        | Proto.Metrics _ ->
-            merge
-              (function
-                | Proto.Metrics_reply { body; _ } -> Some body | _ -> None)
-              (fun bodies ->
-                match
-                  Federation.merge_metrics ~extra:(Registry.collect t.registry)
-                    bodies
-                with
-                | Ok body -> Proto.Metrics_reply { id; body }
-                | Error reason -> err reason)
-        | Proto.Stats _ ->
-            merge
-              (function
-                | Proto.Stats_reply { stats; _ } -> Some stats | _ -> None)
-              (fun stats ->
-                Proto.Stats_reply { id; stats = Federation.merge_stats stats })
-        | Proto.Slowlog { limit; _ } ->
-            merge
-              (function
-                | Proto.Slowlog_reply { entries; _ } -> Some entries
-                | _ -> None)
-              (fun logs ->
-                Proto.Slowlog_reply
-                  { id; entries = Federation.merge_slowlogs ?limit logs })
-        | _ ->
-            merge
-              (function
-                | Proto.Health_reply { healthy; reasons; _ } ->
-                    Some (healthy, reasons)
-                | _ -> None)
-              (fun verdicts ->
-                let healthy, reasons =
-                  Federation.merge_health ~drained:(drained_reasons t)
-                    (List.map (fun (i, (h, r)) -> (i, h, r)) verdicts)
-                in
-                Proto.Health_reply { id; healthy; reasons }))
+      List.iter
+        (fun req -> client_send agg.g_client (answer req))
+        agg.g_requests
   end
 
 (* --------------------- routing and failover ------------------------ *)
@@ -405,7 +444,7 @@ and route t client req =
           end)
   | (Proto.Metrics _ | Proto.Stats _ | Proto.Slowlog _ | Proto.Health _)
     when t.config.admin_replica = None ->
-      scatter t client req
+      scatter t client [ req ]
   | _ -> (
       (* drain, or admin verbs pinned to one replica. *)
       let target =
@@ -469,20 +508,23 @@ and forward t client req idx ~var ~accept_us ~route_us =
         ignore (backend_send t t.backends.(idx) line)
       end
 
-and scatter t client req =
-  match Proto.request_id req with
-  | None -> ()
-  | Some orig_id -> (
+and scatter t client reqs =
+  match reqs with
+  | [] -> ()
+  | first :: _ -> (
       match live_indices t with
       | [] ->
-          client_send client
-            (Proto.Error { id = Some orig_id; reason = "no live replica" })
+          List.iter
+            (fun req ->
+              client_send client
+                (Proto.Error
+                   { id = Proto.request_id req; reason = "no live replica" }))
+            reqs
       | targets ->
           let agg =
             {
               g_client = client;
-              g_orig_id = orig_id;
-              g_request = req;
+              g_requests = reqs;
               g_waiting = 0;
               g_replies = [];
               g_done = false;
@@ -507,9 +549,15 @@ and scatter t client req =
                  scatter — backend_died already unregistered them. *)
               if Hashtbl.mem t.aggs rid then begin
                 t.routed.(idx) <- t.routed.(idx) + 1;
-                let line =
-                  Proto.request_to_string (request_with_id req rid) ^ "\n"
+                (* A stats is answered from the replicas' scrapes
+                   (federated_stats), so metrics and stats both ask for
+                   one. *)
+                let wire =
+                  match first with
+                  | Proto.Metrics _ | Proto.Stats _ -> Proto.Metrics rid
+                  | req -> request_with_id req rid
                 in
+                let line = Proto.request_to_string wire ^ "\n" in
                 ignore (backend_send t t.backends.(idx) line)
               end)
             rids;
@@ -664,7 +712,18 @@ let read_backend t b c =
 
 (* ------------------------- client handling ------------------------- *)
 
-let read_client t client = Transport.read_requests client.conn (route t client)
+(* Every metrics and stats line of one read shares one scrape of each
+   replica: a pipelined burst of them costs a replica one exposition per
+   read, not one per line (an exposition is tens of KB, and a replica
+   drops a peer whose queued replies pass the output cap). *)
+let read_client t client =
+  let scrapes = ref [] in
+  Transport.read_requests client.conn (function
+    | (Proto.Metrics _ | Proto.Stats _) as req
+      when t.config.admin_replica = None ->
+        scrapes := req :: !scrapes
+    | req -> route t client req);
+  scatter t client (List.rev !scrapes)
 
 (* ----------------------------- serving ----------------------------- *)
 

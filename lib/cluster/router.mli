@@ -40,7 +40,9 @@
     {e scattered} to every live replica and the replies merged into one
     cluster-wide view ({!Federation}): counters and histogram buckets
     sum, per-replica gauges gain a [replica="N"] label, slowlogs
-    interleave worst-first. The router's own registry — routing counts
+    interleave worst-first. A [stats] is scattered as [metrics] and
+    answered by {!federated_stats}, so the exposition is the one source
+    of both. The router's own registry — routing counts
     per shard, replay/drain/re-admit totals, health-probe latency,
     per-replica in-flight gauges — federates ahead of the replicas'
     families as the [parcfl_router_*] namespace. A replica that dies
@@ -101,3 +103,16 @@ val serve :
     query — the router-side accept/route/forward/reply/respond stamps —
     for {!Parcfl_obs.Tracer.merge_cluster}; when absent the router takes
     no clock readings on the hot path. *)
+
+val federated_stats :
+  (int * string) list -> (Parcfl_obs.Json.t, string) result
+(** The router's answer to a federated [stats], from each live replica's
+    [metrics] exposition: [replicas] (how many answered), [per_replica]
+    (each replica's {!Parcfl_svc.Service.view}, tagged with its index)
+    and [totals] — the view of the {e counter} families of their
+    {!Federation.merge_families}: every counter key summed, and
+    [cache_hit_rate]/[mean_batch_size] recomputed from the summed
+    counters. No gauge ([threads], [queue_depth], [oracle_live], …) has
+    a cluster total; each stays in its replica's entry. Errors name a
+    replica whose exposition failed to parse or a family whose kind
+    disagrees across replicas. *)

@@ -10,6 +10,7 @@ module Expo = Parcfl_telemetry.Expo
 module Registry = Parcfl_telemetry.Registry
 module Histogram = Parcfl_stats.Histogram
 module Tracer = Parcfl_obs.Tracer
+module Counter = Parcfl_conc.Counter
 
 type config = {
   threads : int;
@@ -57,12 +58,58 @@ type pending = {
   p_respond : Protocol.response -> unit;
 }
 
+(* The service's event counters: one striped handle each, bumped on the
+   request path with no name lookup. Each is registered once, as the
+   family its [stats] row reads (see [rows]). *)
+type counters = {
+  admitted : Counter.t;  (* queries accepted into the inflight queue *)
+  rejected : Counter.t;  (* refused: queue full, or draining *)
+  cache_hits : Counter.t;
+  cache_misses : Counter.t;
+  completed : Counter.t;  (* answered with a points-to set *)
+  timeouts_budget : Counter.t;
+  timeouts_deadline : Counter.t;
+  batches : Counter.t;
+  batched_queries : Counter.t;  (* queries across all batches, pre-coalesce *)
+  coalesced : Counter.t;  (* duplicate in-batch queries folded into one *)
+  flushes_full : Counter.t;  (* batches formed at [max_batch] or more *)
+  flushes_idle : Counter.t;  (* batches formed below it, input drained *)
+  flushes_forced : Counter.t;  (* batches formed by [drain] *)
+  sched_groups : Counter.t;
+  early_terminations : Counter.t;
+  stage_us : Counter.t array;
+      (* cumulative microseconds per Span stage, in [Span.stage_names]
+         order, over answered requests *)
+  oracle_hits : Counter.t;
+  oracle_misses : Counter.t;  (* live tier, refined request fell through *)
+  oracle_fallbacks : Counter.t;  (* tier enabled, no live oracle *)
+  explains_ok : Counter.t;
+  explains_miss : Counter.t;
+}
+
+let make_counters () =
+  let c () = Counter.create () in
+  {
+    admitted = c (); rejected = c (); cache_hits = c (); cache_misses = c ();
+    completed = c (); timeouts_budget = c (); timeouts_deadline = c ();
+    batches = c (); batched_queries = c (); coalesced = c ();
+    flushes_full = c (); flushes_idle = c (); flushes_forced = c ();
+    sched_groups = c (); early_terminations = c ();
+    stage_us = Array.init (List.length Span.stage_names) (fun _ -> c ());
+    oracle_hits = c (); oracle_misses = c (); oracle_fallbacks = c ();
+    explains_ok = c (); explains_miss = c ();
+  }
+
+let bump c = Counter.incr c ~worker:0
+let add c n = Counter.add c ~worker:0 n
+
 type t = {
   cfg : config;
   engine : Engine.t;
   cache : Cache.t;
   queue : pending Admission.t;
-  metrics : Metrics.t;
+  counters : counters;
+  created : float;  (* the zero of [uptime_s] *)
   slowlog : Slowlog.t;
   registry : Registry.t;
   watchdog : Watchdog.t;
@@ -83,7 +130,7 @@ type t = {
   mutable oracle_enabled : bool;
       (* the answer tier's switch: on from [config.oracle], or flipped on
          when a cluster joiner imports an oracle snapshot. With the switch
-         on but no live oracle, queries count Oracle_fallback and take the
+         on but no live oracle, queries count oracle_fallbacks and take the
          normal path — the tier degrades, never wedges. *)
   mutable draining : bool;
       (* set by the [drain] verb: new queries are rejected with reason
@@ -109,11 +156,204 @@ let index_obj_names pag =
   done;
   tbl
 
-let stage_counters =
+(* ------------------------------ stats ------------------------------ *)
+
+(* How a [stats] key reads its family's samples: the unlabelled sample
+   as an integer or a float, or the value of one label. *)
+type shape = Int | Float | Label of string
+
+(* One [stats] key. A [Family] row is also the one definition of the
+   family it reads — name, help, kind and reader — so the registry
+   exports it and [view] reads it back under the same name; [read]
+   returning no sample exports the family empty, and the key is left
+   out. A [Ratio]
+   row divides one row's value by the sum of others' (0 when that sum is
+   0), so a federated ratio is recomputed from summed counters. *)
+type row =
+  | Family of {
+      key : string;
+      name : string;
+      help : string;
+      counter : bool;
+      shape : shape;
+      read : t -> Expo.sample list;
+    }
+  | Ratio of { key : string; num : row; den : row list }
+
+let one value = [ { Expo.labels = []; value } ]
+let fi = float_of_int
+
+let count key name help f =
+  Family
+    { key; name; help; counter = true; shape = Int;
+      read = (fun t -> one (fi (f t))) }
+
+let handle key name help sel =
+  count key name help (fun t -> Counter.value (sel t.counters))
+
+(* A service event counter, exported as [parcfl_svc_<key>_total]. *)
+let svc key sel =
+  handle key (Printf.sprintf "parcfl_svc_%s_total" key)
+    ("Service counter: " ^ key) sel
+
+let gauge ?(shape = Int) key name help read =
+  Family { key; name; help; counter = false; shape; read }
+
+(* The live oracle's shape: no sample, and so no key, when none is live. *)
+let oracle_gauge ?shape key name help f =
+  gauge ?shape key name help (fun t ->
+      match Engine.oracle t.engine with Some o -> one (f o) | None -> [])
+
+let cache_hits = svc "cache_hits" (fun c -> c.cache_hits)
+let cache_misses = svc "cache_misses" (fun c -> c.cache_misses)
+let batches = svc "batches" (fun c -> c.batches)
+let batched_queries = svc "batched_queries" (fun c -> c.batched_queries)
+let stage i key = svc key (fun c -> c.stage_us.(i))
+
+(* The [stats] payload, in wire order. *)
+let rows =
   [
-    Metrics.Stage_queue_us; Metrics.Stage_batch_us; Metrics.Stage_solve_us;
-    Metrics.Stage_respond_us;
+    svc "admitted" (fun c -> c.admitted);
+    svc "rejected" (fun c -> c.rejected);
+    cache_hits;
+    cache_misses;
+    svc "completed" (fun c -> c.completed);
+    svc "timeouts_budget" (fun c -> c.timeouts_budget);
+    svc "timeouts_deadline" (fun c -> c.timeouts_deadline);
+    batches;
+    batched_queries;
+    svc "coalesced" (fun c -> c.coalesced);
+    svc "flushes_full" (fun c -> c.flushes_full);
+    svc "flushes_idle" (fun c -> c.flushes_idle);
+    svc "flushes_forced" (fun c -> c.flushes_forced);
+    handle "sched_groups" "parcfl_sched_groups_total"
+      "Scheduling units executed across all batches" (fun c ->
+        c.sched_groups);
+    handle "early_terminations" "parcfl_sched_early_terminations_total"
+      "Queries cut short by the early-termination rule" (fun c ->
+        c.early_terminations);
+    stage 0 "stage_queue_wait_us";
+    stage 1 "stage_batch_wait_us";
+    stage 2 "stage_solve_us";
+    stage 3 "stage_respond_us";
+    handle "oracle_hits" "parcfl_oracle_hits_total"
+      "Queries answered by the O(1) oracle tier" (fun c -> c.oracle_hits);
+    handle "oracle_misses" "parcfl_oracle_misses_total"
+      "Oracle-eligible queries refined past the tier (budget/deadline)"
+      (fun c -> c.oracle_misses);
+    handle "oracle_fallbacks" "parcfl_oracle_fallbacks_total"
+      "Queries arriving with the tier enabled but no live oracle" (fun c ->
+        c.oracle_fallbacks);
+    svc "explains_ok" (fun c -> c.explains_ok);
+    svc "explains_miss" (fun c -> c.explains_miss);
+    Ratio
+      { key = "cache_hit_rate"; num = cache_hits;
+        den = [ cache_hits; cache_misses ] };
+    Ratio { key = "mean_batch_size"; num = batched_queries; den = [ batches ] };
+    gauge "queue_depth" "parcfl_svc_queue_depth" "Admission queue depth"
+      (fun t -> one (fi (Admission.depth t.queue)));
+    gauge "in_flight" "parcfl_svc_in_flight"
+      "Requests inside the currently solving batch" (fun t ->
+        one (fi t.in_flight));
+    gauge "cache_size" "parcfl_cache_size" "Result-cache entries" (fun t ->
+        one (fi (Cache.size t.cache)));
+    gauge ~shape:Float "uptime_s" "parcfl_svc_uptime_seconds"
+      "Seconds since service start" (fun t ->
+        one (Float.max 0.0 (Unix.gettimeofday () -. t.created)));
+    gauge "generation" "parcfl_svc_generation" "Loaded-PAG generation"
+      (fun t -> one (fi (Engine.generation t.engine)));
+    gauge "jmp_edges" "parcfl_jmp_edges" "jmp records held in the store"
+      (fun t -> one (fi (Engine.jmp_edges t.engine)));
+    count "jmp_hits" "parcfl_jmp_hits_total"
+      "jmp-store lookups that found a record" (fun t ->
+        Engine.jmp_hits t.engine);
+    count "jmp_misses" "parcfl_jmp_misses_total"
+      "jmp-store lookups that found nothing" (fun t ->
+        Engine.jmp_misses t.engine);
+    count "jmp_finished" "parcfl_jmp_finished_total"
+      "Finished jmp records accepted" (fun t -> Engine.jmp_finished t.engine);
+    count "jmp_unfinished" "parcfl_jmp_unfinished_total"
+      "Unfinished jmp records accepted" (fun t ->
+        Engine.jmp_unfinished t.engine);
+    count "cache_evictions" "parcfl_cache_evictions_total"
+      "Entries removed by capacity sweeps" (fun t -> Cache.evictions t.cache);
+    gauge ~shape:Float "steps_per_second" "parcfl_svc_steps_per_second"
+      "EWMA of observed solver traversal rate" (fun t ->
+        one
+          (Option.value (Engine.steps_per_second t.engine) ~default:Float.nan));
+    gauge "threads" "parcfl_svc_threads" "Engine domain pool size" (fun t ->
+        one (fi (Engine.threads t.engine)));
+    gauge ~shape:(Label "mode") "mode" "parcfl_svc_info"
+      "Service build info; the mode label names the scheduling mode" (fun t ->
+        [
+          {
+            Expo.labels = [ ("mode", Mode.to_string (Engine.mode t.engine)) ];
+            value = 1.0;
+          };
+        ]);
+    gauge "oracle_live" "parcfl_oracle_live"
+      "Whether a current-generation oracle is installed (1/0)" (fun t ->
+        one (if Engine.oracle t.engine = None then 0.0 else 1.0));
+    oracle_gauge ~shape:Float "oracle_build_seconds"
+      "parcfl_oracle_build_seconds"
+      "Wall seconds the offline decomposition took (0 if imported)"
+      Parcfl_oracle.Oracle.build_seconds;
+    oracle_gauge "oracle_compressed_bytes" "parcfl_oracle_compressed_bytes"
+      "Bytes held by the shared rows plus the var->row table" (fun o ->
+        fi (Parcfl_oracle.Oracle.compressed_bytes o));
+    oracle_gauge "oracle_distinct_rows" "parcfl_oracle_distinct_rows"
+      "Distinct points-to sets after row compression" (fun o ->
+        fi (Parcfl_oracle.Oracle.distinct_rows o));
   ]
+
+let key = function Family { key; _ } | Ratio { key; _ } -> key
+
+let view fams =
+  let by_name = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Expo.Counter { name; samples; _ } | Expo.Gauge { name; samples; _ }
+        ->
+          Hashtbl.replace by_name name samples
+      | Expo.Histogram _ -> ())
+    fams;
+  let samples name =
+    Option.value (Hashtbl.find_opt by_name name) ~default:[]
+  in
+  let value = function
+    | Family { name; _ } ->
+        List.find_map
+          (fun s -> if s.Expo.labels = [] then Some s.Expo.value else None)
+          (samples name)
+    | Ratio _ -> None
+  in
+  let cell row =
+    match row with
+    | Family { name; shape = Label l; _ } ->
+        List.find_map
+          (fun s ->
+            Option.map
+              (fun v -> Json.String v)
+              (List.assoc_opt l s.Expo.labels))
+          (samples name)
+    | Family { shape; _ } ->
+        Option.map
+          (fun v ->
+            if not (Float.is_finite v) then Json.Null
+            else if shape = Int then Json.Int (int_of_float v)
+            else Json.Float v)
+          (value row)
+    | Ratio { num; den; _ } -> (
+        match (value num, List.map value den) with
+        | Some n, ds when List.for_all Option.is_some ds ->
+            let d = List.fold_left (fun acc x -> acc +. Option.get x) 0.0 ds in
+            Some (Json.Float (if d = 0.0 then 0.0 else n /. d))
+        | _ -> None)
+  in
+  Json.Obj
+    (List.filter_map
+       (fun row -> Option.map (fun c -> (key row, c)) (cell row))
+       rows)
 
 (* One histogram family, one series per lifecycle stage. The buckets count
    microseconds (the service clock) but the family is named in base units,
@@ -133,10 +373,7 @@ let stage_seconds_family t =
           Expo.h_labels = [ ("stage", stage) ];
           h_buckets = buckets;
           h_count = count;
-          h_sum =
-            Some
-              (float_of_int (Metrics.get t.metrics (List.nth stage_counters i))
-              /. 1e6);
+          h_sum = Some (fi (Counter.value t.counters.stage_us.(i)) /. 1e6);
         })
       Span.stage_names
   in
@@ -147,37 +384,25 @@ let stage_seconds_family t =
       series;
     }
 
-(* Everything the service knows, as Prometheus families. Collectors only
-   read atomics and snapshot copies, so a scrape never blocks a solve. *)
+(* Everything the service knows, as Prometheus families: the [stats] rows,
+   then what only the exposition carries. Collectors only read atomics
+   and snapshot copies, so a scrape never blocks a solve. *)
 let register_collectors t =
   let c = Expo.counter and g = Expo.gauge in
-  (* Service counters: one family per Metrics counter. *)
   Registry.register t.registry (fun () ->
-      List.map
-        (fun m ->
-          c
-            ~name:(Printf.sprintf "parcfl_svc_%s_total" (Metrics.name m))
-            ~help:("Service counter: " ^ Metrics.name m)
-            (float_of_int (Metrics.get t.metrics m)))
-        Metrics.all);
-  (* Service gauges + latency/steps histograms. *)
+      List.filter_map
+        (fun row ->
+          match row with
+          | Ratio _ -> None
+          | Family { name; help; counter; read; _ } ->
+              let samples = read t in
+              Some
+                (if counter then Expo.Counter { name; help; samples }
+                 else Expo.Gauge { name; help; samples }))
+        rows);
+  (* Latency/steps histograms, and the scheduler's unit sizes. *)
   Registry.register t.registry (fun () ->
       [
-        g ~name:"parcfl_svc_queue_depth" ~help:"Admission queue depth"
-          (float_of_int (Admission.depth t.queue));
-        g ~name:"parcfl_svc_uptime_seconds" ~help:"Seconds since service start"
-          (Metrics.uptime_s t.metrics);
-        g ~name:"parcfl_svc_threads" ~help:"Engine domain pool size"
-          (float_of_int (Engine.threads t.engine));
-        g ~name:"parcfl_svc_generation" ~help:"Loaded-PAG generation"
-          (float_of_int (Engine.generation t.engine));
-        (match Engine.steps_per_second t.engine with
-        | Some r ->
-            g ~name:"parcfl_svc_steps_per_second"
-              ~help:"EWMA of observed solver traversal rate" r
-        | None ->
-            g ~name:"parcfl_svc_steps_per_second"
-              ~help:"EWMA of observed solver traversal rate" Float.nan);
         Expo.histogram_of_log2 ~name:"parcfl_svc_latency_us"
           ~help:"Per-query service latency, microseconds (solved queries)"
           t.lat_hist;
@@ -186,6 +411,8 @@ let register_collectors t =
         Expo.histogram_of_log2 ~name:"parcfl_solver_minor_words_per_query"
           ~help:"Per-query minor-heap words allocated by the solver"
           t.minor_words_hist;
+        Expo.histogram_of_log2 ~name:"parcfl_sched_group_size"
+          ~help:"Scheduling-unit sizes (queries per unit)" t.group_hist;
       ]);
   (* Request lifecycle: stage decomposition + liveness. *)
   Registry.register t.registry (fun () ->
@@ -196,9 +423,6 @@ let register_collectors t =
       in
       [
         stage_seconds_family t;
-        g ~name:"parcfl_svc_in_flight"
-          ~help:"Requests inside the currently solving batch"
-          (float_of_int t.in_flight);
         g ~name:"parcfl_svc_healthy"
           ~help:"Liveness watchdog verdict (1 = ok, 0 = degraded)"
           (if verdict.Watchdog.wd_healthy then 1.0 else 0.0);
@@ -211,66 +435,14 @@ let register_collectors t =
             ~name:"parcfl_worker_busy_us_total"
             ~help:"Microseconds each domain spent inside queries"
             t.busy_us.(w)));
-  (* Result cache: size, evictions, age-at-eviction. *)
+  (* Result cache: capacity and age-at-eviction. *)
   Registry.register t.registry (fun () ->
       [
-        g ~name:"parcfl_cache_size" ~help:"Result-cache entries"
-          (float_of_int (Cache.size t.cache));
         g ~name:"parcfl_cache_capacity" ~help:"Result-cache capacity"
-          (float_of_int (Cache.capacity t.cache));
-        c ~name:"parcfl_cache_evictions_total"
-          ~help:"Entries removed by capacity sweeps"
-          (float_of_int (Cache.evictions t.cache));
+          (fi (Cache.capacity t.cache));
         Expo.histogram_of_log2 ~name:"parcfl_cache_eviction_age_ticks"
           ~help:"Recency-tick age of entries at eviction"
           (Cache.eviction_age_hist t.cache);
-      ]);
-  (* jmp store (lib/sharing): the paper's shared shortcut state. *)
-  Registry.register t.registry (fun () ->
-      [
-        c ~name:"parcfl_jmp_hits_total"
-          ~help:"jmp-store lookups that found a record"
-          (float_of_int (Engine.jmp_hits t.engine));
-        c ~name:"parcfl_jmp_misses_total"
-          ~help:"jmp-store lookups that found nothing"
-          (float_of_int (Engine.jmp_misses t.engine));
-        c ~name:"parcfl_jmp_finished_total"
-          ~help:"Finished jmp records accepted"
-          (float_of_int (Engine.jmp_finished t.engine));
-        c ~name:"parcfl_jmp_unfinished_total"
-          ~help:"Unfinished jmp records accepted"
-          (float_of_int (Engine.jmp_unfinished t.engine));
-      ]);
-  (* O(1) oracle tier: outcome counters plus the live artefact's shape.
-     The three *_total families read the same Metrics counters the [stats]
-     verb reports, so exposition and stats can never disagree. *)
-  Registry.register t.registry (fun () ->
-      let live = Engine.oracle t.engine in
-      let stat f = match live with Some o -> f o | None -> 0.0 in
-      [
-        c ~name:"parcfl_oracle_hits_total"
-          ~help:"Queries answered by the O(1) oracle tier"
-          (float_of_int (Metrics.get t.metrics Metrics.Oracle_hit));
-        c ~name:"parcfl_oracle_misses_total"
-          ~help:"Oracle-eligible queries refined past the tier (budget/deadline)"
-          (float_of_int (Metrics.get t.metrics Metrics.Oracle_miss));
-        c ~name:"parcfl_oracle_fallbacks_total"
-          ~help:"Queries arriving with the tier enabled but no live oracle"
-          (float_of_int (Metrics.get t.metrics Metrics.Oracle_fallback));
-        g ~name:"parcfl_oracle_live"
-          ~help:"Whether a current-generation oracle is installed (1/0)"
-          (match live with Some _ -> 1.0 | None -> 0.0);
-        g ~name:"parcfl_oracle_build_seconds"
-          ~help:"Wall seconds the offline decomposition took (0 if imported)"
-          (stat (fun o -> Parcfl_oracle.Oracle.build_seconds o));
-        g ~name:"parcfl_oracle_compressed_bytes"
-          ~help:"Bytes held by the shared rows plus the var->row table"
-          (stat (fun o ->
-               float_of_int (Parcfl_oracle.Oracle.compressed_bytes o)));
-        g ~name:"parcfl_oracle_distinct_rows"
-          ~help:"Distinct points-to sets after row compression"
-          (stat (fun o ->
-               float_of_int (Parcfl_oracle.Oracle.distinct_rows o)));
       ]);
   (* Explain verb: chain depth and re-derivation latency. *)
   Registry.register t.registry (fun () ->
@@ -281,18 +453,6 @@ let register_collectors t =
         Expo.histogram_of_log2 ~name:"parcfl_witness_explain_latency_us"
           ~help:"Wall microseconds per explain re-derivation"
           t.explain_hist;
-      ]);
-  (* Scheduler (lib/sched): groups and their sizes. *)
-  Registry.register t.registry (fun () ->
-      [
-        c ~name:"parcfl_sched_groups_total"
-          ~help:"Scheduling units executed across all batches"
-          (float_of_int (Metrics.get t.metrics Metrics.Sched_groups));
-        c ~name:"parcfl_sched_early_terminations_total"
-          ~help:"Queries cut short by the early-termination rule"
-          (float_of_int (Metrics.get t.metrics Metrics.Early_terms));
-        Expo.histogram_of_log2 ~name:"parcfl_sched_group_size"
-          ~help:"Scheduling-unit sizes (queries per unit)" t.group_hist;
       ])
 
 let create ?(config = default_config) ?tracer ~type_level pag =
@@ -319,7 +479,8 @@ let create ?(config = default_config) ?tracer ~type_level pag =
       engine;
       cache = Cache.create ~capacity:config.cache_capacity ();
       queue = Admission.create ~capacity:config.queue_capacity;
-      metrics = Metrics.create ();
+      counters = make_counters ();
+      created = Unix.gettimeofday ();
       slowlog = Slowlog.create ~capacity:config.slowlog_capacity;
       registry = Registry.create ();
       watchdog =
@@ -354,7 +515,6 @@ let create ?(config = default_config) ?tracer ~type_level pag =
 let config t = t.cfg
 let engine t = t.engine
 let queue_depth t = Admission.depth t.queue
-let metrics t = t.metrics
 let slowlog t = t.slowlog
 let registry t = t.registry
 let watchdog t = t.watchdog
@@ -370,43 +530,7 @@ let health t ~now =
 let inject_stall t ~now ~worker ~stalled =
   Watchdog.inject_stall t.watchdog ~now ~worker ~stalled
 
-let metrics_json t =
-  let base =
-    Metrics.to_json t.metrics ~queue_depth:(queue_depth t)
-      ~cache_size:(Cache.size t.cache) ~in_flight:t.in_flight
-  in
-  let extra =
-    [
-      ("generation", Json.Int (Engine.generation t.engine));
-      ("jmp_edges", Json.Int (Engine.jmp_edges t.engine));
-      ("jmp_hits", Json.Int (Engine.jmp_hits t.engine));
-      ("jmp_misses", Json.Int (Engine.jmp_misses t.engine));
-      ("jmp_finished", Json.Int (Engine.jmp_finished t.engine));
-      ("jmp_unfinished", Json.Int (Engine.jmp_unfinished t.engine));
-      ("cache_evictions", Json.Int (Cache.evictions t.cache));
-      ( "steps_per_second",
-        match Engine.steps_per_second t.engine with
-        | Some r -> Json.Float r
-        | None -> Json.Null );
-      ("threads", Json.Int (Engine.threads t.engine));
-      ("mode", Json.String (Mode.to_string (Engine.mode t.engine)));
-    ]
-    @ (match Engine.oracle t.engine with
-      | None -> [ ("oracle_live", Json.Int 0) ]
-      | Some o ->
-          [
-            ("oracle_live", Json.Int 1);
-            ( "oracle_build_seconds",
-              Json.Float (Parcfl_oracle.Oracle.build_seconds o) );
-            ( "oracle_compressed_bytes",
-              Json.Int (Parcfl_oracle.Oracle.compressed_bytes o) );
-            ( "oracle_distinct_rows",
-              Json.Int (Parcfl_oracle.Oracle.distinct_rows o) );
-          ])
-  in
-  match base with
-  | Json.Obj fields -> Json.Obj (fields @ extra)
-  | j -> j
+let stats t = view (Registry.collect t.registry)
 
 let resolve t name =
   let pag = Engine.pag t.engine in
@@ -505,7 +629,7 @@ let observe_stages t bd =
   List.iteri
     (fun i v ->
       let us = max 0 (int_of_float v) in
-      Metrics.add t.metrics (List.nth stage_counters i) us;
+      add t.counters.stage_us.(i) us;
       Histogram.observe t.stage_hists.(i) us)
     (Span.stage_values bd)
 
@@ -569,10 +693,10 @@ let finish t p ~respond_us ~steps ~outcome make_response =
   p.p_respond (make_response ~latency_us ~breakdown:bd)
 
 let respond_timeout t ~respond_us ~steps p reason =
-  Metrics.incr t.metrics
+  bump
     (match reason with
-    | `Deadline -> Metrics.Timeout_deadline
-    | `Budget -> Metrics.Timeout_budget);
+    | `Deadline -> t.counters.timeouts_deadline
+    | `Budget -> t.counters.timeouts_budget);
   finish t p ~respond_us ~steps
     ~outcome:
       (match reason with
@@ -596,10 +720,9 @@ let run_batch t ~now live =
       live
     |> Array.of_list
   in
-  Metrics.incr t.metrics Metrics.Batches;
-  Metrics.add t.metrics Metrics.Batched_queries (List.length live);
-  Metrics.add t.metrics Metrics.Coalesced
-    (List.length live - Array.length vars);
+  bump t.counters.batches;
+  add t.counters.batched_queries (List.length live);
+  add t.counters.coalesced (List.length live - Array.length vars);
   let batch_budget =
     List.fold_left (fun acc p -> max acc p.p_budget) 1 live
   in
@@ -612,10 +735,8 @@ let run_batch t ~now live =
   let report = Engine.execute t.engine ~budget:batch_budget vars in
   Watchdog.observe_batch t.watchdog ~now
     ~last_progress_us:report.Report.r_worker_last_progress_us;
-  Metrics.add t.metrics Metrics.Sched_groups
-    (Array.length report.Report.r_group_sizes);
-  Metrics.add t.metrics Metrics.Early_terms
-    (Report.n_early_terminations report);
+  add t.counters.sched_groups (Array.length report.Report.r_group_sizes);
+  add t.counters.early_terminations (Report.n_early_terminations report);
   Array.iteri
     (fun i c -> t.steps_hist.(i) <- t.steps_hist.(i) + c)
     report.Report.r_steps_hist;
@@ -680,7 +801,7 @@ let run_batch t ~now live =
           else if not within_budget then
             respond_timeout t ~respond_us ~steps p `Budget
           else begin
-            Metrics.incr t.metrics Metrics.Completed;
+            bump t.counters.completed;
             finish t p ~respond_us ~steps ~outcome:"ok"
               (fun ~latency_us ~breakdown ->
                 answer_of_outcome t ~id:p.p_id ~cached:false ~latency_us
@@ -692,7 +813,7 @@ let run_batch t ~now live =
 let form_batch t ~now reason =
   if queue_depth t = 0 then 0
   else begin
-    Metrics.incr t.metrics reason;
+    bump reason;
     let batch = Admission.take t.queue ~max:t.cfg.max_batch in
     let batch_us = now *. 1e6 in
     List.iter (fun p -> Span.stamp_batch p.p_span ~us:batch_us) batch;
@@ -720,11 +841,11 @@ let form_batch t ~now reason =
    only as load makes them; [max_batch] is the one cap. *)
 let pump t ~now =
   form_batch t ~now
-    (if queue_depth t >= t.cfg.max_batch then Metrics.Flush_full
-     else Metrics.Flush_idle)
+    (if queue_depth t >= t.cfg.max_batch then t.counters.flushes_full
+     else t.counters.flushes_idle)
 
 let drain t ~now =
-  while form_batch t ~now Metrics.Flush_forced > 0 do
+  while form_batch t ~now t.counters.flushes_forced > 0 do
     ()
   done
 
@@ -754,14 +875,14 @@ let shutdown t = Engine.shutdown t.engine
 let try_oracle t ~id ~trace ~var ~v ~respond =
   match Engine.oracle t.engine with
   | None ->
-      Metrics.incr t.metrics Metrics.Oracle_fallback;
+      bump t.counters.oracle_fallbacks;
       false
   | Some o ->
       let t0 = Unix.gettimeofday () in
       let outcome = Parcfl_oracle.Oracle.outcome o v in
       let latency_us = Float.max 0.0 ((Unix.gettimeofday () -. t0) *. 1e6) in
-      Metrics.incr t.metrics Metrics.Oracle_hit;
-      Metrics.incr t.metrics Metrics.Completed;
+      bump t.counters.oracle_hits;
+      bump t.counters.completed;
       (* Tier answers never form a batch: every stage except solve is
          pinned to 0 (never read from a Span, whose batch stamps would be
          meaningless here), and the trace span collapses its queue/batch
@@ -903,7 +1024,7 @@ let explain t ~id ~var ~obj ~respond =
           let reply =
             match w with
             | Some w ->
-                Metrics.incr t.metrics Metrics.Explain_ok;
+                bump t.counters.explains_ok;
                 let depth = Solver.Witness.depth w in
                 Histogram.observe t.chain_hist depth;
                 Protocol.Explain_reply
@@ -917,7 +1038,7 @@ let explain t ~id ~var ~obj ~respond =
                     chain = chain_json t w;
                   }
             | None ->
-                Metrics.incr t.metrics Metrics.Explain_miss;
+                bump t.counters.explains_miss;
                 Protocol.Explain_reply
                   {
                     id;
@@ -936,7 +1057,7 @@ let submit t ~now ~respond req =
   | Protocol.Ping id -> respond (Protocol.Pong id)
   | Protocol.Explain { id; var; obj } -> explain t ~id ~var ~obj ~respond
   | Protocol.Stats id ->
-      respond (Protocol.Stats_reply { id; stats = metrics_json t })
+      respond (Protocol.Stats_reply { id; stats = stats t })
   | Protocol.Metrics id ->
       respond (Protocol.Metrics_reply { id; body = metrics_text t })
   | Protocol.Slowlog { id; limit } ->
@@ -962,7 +1083,7 @@ let submit t ~now ~respond req =
       respond (Protocol.Drained { id; completed = pending })
   | Protocol.Quit -> ()
   | Protocol.Query { id; _ } when t.draining ->
-      Metrics.incr t.metrics Metrics.Rejected;
+      bump t.counters.rejected;
       respond (Protocol.Rejected { id; reason = "draining" })
   | Protocol.Query { id; var; budget; deadline_ms; trace } -> (
       match resolve t var with
@@ -976,15 +1097,15 @@ let submit t ~now ~respond req =
              against a live oracle is a miss; with no live oracle it is a
              fallback (try_oracle already counted the budget-free case). *)
           if t.oracle_enabled && (budget <> None || deadline_ms <> None) then
-            Metrics.incr t.metrics
+            bump
               (match Engine.oracle t.engine with
-              | Some _ -> Metrics.Oracle_miss
-              | None -> Metrics.Oracle_fallback);
+              | Some _ -> t.counters.oracle_misses
+              | None -> t.counters.oracle_fallbacks);
           let deadline = Option.map (fun d -> now +. (d /. 1000.0)) deadline_ms in
           let eff = effective_budget t ~now ~budget ~deadline in
           match Cache.find t.cache (cache_key t ~var:v ~budget:eff) with
           | Some outcome ->
-              Metrics.incr t.metrics Metrics.Cache_hit;
+              bump t.counters.cache_hits;
               let resp =
                 answer_of_outcome t ~id ~cached:true ~latency_us:0.0
                   ~breakdown:Span.zero outcome
@@ -992,10 +1113,10 @@ let submit t ~now ~respond req =
               let outcome_str =
                 match resp with
                 | Protocol.Timeout _ ->
-                    Metrics.incr t.metrics Metrics.Timeout_budget;
+                    bump t.counters.timeouts_budget;
                     "timeout_budget"
                 | _ ->
-                    Metrics.incr t.metrics Metrics.Completed;
+                    bump t.counters.completed;
                     "ok"
               in
               observe_latency t 0.0;
@@ -1004,7 +1125,7 @@ let submit t ~now ~respond req =
                 ~breakdown:Span.zero ~outcome:outcome_str ~cached:true ~now;
               respond resp
           | None ->
-              Metrics.incr t.metrics Metrics.Cache_miss;
+              bump t.counters.cache_misses;
               let p =
                 {
                   p_id = id;
@@ -1018,8 +1139,8 @@ let submit t ~now ~respond req =
                 }
               in
               if Admission.try_add t.queue p then
-                Metrics.incr t.metrics Metrics.Admitted
+                bump t.counters.admitted
               else begin
-                Metrics.incr t.metrics Metrics.Rejected;
+                bump t.counters.rejected;
                 respond (Protocol.Rejected { id; reason = "queue_full" })
               end))

@@ -86,8 +86,6 @@ val in_flight : t -> int
 (** Requests inside the currently-executing micro-batch (0 between
     pumps). *)
 
-val metrics : t -> Metrics.t
-
 val watchdog : t -> Watchdog.t
 (** The liveness watchdog: fed a heartbeat per worker after every batch
     (from the report's per-worker last-progress stamps). *)
@@ -105,16 +103,36 @@ val slowlog : t -> Slowlog.t
 
 val registry : t -> Parcfl_telemetry.Registry.t
 (** The telemetry registry with every subsystem's collectors registered
-    (service counters, cache, jmp store, scheduler, per-worker busy
-    time). Extendable by embedders before serving. *)
+    (service counters, cache, jmp store, scheduler, oracle tier,
+    per-worker busy time). It is the service's one store of reported
+    values: the exposition renders it and {!stats} views it. Extendable
+    by embedders before serving. *)
 
 val metrics_text : t -> string
 (** The full Prometheus text exposition — the [metrics] request payload
     and what the scrape listener serves. *)
 
-val metrics_json : t -> Parcfl_obs.Json.t
-(** The [stats] payload: counters, gauges, generation, jmp-store
-    hit/miss/record counters, observed traversal rate. *)
+val view : Parcfl_telemetry.Expo.family list -> Parcfl_obs.Json.t
+(** The [stats] object over a set of families — the one place that names
+    a [stats] key. Its rows, in wire order: the service event counters
+    ([admitted] … [explains_miss]); [cache_hit_rate] and
+    [mean_batch_size], recomputed from the counters they divide (0 on a
+    zero denominator); the gauges [queue_depth], [in_flight],
+    [cache_size], [uptime_s] and [generation]; the jmp store
+    ([jmp_edges], [jmp_hits] … [jmp_unfinished]); [cache_evictions],
+    [steps_per_second], [threads], [mode] (the [parcfl_svc_info] label);
+    [oracle_live], then the live oracle's [oracle_build_seconds],
+    [oracle_compressed_bytes] and [oracle_distinct_rows]. A key reads its
+    family's unlabelled sample as an integer or a float — a non-finite
+    value reads [null] — and is omitted when the family or that sample
+    is missing: the oracle-shape families carry a sample only while an
+    oracle is live, and over a federated scrape the relabelled gauges
+    drop out.
+    The cluster router views each replica's scrape and the counters of
+    their merge the same way. *)
+
+val stats : t -> Parcfl_obs.Json.t
+(** The [stats] payload: [view (Registry.collect (registry t))]. *)
 
 val resolve : t -> string -> (Parcfl_pag.Pag.var, string) result
 (** ["#<n>"] by id (bounds-checked), otherwise exact-name lookup. *)

@@ -16,7 +16,9 @@
       valid id is answered exactly once, with its own id;
    4. slow reader: a client pipelines 240 KB of `stats` and never reads;
       another client's pings and queries keep a p95 under 100 ms, the
-      non-reader is dropped and counted, and no replica is drained;
+      non-reader is dropped and counted, and no replica drops the
+      router's connection or is drained (each `stats` is answered from a
+      replica scrape, so the router must not ask for one per line);
    5. stalled replica: replica 0 is SIGSTOPped under a pipelined query
       mix; the router keeps answering ping (p95 under 100 ms), drains it within
       health_timeout + poll_interval, answers every query correctly by
@@ -35,8 +37,9 @@
       `--oracle` (replica 0 builds the tier and exports its rows, replica
       1 arms its tier from that `.oraclesnap` file); every plain query
       must come back with the in-process oracle's row, and the federated
-      `stats` must show both replicas' tiers live and one oracle hit per
-      query.
+      `stats` must show both replicas' tiers live and one thread each,
+      one oracle hit per query in its totals, and no summed gauge
+      (`threads`, `oracle_live`, `generation`, `queue_depth`) there.
 
    Usage: cluster_smoke.exe <path/to/parcfl_cli.exe> *)
 
@@ -922,26 +925,41 @@ let () =
   | Proto.Stats_reply { stats; _ }, _ -> (
       (match P.Json.member "per_replica" stats with
       | Some (P.Json.List ([ _; _ ] as reps)) ->
+          (* Gauges stay per replica: each keeps its own live oracle
+             and its one thread. *)
           List.iter
             (fun r ->
-              match
-                Option.bind (P.Json.member "stats" r)
-                  (P.Json.member "oracle_live")
-              with
+              let field k =
+                Option.bind (P.Json.member "stats" r) (P.Json.member k)
+              in
+              (match field "oracle_live" with
               | Some (P.Json.Int 1) -> ()
               | _ ->
                   fail "oracle leg: a replica has no live oracle: %s"
+                    (P.Json.to_string r));
+              match field "threads" with
+              | Some (P.Json.Int 1) -> ()
+              | _ ->
+                  fail "oracle leg: a replica does not report 1 thread: %s"
                     (P.Json.to_string r))
             reps
       | _ -> fail "oracle leg: stats do not federate over 2 replicas");
-      match
-        Option.bind (P.Json.member "totals" stats)
-          (P.Json.member "oracle_hits")
-      with
+      let totals =
+        Option.value (P.Json.member "totals" stats) ~default:P.Json.Null
+      in
+      (match P.Json.member "oracle_hits" totals with
       | Some (P.Json.Int n) when n = n_oracle -> ()
       | _ ->
           fail "oracle leg: totals.oracle_hits is not %d: %s" n_oracle
-            (P.Json.to_string stats))
+            (P.Json.to_string stats));
+      (* Totals sum counters only: a summed gauge would report 2 threads
+         and 2 live oracles for a cluster of two 1-thread replicas. *)
+      List.iter
+        (fun k ->
+          if P.Json.member k totals <> None then
+            fail "oracle leg: totals sums the gauge %s: %s" k
+              (P.Json.to_string stats))
+        [ "threads"; "oracle_live"; "generation"; "queue_depth" ])
   | r, _ ->
       fail "oracle leg: expected stats, got %s" (Proto.response_to_string r));
   send_line o (Proto.request_to_string Proto.Quit);

@@ -66,3 +66,10 @@ let steps responses =
     (fun n r ->
       match r with P.Svc_protocol.Answer { steps; _ } -> n + steps | _ -> n)
     0 responses
+
+(* One integer [stats] key of a service, read the way a client reads it:
+   from the [stats] payload. *)
+let stat svc key =
+  match P.Json.member key (P.Service.stats svc) with
+  | Some (P.Json.Int n) -> n
+  | _ -> Alcotest.failf "stats has no integer %s" key

@@ -354,63 +354,123 @@ let test_federation_kind_mismatch_rejected () =
          in
          find 0)
 
+(* The router's stats path over two real services' scrapes. Each replica
+   hits its cache at 0.8: [misses] distinct queries solved in [batches]
+   equal batches, then each asked 4 more times. Counters sum, the ratios
+   are recomputed from the summed counters (0.8 stays 0.8; 11 queries in
+   3 batches), no gauge has a total, and each replica's entry is its own
+   [stats]. *)
 let test_federation_stats_totals () =
-  let stats served depth =
-    J.Obj
-      [
-        ("served", J.Int served);
-        ("queue_depth", J.Int depth);
-        ("mode", J.String "demand");
-      ]
+  let b = Lazy.force Serve_mix.check in
+  let vars = List.sort_uniq compare (Array.to_list b.P.Suite.queries) in
+  let replica ~misses ~batches =
+    let svc = Serve_mix.service b in
+    (* Wall clock, so the stage counters stay microsecond sized. *)
+    let now = Unix.gettimeofday in
+    let ask id v =
+      P.Service.submit svc ~now:(now ())
+        ~respond:(fun _ -> ())
+        (P.Svc_protocol.Query
+           {
+             id;
+             var = Printf.sprintf "#%d" v;
+             budget = None;
+             deadline_ms = None;
+             trace = None;
+           })
+    in
+    let mine = List.filteri (fun i _ -> i < misses) vars in
+    List.iteri
+      (fun i v ->
+        ask i v;
+        if (i + 1) mod (misses / batches) = 0 then
+          ignore (P.Service.pump svc ~now:(now ())))
+      mine;
+    List.iteri (fun i v -> for k = 1 to 4 do ask ((100 * k) + i) v done) mine;
+    svc
   in
-  let merged = F.merge_stats [ (0, stats 10 2); (1, stats 5 1) ] in
+  let svcs = [ replica ~misses:6 ~batches:2; replica ~misses:5 ~batches:1 ] in
+  let merged =
+    match
+      P.Router.federated_stats
+        (List.mapi (fun i svc -> (i, P.Service.metrics_text svc)) svcs)
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "federated stats: %s" e
+  in
+  let fields = function J.Obj f -> f | _ -> Alcotest.fail "not an object" in
+  let own = List.map (fun svc -> fields (P.Service.stats svc)) svcs in
+  List.iter P.Service.shutdown svcs;
   (match J.member "replicas" merged with
   | Some (J.Int 2) -> ()
   | _ -> Alcotest.fail "replicas count");
-  (match J.member "totals" merged with
-  | Some totals -> (
-      (match J.member "served" totals with
-      | Some (J.Int 15) -> ()
-      | _ -> Alcotest.fail "served sums");
-      match J.member "mode" totals with
-      | None -> ()
-      | Some _ -> Alcotest.fail "non-numeric fields must not be summed")
-  | None -> Alcotest.fail "totals present");
-  (match J.member "per_replica" merged with
-  | Some (J.List [ _; _ ]) -> ()
-  | _ -> Alcotest.fail "per-replica stats kept verbatim");
-  (* Real replica payloads: ratios are recomputed from the summed
-     counters, never summed themselves, and float gauges stay per
-     replica. Both replicas hit at 0.8, so the cluster does too. *)
-  let replica ~hits ~misses ~batches ~batched =
-    let m = P.Svc_metrics.create () in
-    P.Svc_metrics.add m P.Svc_metrics.Cache_hit hits;
-    P.Svc_metrics.add m P.Svc_metrics.Cache_miss misses;
-    P.Svc_metrics.add m P.Svc_metrics.Batches batches;
-    P.Svc_metrics.add m P.Svc_metrics.Batched_queries batched;
-    P.Svc_metrics.to_json m ~queue_depth:1 ~cache_size:3 ~in_flight:0
+  let totals =
+    match J.member "totals" merged with
+    | Some t -> fields t
+    | None -> Alcotest.fail "totals present"
   in
-  let merged =
-    F.merge_stats
-      [
-        (0, replica ~hits:8 ~misses:2 ~batches:2 ~batched:6);
-        (1, replica ~hits:4 ~misses:1 ~batches:1 ~batched:5);
-      ]
-  in
-  let total k = Option.bind (J.member "totals" merged) (J.member k) in
-  (match total "cache_hit_rate" with
+  (match List.assoc_opt "cache_hit_rate" totals with
   | Some (J.Float r) -> Alcotest.(check (float 1e-9)) "hit rate" 0.8 r
   | _ -> Alcotest.fail "cache_hit_rate total");
-  (match total "mean_batch_size" with
+  (match List.assoc_opt "mean_batch_size" totals with
   | Some (J.Float r) ->
       Alcotest.(check (float 1e-9)) "mean batch" (11.0 /. 3.0) r
   | _ -> Alcotest.fail "mean_batch_size total");
-  (match total "cache_hits" with
-  | Some (J.Int 12) -> ()
+  (match List.assoc_opt "cache_hits" totals with
+  | Some (J.Int 44) -> ()
   | _ -> Alcotest.fail "cache_hits sums");
-  match total "uptime_s" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "float gauges must not be summed"
+  (* Every other total is a counter, summed over the replicas. *)
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | J.Int n ->
+          Alcotest.(check int) ("sum of " ^ k) n
+            (List.fold_left
+               (fun acc f ->
+                 match List.assoc_opt k f with
+                 | Some (J.Int m) -> acc + m
+                 | _ -> Alcotest.failf "replica lacks %s" k)
+               0 own)
+      | _ when k = "cache_hit_rate" || k = "mean_batch_size" -> ()
+      | _ -> Alcotest.failf "total %s is not a counter" k)
+    totals;
+  List.iter
+    (fun k ->
+      if List.mem_assoc k totals then
+        Alcotest.failf "gauge %s must not be summed" k)
+    [
+      "queue_depth"; "in_flight"; "cache_size"; "uptime_s"; "generation";
+      "jmp_edges"; "steps_per_second"; "threads"; "mode"; "oracle_live";
+    ];
+  (* Each replica's entry is that service's own [stats], on every int and
+     string field (floats went through the exposition's 12 digits). *)
+  match J.member "per_replica" merged with
+  | Some (J.List entries) ->
+      Alcotest.(check int) "one entry per replica" 2 (List.length entries);
+      List.iteri
+        (fun i e ->
+          (match J.member "replica" e with
+          | Some (J.Int r) -> Alcotest.(check int) "replica index" i r
+          | _ -> Alcotest.fail "entry lacks its replica index");
+          let viewed =
+            match J.member "stats" e with
+            | Some s -> fields s
+            | None -> Alcotest.fail "entry lacks stats"
+          in
+          let exact f =
+            List.filter
+              (function _, (J.Int _ | J.String _) -> true | _ -> false)
+              f
+          in
+          let own = List.nth own i in
+          Alcotest.(check (list string)) "same keys" (List.map fst own)
+            (List.map fst viewed);
+          if exact viewed <> exact own then
+            Alcotest.failf "replica %d: %s <> %s" i
+              (J.to_string (J.Obj viewed))
+              (J.to_string (J.Obj own)))
+        entries
+  | _ -> Alcotest.fail "per_replica list"
 
 let test_federation_slowlog_order_and_limit () =
   let entry lat at = J.Obj [ ("latency_us", J.Float lat); ("at", J.Float at) ] in
@@ -554,9 +614,7 @@ let test_snapshot_warmed_joiner () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "import: %s" e);
     let responses = Serve_mix.drive svc first in
-    let hits =
-      P.Svc_metrics.get (P.Service.metrics svc) P.Svc_metrics.Oracle_hit
-    in
+    let hits = Serve_mix.stat svc "oracle_hits" in
     P.Service.shutdown svc;
     (Serve_mix.completed responses, hits, Serve_mix.steps responses)
   in

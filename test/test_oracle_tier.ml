@@ -330,6 +330,15 @@ let drive_and_table svc queries =
   P.Service.drain svc ~now:1e6;
   table
 
+let submit_one svc ~id ~var ~budget ~deadline_ms =
+  let got = ref None in
+  P.Service.submit svc ~now:0.0
+    ~respond:(fun r -> got := Some r)
+    (P.Svc_protocol.Query { id; var; budget; deadline_ms; trace = None });
+  ignore (P.Service.pump svc ~now:0.0);
+  P.Service.drain svc ~now:0.0;
+  !got
+
 let test_service_identity () =
   let b, off = make_service ~oracle:false () in
   let _, on = make_service ~oracle:true () in
@@ -346,16 +355,26 @@ let test_service_identity () =
       if payload "off" off_t <> payload "on" on_t then
         Alcotest.failf "request %d differs between the arms" i)
     queries;
-  let m = P.Service.metrics on in
+  let stat = Serve_mix.stat on in
   Alcotest.(check int) "every request was an oracle hit"
-    (Array.length queries)
-    (P.Svc_metrics.get m P.Svc_metrics.Oracle_hit);
+    (Array.length queries) (stat "oracle_hits");
   (* The tier sits before the cache: oracle traffic never touches it. *)
   Alcotest.(check int) "no cache lookups behind the tier" 0
-    (P.Svc_metrics.get m P.Svc_metrics.Cache_hit
-    + P.Svc_metrics.get m P.Svc_metrics.Cache_miss);
+    (stat "cache_hits" + stat "cache_misses");
   Alcotest.(check int) "off arm never counts oracle hits" 0
-    (P.Svc_metrics.get (P.Service.metrics off) P.Svc_metrics.Oracle_hit);
+    (Serve_mix.stat off "oracle_hits");
+  (* One refined request, then [stats] reports the tier live, both of its
+     outcomes, and the live artefact's shape. *)
+  ignore
+    (submit_one on ~id:999 ~var:"#0" ~budget:(Some 4000) ~deadline_ms:None);
+  Alcotest.(check int) "stats reports the tier live" 1 (stat "oracle_live");
+  Alcotest.(check bool) "hits actually flowed" true (stat "oracle_hits" > 0);
+  Alcotest.(check bool) "miss actually flowed" true (stat "oracle_misses" > 0);
+  (match P.Svc_engine.oracle (P.Service.engine on) with
+  | Some o ->
+      Alcotest.(check int) "stats: the live oracle's distinct rows"
+        (P.Oracle.distinct_rows o) (stat "oracle_distinct_rows")
+  | None -> Alcotest.fail "on arm lost its oracle");
   P.Service.shutdown off;
   P.Service.shutdown on;
   (* The serving mix: 400 requests, every one an oracle hit with the
@@ -366,10 +385,8 @@ let test_service_identity () =
   let arm oracle =
     let svc = Serve_mix.service ~context_sensitive:false ~oracle b in
     let responses = Serve_mix.drive svc vars in
-    let m = P.Service.metrics svc in
     let counts =
-      ( P.Svc_metrics.get m P.Svc_metrics.Oracle_hit,
-        P.Svc_metrics.get m P.Svc_metrics.Batches )
+      (Serve_mix.stat svc "oracle_hits", Serve_mix.stat svc "batches")
     in
     P.Service.shutdown svc;
     (responses, counts)
@@ -457,18 +474,9 @@ let test_oracle_completes_budget_bound () =
         warm)
     [ ("avrora", 181); ("luindex", 211) ]
 
-let submit_one svc ~id ~var ~budget ~deadline_ms =
-  let got = ref None in
-  P.Service.submit svc ~now:0.0
-    ~respond:(fun r -> got := Some r)
-    (P.Svc_protocol.Query { id; var; budget; deadline_ms; trace = None });
-  ignore (P.Service.pump svc ~now:0.0);
-  P.Service.drain svc ~now:0.0;
-  !got
-
 let test_refined_falls_through () =
   let _, svc = make_service ~oracle:true () in
-  let m = P.Service.metrics svc in
+  let stat = Serve_mix.stat svc in
   (* A budgeted request must get the solver's semantics, not the oracle's
      exhaustive answer — it falls through and counts a miss. *)
   (match
@@ -476,8 +484,7 @@ let test_refined_falls_through () =
    with
   | Some (P.Svc_protocol.Answer _) | Some (P.Svc_protocol.Timeout _) -> ()
   | _ -> Alcotest.fail "budgeted request got no solver response");
-  Alcotest.(check int) "budget refinement is a miss" 1
-    (P.Svc_metrics.get m P.Svc_metrics.Oracle_miss);
+  Alcotest.(check int) "budget refinement is a miss" 1 (stat "oracle_misses");
   (match
      submit_one svc ~id:1 ~var:"#0" ~budget:None
        ~deadline_ms:(Some 1_000_000.0)
@@ -485,9 +492,8 @@ let test_refined_falls_through () =
   | Some (P.Svc_protocol.Answer _) | Some (P.Svc_protocol.Timeout _) -> ()
   | _ -> Alcotest.fail "deadlined request got no solver response");
   Alcotest.(check int) "deadline refinement is a miss" 2
-    (P.Svc_metrics.get m P.Svc_metrics.Oracle_miss);
-  Alcotest.(check int) "refined traffic never hits" 0
-    (P.Svc_metrics.get m P.Svc_metrics.Oracle_hit);
+    (stat "oracle_misses");
+  Alcotest.(check int) "refined traffic never hits" 0 (stat "oracle_hits");
   P.Service.shutdown svc
 
 let test_generation_death () =
@@ -505,7 +511,7 @@ let test_generation_death () =
   | Some (P.Svc_protocol.Answer _) -> ()
   | _ -> Alcotest.fail "post-load request was not answered by the solver");
   Alcotest.(check int) "fallback counted" 1
-    (P.Svc_metrics.get (P.Service.metrics svc) P.Svc_metrics.Oracle_fallback);
+    (Serve_mix.stat svc "oracle_fallbacks");
   P.Service.shutdown svc
 
 let test_cs_service_never_builds () =
@@ -516,7 +522,7 @@ let test_cs_service_never_builds () =
   | Some (P.Svc_protocol.Answer _) -> ()
   | _ -> Alcotest.fail "CS request was not answered by the solver");
   Alcotest.(check int) "CS tier degrades as fallback" 1
-    (P.Svc_metrics.get (P.Service.metrics svc) P.Svc_metrics.Oracle_fallback);
+    (Serve_mix.stat svc "oracle_fallbacks");
   (* And an import can never smuggle CI rows into a CS engine. *)
   let text =
     P.Oracle.export (P.Oracle.build ~generation:0 (Lazy.force tiny).P.Suite.pag)
@@ -528,14 +534,12 @@ let test_cs_service_never_builds () =
 
 let test_import_arms_tier () =
   let b, svc = make_service ~oracle:false () in
-  let m = P.Service.metrics svc in
+  let stat = Serve_mix.stat svc in
   (* Without the tier, budget-free traffic takes the normal path and no
      oracle counter moves. *)
   ignore (submit_one svc ~id:0 ~var:"#0" ~budget:None ~deadline_ms:None);
   Alcotest.(check int) "tier off: no oracle accounting" 0
-    (P.Svc_metrics.get m P.Svc_metrics.Oracle_hit
-    + P.Svc_metrics.get m P.Svc_metrics.Oracle_miss
-    + P.Svc_metrics.get m P.Svc_metrics.Oracle_fallback);
+    (stat "oracle_hits" + stat "oracle_misses" + stat "oracle_fallbacks");
   let donor = P.Oracle.build ~generation:0 b.P.Suite.pag in
   (match P.Service.import_oracle svc (P.Oracle.export donor) with
   | Error e -> Alcotest.failf "import refused: %s" e
@@ -553,8 +557,7 @@ let test_import_arms_tier () =
       in
       Alcotest.(check (list string)) "armed answer = donor rows" expect objects
   | _ -> Alcotest.fail "armed tier did not answer");
-  Alcotest.(check int) "post-import hit" 1
-    (P.Svc_metrics.get m P.Svc_metrics.Oracle_hit);
+  Alcotest.(check int) "post-import hit" 1 (stat "oracle_hits");
   P.Service.shutdown svc
 
 (* A snapshot of another PAG passes the generation check (every fresh
@@ -588,80 +591,12 @@ let test_import_other_pag_refused () =
             (match r with
             | Some r -> P.Svc_protocol.response_to_string r
             | None -> "no response"));
-      let m = P.Service.metrics svc in
-      Alcotest.(check int) "the solver answered" 1
-        (P.Svc_metrics.get m P.Svc_metrics.Batches);
+      let stat = Serve_mix.stat svc in
+      Alcotest.(check int) "the solver answered" 1 (stat "batches");
       Alcotest.(check int) "no oracle accounting" 0
-        (P.Svc_metrics.get m P.Svc_metrics.Oracle_hit
-        + P.Svc_metrics.get m P.Svc_metrics.Oracle_fallback);
+        (stat "oracle_hits" + stat "oracle_fallbacks");
       P.Service.shutdown svc)
     [ (small, big); (big, small) ]
-
-(* --------------------- stats/exposition parity --------------------- *)
-
-let counter_value fams name =
-  List.find_map
-    (function
-      | P.Expo.Counter { name = n; samples = [ { P.Expo.value; _ } ]; _ }
-        when n = name ->
-          Some value
-      | _ -> None)
-    fams
-
-let gauge_value fams name =
-  List.find_map
-    (function
-      | P.Expo.Gauge { name = n; samples = [ { P.Expo.value; _ } ]; _ }
-        when n = name ->
-          Some value
-      | _ -> None)
-    fams
-
-let stats_int stats field =
-  match P.Json.member field stats with
-  | Some (P.Json.Int i) -> i
-  | _ -> Alcotest.failf "stats field %s missing or not an int" field
-
-let test_metrics_parity () =
-  let b, svc = make_service ~oracle:true () in
-  ignore (drive_and_table svc b.P.Suite.queries);
-  (* One refined request so the miss counter is nonzero too. *)
-  ignore (submit_one svc ~id:999 ~var:"#0" ~budget:(Some 4000) ~deadline_ms:None);
-  let stats = P.Service.metrics_json svc in
-  let fams =
-    match P.Expo.parse_families (P.Service.metrics_text svc) with
-    | Ok fams -> fams
-    | Error e -> Alcotest.failf "exposition did not parse: %s" e
-  in
-  List.iter
-    (fun (stat_field, family) ->
-      match counter_value fams family with
-      | None -> Alcotest.failf "exposition lacks %s" family
-      | Some v ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s = %s" stat_field family)
-            (stats_int stats stat_field) (int_of_float v))
-    [
-      ("oracle_hits", "parcfl_oracle_hits_total");
-      ("oracle_misses", "parcfl_oracle_misses_total");
-      ("oracle_fallbacks", "parcfl_oracle_fallbacks_total");
-    ];
-  Alcotest.(check bool) "hits actually flowed" true
-    (stats_int stats "oracle_hits" > 0);
-  Alcotest.(check bool) "miss actually flowed" true
-    (stats_int stats "oracle_misses" > 0);
-  (match gauge_value fams "parcfl_oracle_live" with
-  | Some 1.0 -> ()
-  | v -> Alcotest.failf "parcfl_oracle_live = %s" (match v with Some f -> string_of_float f | None -> "absent"));
-  (match gauge_value fams "parcfl_oracle_distinct_rows" with
-  | Some v ->
-      Alcotest.(check int) "distinct rows agree"
-        (stats_int stats "oracle_distinct_rows")
-        (int_of_float v)
-  | None -> Alcotest.fail "exposition lacks parcfl_oracle_distinct_rows");
-  Alcotest.(check int) "stats reports the tier live" 1
-    (stats_int stats "oracle_live");
-  P.Service.shutdown svc
 
 let suite =
   ( "oracle_tier",
@@ -690,5 +625,4 @@ let suite =
         test_oracle_cuts_steps;
       Alcotest.test_case "oracle completes budget-bound mixes" `Slow
         test_oracle_completes_budget_bound;
-      Alcotest.test_case "stats/exposition parity" `Quick test_metrics_parity;
     ] )

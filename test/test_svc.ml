@@ -512,11 +512,9 @@ let prop_batching_policy =
         | Some c -> QCheck.Test.fail_reportf "request %d answered %d times" id c
         | None -> QCheck.Test.fail_reportf "request %d never answered" id
       done;
-      let m = P.Service.metrics svc in
-      let get = P.Svc_metrics.get m in
-      get P.Svc_metrics.Flush_full + get P.Svc_metrics.Flush_idle
-      + get P.Svc_metrics.Flush_forced
-      = get P.Svc_metrics.Batches)
+      let get = Serve_mix.stat svc in
+      get "flushes_full" + get "flushes_idle" + get "flushes_forced"
+      = get "batches")
 
 let test_drain_completes_inflight () =
   let b, svc = make_service () in
@@ -630,11 +628,12 @@ let test_stats_count_hits () =
   ignore (P.Service.pump svc ~now:0.0);
   P.Service.submit svc ~now:1.0 ~respond (query 2 v);
   P.Service.submit svc ~now:1.0 ~respond (query 3 v);
-  let m = P.Service.metrics svc in
   Alcotest.(check bool) "cache hits counted" true
-    (P.Svc_metrics.get m P.Svc_metrics.Cache_hit >= 2);
+    (Serve_mix.stat svc "cache_hits" >= 2);
   Alcotest.(check bool) "hit rate positive" true
-    (P.Svc_metrics.cache_hit_rate m > 0.0);
+    (match P.Json.member "cache_hit_rate" (P.Service.stats svc) with
+    | Some (P.Json.Float r) -> r > 0.0
+    | _ -> false);
   (* The stats request carries the same counters over the wire. *)
   let seen = ref None in
   P.Service.submit svc ~now:1.0
@@ -713,18 +712,17 @@ let test_breakdown_sums_to_latency () =
       Alcotest.failf "expected an answer, got %s"
         (match r with Some r -> Proto.response_to_string r | None -> "none"));
   (* The same stages feed the service counters and the stats payload. *)
-  let m = P.Service.metrics svc in
   let stage_total =
     List.fold_left
-      (fun acc c -> acc + P.Svc_metrics.get m c)
+      (fun acc k -> acc + Serve_mix.stat svc k)
       0
       [
-        P.Svc_metrics.Stage_queue_us; P.Svc_metrics.Stage_batch_us;
-        P.Svc_metrics.Stage_solve_us; P.Svc_metrics.Stage_respond_us;
+        "stage_queue_wait_us"; "stage_batch_wait_us"; "stage_solve_us";
+        "stage_respond_us";
       ]
   in
   Alcotest.(check bool) "stage counters accumulated" true (stage_total >= 0);
-  (match P.Service.metrics_json svc with
+  (match P.Service.stats svc with
   | P.Json.Obj fields ->
       Alcotest.(check bool) "stats has in_flight" true
         (List.assoc_opt "in_flight" fields = Some (P.Json.Int 0));

@@ -338,7 +338,7 @@ let test_tracer_dropped_footer () =
 
 let tiny = lazy (Option.get (P.Suite.build_by_name "tiny"))
 
-let make_service () =
+let make_service ?(oracle = false) () =
   let b = Lazy.force tiny in
   let config =
     {
@@ -346,6 +346,8 @@ let make_service () =
       P.Service.threads = 1;
       max_batch = 8;
       slowlog_capacity = 3;
+      context_sensitive = not oracle;
+      oracle;
     }
   in
   (b, P.Service.create ~config ~type_level:b.P.Suite.type_level b.P.Suite.pag)
@@ -367,7 +369,102 @@ let drive_queries svc queries =
       ignore (P.Service.pump svc ~now:(float_of_int i)))
     queries
 
+(* The golden shape of a service's telemetry: every [stats] key in wire
+   order with its JSON kind, and the exposition's family names. A family
+   exported twice, a key renamed, or a family added or dropped shows up
+   here. A CI service with the oracle tier answers every plain query from
+   the tier, so no batch runs and [steps_per_second] is [null]; a CS
+   service has no live oracle, so the oracle-shape families carry no
+   sample and their keys are absent. *)
+let golden_stats ~oracle =
+  let ints = List.map (fun k -> (k, "int")) in
+  ints
+    [
+      "admitted"; "rejected"; "cache_hits"; "cache_misses"; "completed";
+      "timeouts_budget"; "timeouts_deadline"; "batches"; "batched_queries";
+      "coalesced"; "flushes_full"; "flushes_idle"; "flushes_forced";
+      "sched_groups"; "early_terminations"; "stage_queue_wait_us";
+      "stage_batch_wait_us"; "stage_solve_us"; "stage_respond_us";
+      "oracle_hits"; "oracle_misses"; "oracle_fallbacks"; "explains_ok";
+      "explains_miss";
+    ]
+  @ [ ("cache_hit_rate", "float"); ("mean_batch_size", "float") ]
+  @ ints [ "queue_depth"; "in_flight"; "cache_size" ]
+  @ [ ("uptime_s", "float") ]
+  @ ints
+      [
+        "generation"; "jmp_edges"; "jmp_hits"; "jmp_misses"; "jmp_finished";
+        "jmp_unfinished"; "cache_evictions";
+      ]
+  @ [
+      ("steps_per_second", if oracle then "null" else "float");
+      ("threads", "int"); ("mode", "string"); ("oracle_live", "int");
+    ]
+  @
+  if oracle then
+    [
+      ("oracle_build_seconds", "float"); ("oracle_compressed_bytes", "int");
+      ("oracle_distinct_rows", "int");
+    ]
+  else []
+
+let golden_families =
+  [
+    "parcfl_cache_capacity"; "parcfl_cache_eviction_age_ticks";
+    "parcfl_cache_evictions_total"; "parcfl_cache_size"; "parcfl_jmp_edges";
+    "parcfl_jmp_finished_total"; "parcfl_jmp_hits_total";
+    "parcfl_jmp_misses_total"; "parcfl_jmp_unfinished_total";
+    "parcfl_oracle_build_seconds"; "parcfl_oracle_compressed_bytes";
+    "parcfl_oracle_distinct_rows"; "parcfl_oracle_fallbacks_total";
+    "parcfl_oracle_hits_total"; "parcfl_oracle_live";
+    "parcfl_oracle_misses_total"; "parcfl_sched_early_terminations_total";
+    "parcfl_sched_group_size"; "parcfl_sched_groups_total";
+    "parcfl_solver_minor_words_per_query"; "parcfl_stage_seconds";
+    "parcfl_svc_admitted_total"; "parcfl_svc_batched_queries_total";
+    "parcfl_svc_batches_total"; "parcfl_svc_cache_hits_total";
+    "parcfl_svc_cache_misses_total"; "parcfl_svc_coalesced_total";
+    "parcfl_svc_completed_total"; "parcfl_svc_explains_miss_total";
+    "parcfl_svc_explains_ok_total"; "parcfl_svc_flushes_forced_total";
+    "parcfl_svc_flushes_full_total"; "parcfl_svc_flushes_idle_total";
+    "parcfl_svc_generation"; "parcfl_svc_healthy"; "parcfl_svc_in_flight";
+    "parcfl_svc_info"; "parcfl_svc_latency_us"; "parcfl_svc_queue_depth";
+    "parcfl_svc_rejected_total"; "parcfl_svc_stage_batch_wait_us_total";
+    "parcfl_svc_stage_queue_wait_us_total";
+    "parcfl_svc_stage_respond_us_total"; "parcfl_svc_stage_solve_us_total";
+    "parcfl_svc_steps"; "parcfl_svc_steps_per_second"; "parcfl_svc_threads";
+    "parcfl_svc_timeouts_budget_total"; "parcfl_svc_timeouts_deadline_total";
+    "parcfl_svc_uptime_seconds"; "parcfl_witness_chain_depth";
+    "parcfl_witness_explain_latency_us"; "parcfl_worker_busy_us_total";
+  ]
+
+let json_kind = function
+  | P.Json.Int _ -> "int"
+  | P.Json.Float _ -> "float"
+  | P.Json.String _ -> "string"
+  | P.Json.Null -> "null"
+  | _ -> "other"
+
+let check_golden_shape ~oracle =
+  let b, svc = make_service ~oracle () in
+  drive_queries svc b.P.Suite.queries;
+  let what = if oracle then "CI+oracle" else "CS" in
+  (match P.Service.stats svc with
+  | P.Json.Obj fields ->
+      Alcotest.(check (list (pair string string)))
+        (what ^ " stats keys and kinds") (golden_stats ~oracle)
+        (List.map (fun (k, v) -> (k, json_kind v)) fields)
+  | _ -> Alcotest.fail "stats is not an object");
+  (match E.parse_families (P.Service.metrics_text svc) with
+  | Ok fams ->
+      Alcotest.(check (list string))
+        (what ^ " exposition families") golden_families
+        (List.map E.family_name fams)
+  | Error e -> Alcotest.failf "scrape did not parse: %s" e);
+  P.Service.shutdown svc
+
 let test_service_exposition () =
+  check_golden_shape ~oracle:true;
+  check_golden_shape ~oracle:false;
   let b, svc = make_service () in
   drive_queries svc b.P.Suite.queries;
   let text = P.Service.metrics_text svc in
