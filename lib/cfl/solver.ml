@@ -921,19 +921,22 @@ let traced_run s worker l =
   | exception Out_of_budget_exn _ -> None
   | _ -> Some tr
 
+(* Each traced object's first recorded fact (any context), in the facts
+   table's iteration order: object -> (object context, holder). *)
+let holders_of_trace tr =
+  let by_obj = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun fk holder ->
+      let o = Pack.hi fk in
+      if not (Hashtbl.mem by_obj o) then
+        Hashtbl.add by_obj o (Pack.lo fk, holder))
+    tr.facts;
+  by_obj
+
 (* Walk the trace's parent chain from [o]'s allocation holder back to the
    query variable. *)
-let witness_of_trace tr o =
-  (* Find any recorded fact for this object (any context). *)
-  let found =
-    Hashtbl.fold
-      (fun fk holder acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> if Pack.hi fk = o then Some (Pack.lo fk, holder) else None)
-      tr.facts None
-  in
-  match found with
+let witness_of_trace tr holders o =
+  match Hashtbl.find_opt holders o with
   | None -> None
   | Some (obj_ctx, (hx, hc)) ->
       (* Walk parents from the holder back to the query variable; the
@@ -976,12 +979,17 @@ let witness_of_trace tr o =
           obj_ctx = Ctx.unsafe_of_int obj_ctx;
         }
 
-(* Explain why [l] may point to [o]: one traced re-run, then the parent
-   walk. *)
-let explain ?(worker = 0) s l o =
+(* Explain why [l] may point to each of [os]: one traced re-run, then one
+   parent walk per object. *)
+let explain_many ?(worker = 0) s l os =
   match traced_run s worker l with
-  | None -> None
-  | Some tr -> witness_of_trace tr o
+  | None -> List.map (fun _ -> None) os
+  | Some tr ->
+      let holders = holders_of_trace tr in
+      List.map (witness_of_trace tr holders) os
+
+let explain ?worker s l o =
+  match explain_many ?worker s l [ o ] with [ w ] -> w | _ -> None
 
 let may_alias ?(worker = 0) s v1 v2 =
   let o1 = points_to ~worker s v1 in

@@ -148,3 +148,14 @@ val explain :
 (** [explain s l o] re-runs the query with provenance tracing (data sharing
     disabled for this query) and returns a witness path when [o] is indeed
     in [l]'s points-to set within budget; [None] otherwise. *)
+
+val explain_many :
+  ?worker:int ->
+  session ->
+  Parcfl_pag.Pag.var ->
+  Parcfl_pag.Pag.obj list ->
+  Witness.t option list
+(** [explain_many s l os] is [List.map (explain s l) os] from a single
+    traced re-run of [l]'s query instead of one per object: explaining a
+    whole answer costs one query, not one per object. Every entry is
+    [None] when the traced run exhausts its budget. *)

@@ -152,6 +152,56 @@ let test_witness_completeness () =
     bench.Parcfl.Suite.queries;
   Alcotest.(check bool) "checked some facts" true (!checked > 0)
 
+(* One traced run explains a whole answer exactly as one [explain] call
+   per object does, non-facts included; a traced run that exhausts its
+   budget leaves every entry [None]. *)
+let test_explain_many () =
+  let bench = Parcfl.Suite.build Parcfl.Profile.tiny in
+  let pag = bench.Parcfl.Suite.pag in
+  let s = session pag in
+  let witnesses = ref 0 in
+  Array.iter
+    (fun v ->
+      let answer =
+        Parcfl.Query.objects (Solver.points_to s v).Parcfl.Query.result
+      in
+      let non_facts =
+        List.filter
+          (fun o -> not (List.mem o answer))
+          (List.init (Pag.n_objs pag) Fun.id)
+      in
+      let objs = answer @ List.filteri (fun i _ -> i < 2) non_facts in
+      let many = Solver.explain_many s v objs in
+      List.iter2
+        (fun o w ->
+          if w <> Solver.explain s v o then
+            Alcotest.failf "explain_many differs from explain at (%s, %s)"
+              (Pag.var_name pag v) (Pag.obj_name pag o);
+          if w <> None then incr witnesses)
+        objs many)
+    bench.Parcfl.Suite.queries;
+  Alcotest.(check bool) "explained some facts" true (!witnesses > 0);
+  let b = B.create () in
+  let x = B.add_var b "x" in
+  let y = B.add_var b "y" in
+  let z = B.add_var b "z" in
+  let o = B.add_obj b "o" in
+  B.new_edge b ~dst:x o;
+  B.assign b ~dst:y ~src:x;
+  B.assign b ~dst:z ~src:y;
+  let pag = B.freeze b in
+  let starved =
+    Solver.make_session
+      ~config:{ Config.default with budget = 1 }
+      ~ctx_store:(Ctx.create_store ()) pag
+  in
+  Alcotest.(check bool) "single explain starves" true
+    (Solver.explain starved z o = None);
+  Alcotest.(check bool) "every entry None when the budget runs out" true
+    (Solver.explain_many starved z [ o; o ] = [ None; None ]);
+  Alcotest.(check bool) "the same chain explains with a budget" true
+    (Solver.explain_many (session pag) z [ o ] <> [ None ])
+
 let suite =
   ( "witness",
     [
@@ -162,4 +212,6 @@ let suite =
       Alcotest.test_case "pretty printing" `Quick test_witness_pp;
       Alcotest.test_case "completeness on generated code" `Quick
         test_witness_completeness;
+      Alcotest.test_case "explain_many = explain per object" `Quick
+        test_explain_many;
     ] )
