@@ -34,8 +34,10 @@ type measurements = {
   bench : P.Suite.t;
   seq_real : P.Report.t Lazy.t;
   d1_real : P.Report.t Lazy.t;
+  d1_store : P.Jmp_store.t;  (* d1_real's jmp store, read by fig7 *)
   dq1_real : P.Report.t Lazy.t;
   d1_real_noopt : P.Report.t Lazy.t;
+  d1_noopt_store : P.Jmp_store.t;
   naive16_sim : P.Report.t Lazy.t;
   d16_sim : P.Report.t Lazy.t;
   dq_sim : int -> P.Report.t;
@@ -56,20 +58,26 @@ let make_measurements bench =
   let queries = bench.P.Suite.queries in
   let pag = bench.P.Suite.pag in
   let type_level = bench.P.Suite.type_level in
-  let run ?(tau_f = tau_f) ?(tau_u = tau_u) mode threads =
-    P.Runner.run ~tau_f ~tau_u ~type_level ~solver_config ~mode ~threads
-      ~queries pag
+  let run ?(tau_f = tau_f) ?(tau_u = tau_u) ?store mode threads =
+    (* a caller-owned jmp store comes with the context store it interns in *)
+    let ctx_store = Option.map (fun _ -> P.Ctx.create_store ()) store in
+    P.Runner.run ~tau_f ~tau_u ?store ?ctx_store ~type_level ~solver_config
+      ~mode ~threads ~queries pag
   in
   let simulate ?(tau_f = tau_f) ?(tau_u = tau_u) mode threads =
     P.Runner.simulate ~tau_f ~tau_u ~type_level ~solver_config ~mode ~threads
       ~queries pag
   in
+  let d1_store = P.Jmp_store.create ~tau_f ~tau_u () in
+  let d1_noopt_store = P.Jmp_store.create ~tau_f:1 ~tau_u:1 () in
   {
     bench;
     seq_real = lazy (run P.Mode.Seq 1);
-    d1_real = lazy (run P.Mode.Share 1);
+    d1_real = lazy (run ~store:d1_store P.Mode.Share 1);
+    d1_store;
     dq1_real = lazy (run P.Mode.Share_sched 1);
-    d1_real_noopt = lazy (run ~tau_f:1 ~tau_u:1 P.Mode.Share 1);
+    d1_real_noopt = lazy (run ~store:d1_noopt_store P.Mode.Share 1);
+    d1_noopt_store;
     naive16_sim = lazy (simulate P.Mode.Naive sim_threads);
     d16_sim = lazy (simulate P.Mode.Share sim_threads);
     dq_sim = memo_int_fn (fun t -> simulate P.Mode.Share_sched t);
@@ -240,24 +248,27 @@ let fig6 ms =
 (* ------------------------------------------------------------------ *)
 (* Figure 7                                                             *)
 
+(* log2 buckets of steps saved per jmp edge; the last absorbs overflow. *)
+let fig7_buckets = 17
+
 let fig7 ms =
   Format.printf
     "@.== Fig. 7: histogram of jmp edges by steps saved (all benchmarks) ==@.@.";
-  let buckets = 17 in
-  let agg sel =
-    let fin = Array.make buckets 0 and unf = Array.make buckets 0 in
+  let agg run store =
+    let fin = Array.make fig7_buckets 0 and unf = Array.make fig7_buckets 0 in
     List.iter
       (fun m ->
-        match (sel m : P.Report.t).P.Report.r_jmp_histogram with
-        | Some (f, u) ->
-            Array.iteri (fun i v -> fin.(i) <- fin.(i) + v) f;
-            Array.iteri (fun i v -> unf.(i) <- unf.(i) + v) u
-        | None -> ())
+        ignore (Lazy.force (run m));
+        let f, u = P.Jmp_store.histogram (store m) ~buckets:fig7_buckets in
+        Array.iteri (fun i v -> fin.(i) <- fin.(i) + v) f;
+        Array.iteri (fun i v -> unf.(i) <- unf.(i) + v) u)
       ms;
     (fin, unf)
   in
-  let fin_opt, unf_opt = agg (fun m -> Lazy.force m.d1_real) in
-  let fin_all, unf_all = agg (fun m -> Lazy.force m.d1_real_noopt) in
+  let fin_opt, unf_opt = agg (fun m -> m.d1_real) (fun m -> m.d1_store) in
+  let fin_all, unf_all =
+    agg (fun m -> m.d1_real_noopt) (fun m -> m.d1_noopt_store)
+  in
   P.Histogram.render Format.std_formatter ~bucket_label:P.Histogram.log2_label
     ~series:
       [
@@ -525,48 +536,7 @@ let ablate ms =
         "jmp(both)" ]
     Format.std_formatter rows;
 
-  (* 4. Static assign-closure summaries (related-work family [17]/[26]). *)
-  Format.printf "@.-- static summaries (Seq mode) --@.@.";
-  let rows =
-    List.map
-      (fun m ->
-        let b = m.bench in
-        let pag = b.P.Suite.pag in
-        let summaries = P.Summary.build pag in
-        let ctx_store = P.Ctx.create_store () in
-        let session =
-          P.Solver.make_session ~summaries ~config:solver_config ~ctx_store
-            pag
-        in
-        let t0 = Unix.gettimeofday () in
-        let walked = ref 0 in
-        Array.iter
-          (fun v ->
-            let o = P.Solver.points_to session v in
-            walked := !walked + o.P.Query.steps_walked)
-          b.P.Suite.queries;
-        let wall = Unix.gettimeofday () -. t0 in
-        [
-          b.P.Suite.profile.P.Profile.name;
-          T.fmt_int (P.Summary.n_summarised summaries);
-          T.fmt_int (P.Report.total_walked (Lazy.force m.seq_real));
-          T.fmt_int !walked;
-          T.fmt_float ~decimals:3 (Lazy.force m.seq_real).P.Report.r_wall_seconds;
-          T.fmt_float ~decimals:3 wall;
-        ])
-      ms
-  in
-  T.render
-    ~header:
-      [
-        "Benchmark"; "#summaries"; "#S plain"; "#S summarised"; "wall plain";
-        "wall summ";
-      ]
-    Format.std_formatter rows;
-  Format.printf
-    "(summaries charge the walked closure to the budget, so #S barely      moves; the win is wall-clock: closure pops become one table hit)@.";
-
-  (* 5. Points-to cycle elimination (paper Section IV-A). *)
+  (* 4. Points-to cycle elimination (paper Section IV-A). *)
   Format.printf "@.-- points-to cycle elimination (Seq mode) --@.@.";
   let rows =
     List.map

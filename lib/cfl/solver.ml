@@ -13,13 +13,11 @@ type session = {
   config : Config.t;
   hooks : Hooks.t option;
   matcher : Matcher.t option;
-  summaries : Summary.t option;
   stats : Stats.t;
   tracer : Tracer.t option;
 }
 
-let make_session ?hooks ?matcher ?summaries ?stats ?tracer ~config ~ctx_store
-    pag =
+let make_session ?hooks ?matcher ?stats ?tracer ~config ~ctx_store pag =
   (match (hooks, config.Config.exhaustive) with
   | Some _, true ->
       invalid_arg
@@ -39,7 +37,6 @@ let make_session ?hooks ?matcher ?summaries ?stats ?tracer ~config ~ctx_store
     config;
     hooks;
     matcher;
-    summaries;
     stats = (match stats with Some s -> s | None -> Stats.create ());
     tracer;
   }
@@ -416,28 +413,9 @@ let rec points_to_set q l c : Pair_set.t =
           | None -> push y cx'
           | Some tr -> push_traced tr y cx' (P_ret (i, !cur_v, !cur_c))
       in
-      let on_sum_obj o = acc_add q acc o !cur_c in
-      let on_sum_gsrc y = push y Ctx.empty in
-      let on_sum_carrier y = reachable_nodes q y !cur_c push in
-      let on_sum_param (i, y) =
-        let ci = ctx_match_pop_i q !cur_c i in
-        if ci >= 0 then push y (Ctx.unsafe_of_int ci)
-      in
-      let on_sum_ret (i, y) =
-        let ci = ctx_push_i q !cur_c i in
-        if ci >= 0 then push y (Ctx.unsafe_of_int ci)
-      in
       (match tracing with
       | None -> push l c
       | Some tr -> push_traced tr l c P_start);
-      (* Static assign-closure summaries replace the pop-by-pop walk of a
-         variable's local-assignment closure; disabled under tracing (the
-         skipped pops would leave witness chains dangling). *)
-      let summaries =
-        match (q.s.summaries, q.trace) with
-        | Some s, None -> Some s
-        | _ -> None
-      in
       while not (Vec.is_empty work) do
         let p = Vec.pop_exn work in
         let x = Pack.hi p in
@@ -445,37 +423,20 @@ let rec points_to_set q l c : Pair_set.t =
         cur_v := x;
         cur_c := cx;
         bump q;
-        let se =
-          match summaries with None -> None | Some s -> Summary.find s x
-        in
-        match se with
-        | Some e ->
-            (* Charge what the closure walk would have cost (its pop is
-               already counted above). *)
-            for _ = 2 to e.Summary.cost do
-              bump q
-            done;
-            Array.iter on_sum_obj e.Summary.objs;
-            Array.iter on_sum_gsrc e.Summary.gassign_srcs;
-            Array.iter on_sum_carrier e.Summary.load_carriers;
-            Array.iter on_sum_param e.Summary.params;
-            Array.iter on_sum_ret e.Summary.rets
-        | None -> (
-            Pag.iter_new_in pag x on_new;
-            Pag.iter_assign_in pag x on_assign;
-            Pag.iter_gassign_in pag x on_gassign;
-            (match tracing with
-            | None -> reachable_nodes q x cx push
-            | Some tr ->
-                List.iter
-                  (fun (y, cy, (field, load_base, store_base)) ->
-                    push_traced tr y cy
-                      (P_heap
-                         { p_var = x; p_ctx = cx; field; load_base;
-                           store_base }))
-                  (reachable_nodes_annotated q x cx));
-            Pag.iter_param_in pag x on_param;
-            Pag.iter_ret_in pag x on_ret)
+        Pag.iter_new_in pag x on_new;
+        Pag.iter_assign_in pag x on_assign;
+        Pag.iter_gassign_in pag x on_gassign;
+        (match tracing with
+        | None -> reachable_nodes q x cx push
+        | Some tr ->
+            List.iter
+              (fun (y, cy, (field, load_base, store_base)) ->
+                push_traced tr y cy
+                  (P_heap
+                     { p_var = x; p_ctx = cx; field; load_base; store_base }))
+              (reachable_nodes_annotated q x cx));
+        Pag.iter_param_in pag x on_param;
+        Pag.iter_ret_in pag x on_ret
       done)
 
 (* FlowsTo(o, c): the forward dual; collects every (variable, context)

@@ -25,7 +25,6 @@ type session
 val make_session :
   ?hooks:Hooks.t ->
   ?matcher:Matcher.t ->
-  ?summaries:Summary.t ->
   ?stats:Stats.t ->
   ?tracer:Parcfl_obs.Tracer.t ->
   config:Config.t ->
@@ -34,11 +33,10 @@ val make_session :
   session
 (** [matcher] installs the refinement field-match abstraction (see
     {!Matcher}); unrefined load/store pairs are assumed to alias without a
-    check. [summaries] installs static assign-closure summaries (see
-    {!Summary}) — precision-neutral traversal shortcuts. [tracer] records
-    query start/end, jmp-shortcut hits, early terminations and budget
-    exhaustion per worker (see {!Parcfl_obs.Tracer}); absent, tracing costs
-    one branch per would-be event.
+    check. [tracer] records query start/end, jmp-shortcut hits, early
+    terminations and budget exhaustion per worker (see
+    {!Parcfl_obs.Tracer}); absent, tracing costs one branch per would-be
+    event.
     @raise Invalid_argument when [hooks] is combined with
     [config.exhaustive], or with [matcher]. *)
 

@@ -1,5 +1,5 @@
 module Proto = Parcfl_svc.Protocol
-module Span = Parcfl_svc.Span
+module Span = Parcfl_obs.Span
 module Transport = Parcfl_svc.Transport
 module Tracer = Parcfl_obs.Tracer
 module Registry = Parcfl_telemetry.Registry

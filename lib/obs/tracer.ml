@@ -36,37 +36,12 @@ type ring = {
   mutable last_ts : float;
 }
 
-(* A request's six lifecycle stamps, already converted to trace-relative
-   microseconds (see [of_epoch_us]). Immutable: the ring holds finished
-   spans only, noted once per answered request by the service pump. *)
-type request_span = {
-  rq_id : int;
-  rq_var : int;
-  rq_admit_us : float;
-  rq_batch_us : float;
-  rq_sched_us : float;
-  rq_solve_start_us : float;
-  rq_solve_end_us : float;
-  rq_respond_us : float;
-}
-
-let dummy_span =
-  {
-    rq_id = 0;
-    rq_var = 0;
-    rq_admit_us = 0.0;
-    rq_batch_us = 0.0;
-    rq_sched_us = 0.0;
-    rq_solve_start_us = 0.0;
-    rq_solve_end_us = 0.0;
-    rq_respond_us = 0.0;
-  }
-
 type t = {
   rings : ring array;
   capacity : int;
   t0 : float;
-  spans : request_span array;  (* single writer: the service pump thread *)
+  spans : (int * int * Span.t) array;
+      (* (request id, variable, span); single writer: the service pump *)
   mutable span_count : int;  (* total noted, including overwritten *)
 }
 
@@ -87,14 +62,12 @@ let create ?(capacity = default_capacity) ~workers () =
           });
     capacity;
     t0 = Unix.gettimeofday ();
-    spans = Array.make capacity dummy_span;
+    spans = Array.make capacity (0, 0, Span.create ~admit_us:0.0);
     span_count = 0;
   }
 
-let of_epoch_us t us = us -. (t.t0 *. 1e6)
-
-let note_request t span =
-  t.spans.(t.span_count mod t.capacity) <- span;
+let note_request t ~id ~var span =
+  t.spans.(t.span_count mod t.capacity) <- (id, var, span);
   t.span_count <- t.span_count + 1
 
 let n_requests t = min t.span_count t.capacity
@@ -198,31 +171,34 @@ let assign_lanes ~start_of ~end_of items =
       (it, find 0))
     items
 
-let span_events spans =
+(* Each request renders on its lane as one "request" event spanning its
+   breakdown's total, with the four stage slices laid end to end from the
+   admit stamp: the lane shows exactly the durations the request's
+   response reported. *)
+let span_events t spans =
+  let rel us = us -. (t.t0 *. 1e6) in
   List.concat_map
-    (fun (s, tid) ->
-      let var = s.rq_var in
-      let stage name a b =
-        if b -. a > 0.0 then
-          [ complete ~tid ~name ~ts:a ~dur:(b -. a) ~var () ]
-        else []
+    (fun ((id, var, admit, bd), tid) ->
+      let _, stages =
+        List.fold_left2
+          (fun (ts, acc) name dur ->
+            ( ts +. dur,
+              if dur > 0.0 then complete ~tid ~name ~ts ~dur ~var () :: acc
+              else acc ))
+          (rel admit, []) Span.stage_names (Span.stage_values bd)
       in
-      complete ~tid ~name:"request" ~ts:s.rq_admit_us
-        ~dur:(s.rq_respond_us -. s.rq_admit_us)
+      complete ~tid ~name:"request" ~ts:(rel admit) ~dur:(Span.total_us bd)
         ~var
-        ~args:[ ("id", Json.Int s.rq_id) ]
+        ~args:[ ("id", Json.Int id) ]
         ()
-      :: List.concat
-           [
-             stage "queue" s.rq_admit_us s.rq_batch_us;
-             stage "batch" s.rq_batch_us s.rq_solve_start_us;
-             stage "solve" s.rq_solve_start_us s.rq_solve_end_us;
-             stage "respond" s.rq_solve_end_us s.rq_respond_us;
-           ])
+      :: List.rev stages)
     (assign_lanes
-       ~start_of:(fun s -> s.rq_admit_us)
-       ~end_of:(fun s -> s.rq_respond_us)
-       spans)
+       ~start_of:(fun (_, _, admit, _) -> admit)
+       ~end_of:(fun (_, _, admit, bd) -> admit +. Span.total_us bd)
+       (List.map
+          (fun (id, var, sp) ->
+            (id, var, sp.Span.sp_admit_us, Span.breakdown sp))
+          spans))
 
 let to_json t =
   let evs = ref [] in
@@ -251,7 +227,7 @@ let to_json t =
     else
       process_name ~pid:0 "solver workers"
       :: process_name ~pid:service_pid "service requests"
-      :: span_events (retained_spans t)
+      :: span_events t (retained_spans t)
   in
   Json.Obj
     [
@@ -272,8 +248,8 @@ let write_chrome ~path t = Json.write_file ~path (to_json t)
 (* -------------------------- cluster merge -------------------------- *)
 
 (* A query's five stamps at the router, in absolute epoch microseconds
-   (the router serves several replicas, so unlike [request_span] there is
-   no single tracer [t0] to be relative to). *)
+   (the router serves several replicas, so there is no single tracer
+   [t0] to be relative to). *)
 type router_span = {
   rs_id : int;  (* the client's id — matches the replica lane *)
   rs_rid : int;  (* the rewritten wire correlation id *)

@@ -23,20 +23,6 @@ val kind_name : kind -> string
 
 type t
 
-(** A request's lifecycle stamps in trace-relative microseconds (convert
-    service clocks with {!of_epoch_us}); noted once per answered request
-    by the service, exported as the trace's {e service lane}. *)
-type request_span = {
-  rq_id : int;  (** client request id *)
-  rq_var : int;  (** resolved PAG variable *)
-  rq_admit_us : float;
-  rq_batch_us : float;
-  rq_sched_us : float;
-  rq_solve_start_us : float;
-  rq_solve_end_us : float;
-  rq_respond_us : float;
-}
-
 val create : ?capacity:int -> workers:int -> unit -> t
 (** One ring of [capacity] events (default 65536) per worker in
     [0 .. workers-1], plus one request-span ring of the same capacity.
@@ -44,14 +30,14 @@ val create : ?capacity:int -> workers:int -> unit -> t
 
 val workers : t -> int
 
-val of_epoch_us : t -> float -> float
-(** Convert absolute epoch microseconds (the service's span stamps) to
-    this tracer's timebase (microseconds since {!create}), the clock
-    {!emit} events and exported timestamps use. *)
-
-val note_request : t -> request_span -> unit
-(** Record one finished request span (single-writer: the service pump
-    thread). When the ring is full the oldest span is overwritten. *)
+val note_request : t -> id:int -> var:int -> Span.t -> unit
+(** Record one finished request's span (single writer: the service pump
+    thread), exported as the trace's {e service lane}. [id] is the
+    client's request id, [var] the resolved PAG variable. The span's
+    stamps are absolute epoch microseconds, as the service takes them;
+    the export puts them on this tracer's timebase. The tracer keeps the
+    span itself, so it must not be stamped again after this call. When
+    the ring is full the oldest span is overwritten. *)
 
 val n_requests : t -> int
 (** Request spans currently held. *)
@@ -83,10 +69,12 @@ val to_json : t -> Json.t
     When request spans were noted, the export adds a second pseudo-process
     (pid 1, named ["service requests"]; the worker rings become pid 0
     ["solver workers"]): each request renders as an ["X"] complete event
-    spanning admit→respond with nested stage slices (queue/batch/solve/
-    respond), and overlapping requests are stacked onto separate lanes
-    (tids) assigned greedily in admit order — so one trace file shows a
-    query's queueing and its solve on the same timeline.
+    starting at its admit stamp, with nested stage slices (queue/batch/
+    solve/respond) whose durations are its {!Span.breakdown} — the same
+    figures its response and slowlog entry report — and overlapping
+    requests are stacked onto separate lanes (tids) assigned greedily in
+    admit order — so one trace file shows a query's queueing and its
+    solve on the same timeline.
 
     The top-level [droppedEvents]/[droppedRequestSpans] fields carry
     {!n_dropped}/{!n_dropped_requests}, so a truncated trace declares

@@ -24,7 +24,6 @@ type t = {
   r_n_jumps_finished : int;
   r_n_jumps_unfinished : int;
   r_mean_group_size : float;
-  r_jmp_histogram : (int array * int array) option;
   r_latency_hist : int array;
   r_steps_hist : int array;
   r_minor_words_hist : int array;

@@ -33,10 +33,10 @@ type t = {
   r_stats : Parcfl_cfl.Stats.snapshot;
   r_n_jumps_finished : int;
   r_n_jumps_unfinished : int;
+      (** the jmp store's record counts after the run; the Fig. 7
+          histogram is read from the store itself
+          ({!Parcfl_sharing.Jmp_store.histogram}), not from the report *)
   r_mean_group_size : float;  (** the paper's [S_g]; 0.0 when unscheduled *)
-  r_jmp_histogram : (int array * int array) option;
-      (** (Finished, Unfinished) jmp counts bucketed by log2 steps saved
-          (Fig. 7); [None] without sharing or under simulation *)
   r_latency_hist : int array;
       (** per-query latency counts in {!hist_buckets} log2 buckets;
           sums to the query count *)

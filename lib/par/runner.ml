@@ -58,8 +58,6 @@ let query_stat_of (o : Query.outcome) start_us end_us minor =
     qs_minor_words = minor;
   }
 
-let fig7_buckets = 17
-
 (* A worker failure is surfaced by [Domain_pool.run] (real execution) or
    propagates out of the sequential loop (simulation), so a report is only
    ever built from a fully executed batch; a leftover dummy means a query
@@ -77,8 +75,8 @@ let ensure_complete outcomes =
     outcomes
 
 let finish_report ~mode ~threads ~wall ~sim_makespan ~stats ~jumps
-    ~mean_group_size ~histogram ~group_sizes ~busy ~last_progress ~starts
-    ~ends ~minor outcomes =
+    ~mean_group_size ~group_sizes ~busy ~last_progress ~starts ~ends ~minor
+    outcomes =
   ensure_complete outcomes;
   let nf, nu = jumps in
   let buckets = Report.hist_buckets in
@@ -100,7 +98,6 @@ let finish_report ~mode ~threads ~wall ~sim_makespan ~stats ~jumps
     r_n_jumps_finished = nf;
     r_n_jumps_unfinished = nu;
     r_mean_group_size = mean_group_size;
-    r_jmp_histogram = histogram;
     r_latency_hist = latency_hist;
     r_steps_hist = steps_hist;
     r_minor_words_hist = minor_words_hist;
@@ -212,11 +209,8 @@ let run ?tau_f ?tau_u ?share_directions ?sched_order_within
     | Some s -> (Jmp_store.n_finished s, Jmp_store.n_unfinished s)
     | None -> (0, 0)
   in
-  let histogram =
-    Option.map (fun s -> Jmp_store.histogram s ~buckets:fig7_buckets) store
-  in
   finish_report ~mode ~threads ~wall ~sim_makespan:None ~stats ~jumps
-    ~mean_group_size ~histogram ~group_sizes:(Array.map Array.length units)
+    ~mean_group_size ~group_sizes:(Array.map Array.length units)
     ~busy ~last_progress ~starts ~ends ~minor outcomes
 
 let simulate ?tau_f ?tau_u ?sched_order_within ?sched_order_across
@@ -304,7 +298,7 @@ let simulate ?tau_f ?tau_u ?sched_order_within ?sched_order_across
     | None -> (0, 0)
   in
   finish_report ~mode ~threads ~wall ~sim_makespan:(Some makespan) ~stats
-    ~jumps ~mean_group_size ~histogram:None
+    ~jumps ~mean_group_size
     ~group_sizes:(Array.map Array.length units)
     ~busy:(Array.map float_of_int clocks)
     ~last_progress:(Array.map float_of_int clocks)

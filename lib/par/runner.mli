@@ -58,7 +58,11 @@ val run :
     A caller-owned [store] MUST be paired with the caller-owned
     [ctx_store] its records were interned in: jmp keys and targets carry
     context ids that only that store resolves (a fresh per-run store would
-    raise on them). Pass both or neither.
+    raise on them). Pass both or neither. The report carries only the
+    store's Finished/Unfinished counts; a caller that wants the Fig. 7
+    histogram passes its own [store] and reads
+    {!Parcfl_sharing.Jmp_store.histogram} after the run, so a serving
+    batch never pays a fold over the whole cross-batch store.
     [tracer] records per-worker solver events for Chrome trace export;
     create it with at least [threads] workers. If a worker raises, the
     exception propagates out of [run] — no query is ever silently dropped

@@ -23,6 +23,9 @@ type t = {
   mutable ctx_store : Ctx.store;
       (* jmp records carry context ids; the store that interned them must
          outlive them, so it is renewed exactly when the jmp store is *)
+  retired : int array;
+      (* [jmp_counters] summed over the stores [load] retired: the counts
+         are exported as monotone counters, so a reload must not reset them *)
   mutable generation : int;
   mutable rate : float option;  (* EWMA steps/second *)
   mutable oracle : Oracle.t option;
@@ -32,6 +35,18 @@ type t = {
       (* worker domains persist across batches — spawned on the first
          multi-threaded execute, joined by [shutdown] *)
 }
+
+(* hits, misses, finished, unfinished: the store counts [load] carries
+   over into [retired]. *)
+let jmp_counters =
+  [|
+    Jmp_store.n_hits; Jmp_store.n_misses; Jmp_store.n_finished;
+    Jmp_store.n_unfinished;
+  |]
+
+let jmp_counter i t =
+  t.retired.(i)
+  + match t.store with Some s -> jmp_counters.(i) s | None -> 0
 
 let fresh_store t =
   if Mode.uses_sharing t.mode then
@@ -53,6 +68,7 @@ let create ?(mode = Mode.Share_sched) ?(threads = 4) ?tau_f ?tau_u
       plan = Schedule.prepare ~pag ~type_level;
       store = None;
       ctx_store = Ctx.create_store ();
+      retired = Array.make (Array.length jmp_counters) 0;
       generation = 0;
       rate = None;
       oracle = None;
@@ -105,6 +121,7 @@ let load t ?type_level pag =
   t.pag <- pag;
   t.type_level <- type_level;
   t.plan <- Schedule.prepare ~pag ~type_level;
+  Array.iteri (fun i _ -> t.retired.(i) <- jmp_counter i t) jmp_counters;
   t.store <- fresh_store t;
   t.ctx_store <- Ctx.create_store ();
   t.oracle <- None;
@@ -148,11 +165,10 @@ let import_oracle t text =
 let jmp_edges t =
   match t.store with Some s -> Jmp_store.n_jumps s | None -> 0
 
-let jmp_stat f t = match t.store with Some s -> f s | None -> 0
-let jmp_hits t = jmp_stat Jmp_store.n_hits t
-let jmp_misses t = jmp_stat Jmp_store.n_misses t
-let jmp_finished t = jmp_stat Jmp_store.n_finished t
-let jmp_unfinished t = jmp_stat Jmp_store.n_unfinished t
+let jmp_hits = jmp_counter 0
+let jmp_misses = jmp_counter 1
+let jmp_finished = jmp_counter 2
+let jmp_unfinished = jmp_counter 3
 
 let steps_per_second t = t.rate
 

@@ -55,9 +55,10 @@ val explain :
     thread; cold path by design. *)
 
 val load : t -> ?type_level:(int -> int) -> Parcfl_pag.Pag.t -> unit
-(** Replace the loaded graph: bumps the generation, clears the jmp store
-    and rebuilds the scheduling plan. [type_level] defaults to the previous
-    one (pass it whenever the new graph has its own type hierarchy). *)
+(** Replace the loaded graph: bumps the generation, starts an empty jmp
+    store (the jmp counters keep their totals) and rebuilds the scheduling
+    plan. [type_level] defaults to the previous one (pass it whenever the
+    new graph has its own type hierarchy). *)
 
 val warm_start : t -> unit
 (** Build the O(1) oracle tier for the current generation
@@ -73,10 +74,14 @@ val oracle : t -> Parcfl_oracle.Oracle.t option
     accessor checks. *)
 
 val jmp_edges : t -> int
-(** jmp records accumulated across all batches so far. *)
+(** jmp records held by the live store: accumulated across all batches
+    since the last {!load}, which starts an empty store. *)
 
 val jmp_hits : t -> int
-(** Store lookups that found a record; 0 in modes without sharing. *)
+(** Store lookups that found a record; 0 in modes without sharing. This
+    and the three counts below are monotone over the engine's lifetime:
+    {!load} folds the retiring store's counts into the total rather than
+    resetting them. *)
 
 val jmp_misses : t -> int
 val jmp_finished : t -> int

@@ -91,7 +91,7 @@ type response =
               the entry was produced) *)
       latency_us : float;
           (** admission-to-answer service latency (0 on a cache hit) *)
-      breakdown : Span.breakdown;
+      breakdown : Parcfl_obs.Span.breakdown;
           (** where the latency went — serialised as the flat wire fields
               [queue_wait_us]/[batch_wait_us]/[solve_us]/[respond_us],
               which sum to [latency_us] (all-zero on a cache hit) *)
@@ -101,7 +101,7 @@ type response =
       reason : timeout_reason;
       cached : bool;
       latency_us : float;
-      breakdown : Span.breakdown;
+      breakdown : Parcfl_obs.Span.breakdown;
           (** a deadline that expired in the queue reports its wait with
               [solve_us = 0] — distinguishable from a slow solve *)
     }

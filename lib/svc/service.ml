@@ -6,6 +6,7 @@ module Solver = Parcfl_cfl.Solver
 module Mode = Parcfl_par.Mode
 module Report = Parcfl_par.Report
 module Json = Parcfl_obs.Json
+module Span = Parcfl_obs.Span
 module Expo = Parcfl_telemetry.Expo
 module Registry = Parcfl_telemetry.Registry
 module Histogram = Parcfl_stats.Histogram
@@ -637,40 +638,22 @@ let note_trace t p =
   match t.tracer with
   | None -> ()
   | Some tr ->
-      let sp = p.p_span in
-      let c = Tracer.of_epoch_us tr in
       Tracer.note_request tr
-        {
-          Tracer.rq_id = Option.value p.p_trace ~default:p.p_id;
-          rq_var = p.p_var;
-          rq_admit_us = c sp.Span.sp_admit_us;
-          rq_batch_us = c sp.Span.sp_batch_us;
-          rq_sched_us = c sp.Span.sp_sched_us;
-          rq_solve_start_us = c sp.Span.sp_solve_start_us;
-          rq_solve_end_us = c sp.Span.sp_solve_end_us;
-          rq_respond_us = c sp.Span.sp_respond_us;
-        }
+        ~id:(Option.value p.p_trace ~default:p.p_id)
+        ~var:p.p_var p.p_span
 
 (* A trace span for a request that never entered the pipeline (oracle-tier
-   hit, explain): the admit/batch/sched stamps all collapse onto the start
-   point so the rendered span shows zero queue and batch wait — the stage
+   hit, explain): every stamp before solve-start stays on the admit point,
+   so the rendered span shows zero queue and batch wait — the stage
    arithmetic and the trace lane agree that no batch was formed. *)
 let note_point_trace t ~id ~trace ~var ~t0_us ~t1_us =
   match t.tracer with
   | None -> ()
   | Some tr ->
-      let c = Tracer.of_epoch_us tr in
-      Tracer.note_request tr
-        {
-          Tracer.rq_id = Option.value trace ~default:id;
-          rq_var = var;
-          rq_admit_us = c t0_us;
-          rq_batch_us = c t0_us;
-          rq_sched_us = c t0_us;
-          rq_solve_start_us = c t0_us;
-          rq_solve_end_us = c t1_us;
-          rq_respond_us = c t1_us;
-        }
+      let sp = Span.create ~admit_us:t0_us in
+      Span.stamp_solve sp ~start_us:t0_us ~end_us:t1_us;
+      Span.stamp_respond sp ~us:t1_us;
+      Tracer.note_request tr ~id:(Option.value trace ~default:id) ~var sp
 
 (* Final accounting for an admitted request: stamp respond, collapse the
    span, feed the latency/stage aggregates, remember the worst in the

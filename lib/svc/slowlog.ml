@@ -1,4 +1,5 @@
 module Json = Parcfl_obs.Json
+module Span = Parcfl_obs.Span
 
 type entry = {
   sl_id : int;

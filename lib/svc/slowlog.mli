@@ -16,7 +16,7 @@ type entry = {
   sl_budget : int;  (** effective step budget the query ran under *)
   sl_steps : int;  (** budget consumed *)
   sl_latency_us : float;  (** admission-to-answer wall latency *)
-  sl_breakdown : Span.breakdown;
+  sl_breakdown : Parcfl_obs.Span.breakdown;
       (** where the latency went (all-zero for cache hits, which never
           enter the pipeline) *)
   sl_outcome : string;  (** ["ok"], ["timeout_budget"], ["timeout_deadline"] *)

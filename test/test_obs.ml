@@ -3,6 +3,7 @@
    histogram/ratio invariants the bench emitter relies on. *)
 module Json = Parcfl.Json
 module Tracer = Parcfl.Tracer
+module Span = Parcfl.Svc_span
 module Mode = Parcfl.Mode
 module Runner = Parcfl.Runner
 module Report = Parcfl.Report
@@ -168,87 +169,164 @@ let test_tracer_ignores_bad_worker () =
 
 (* The service lane: request spans export as "X" complete events on their
    own pseudo-process, overlapping requests on distinct lanes (tids). *)
+let service_events json =
+  List.filter
+    (fun ev ->
+      match Json.member "pid" ev with Some (Json.Int 1) -> true | _ -> false)
+    (trace_events json)
+
+let request_id ev =
+  match Json.member "args" ev with
+  | Some args -> (
+      match Json.member "id" args with Some (Json.Int i) -> Some i | _ -> None)
+  | None -> None
+
+let dur_field ev =
+  match Json.member "dur" ev with
+  | Some (Json.Float d) -> d
+  | Some (Json.Int d) -> float_of_int d
+  | _ -> Alcotest.fail "X event without dur"
+
+(* Per request id: its "request" event and the stage slices the export
+   writes right after it. *)
+let request_slices evs =
+  List.fold_left
+    (fun acc ev ->
+      match (str_field "ph" ev, str_field "name" ev, acc) with
+      | "X", "request", _ -> (
+          match request_id ev with
+          | Some id -> (id, (ev, [])) :: acc
+          | None -> Alcotest.fail "request event without an id")
+      | "X", _, (id, (req, stages)) :: rest ->
+          (id, (req, stages @ [ ev ])) :: rest
+      | _ -> acc)
+    [] evs
+  |> List.rev
+
 let test_tracer_service_lane () =
   let tr = Tracer.create ~workers:1 () in
-  let span id a b =
-    {
-      Tracer.rq_id = id;
-      rq_var = id;
-      rq_admit_us = a;
-      rq_batch_us = a +. 10.0;
-      rq_sched_us = a +. 12.0;
-      rq_solve_start_us = a +. 15.0;
-      rq_solve_end_us = b -. 5.0;
-      rq_respond_us = b;
-    }
+  let base = Unix.gettimeofday () *. 1e6 in
+  let span a b =
+    let sp = Span.create ~admit_us:(base +. a) in
+    Span.stamp_batch sp ~us:(base +. a +. 10.0);
+    Span.stamp_sched sp ~us:(base +. a +. 12.0);
+    Span.stamp_solve sp ~start_us:(base +. a +. 15.0)
+      ~end_us:(base +. b -. 5.0);
+    Span.stamp_respond sp ~us:(base +. b);
+    sp
   in
   (* Two overlapping requests, one disjoint later one. *)
-  Tracer.note_request tr (span 1 0.0 100.0);
-  Tracer.note_request tr (span 2 50.0 150.0);
-  Tracer.note_request tr (span 3 200.0 300.0);
+  Tracer.note_request tr ~id:1 ~var:1 (span 0.0 100.0);
+  Tracer.note_request tr ~id:2 ~var:2 (span 50.0 150.0);
+  Tracer.note_request tr ~id:3 ~var:3 (span 200.0 300.0);
   Alcotest.(check int) "three spans" 3 (Tracer.n_requests tr);
   Alcotest.(check int) "none dropped" 0 (Tracer.n_dropped_requests tr);
   match Json.of_string (Json.to_string (Tracer.to_json tr)) with
   | Error e -> Alcotest.failf "service lane export does not parse: %s" e
   | Ok json ->
-      let evs = trace_events json in
-      let service_evs =
-        List.filter
-          (fun ev ->
-            match Json.member "pid" ev with
-            | Some (Json.Int 1) -> true
-            | _ -> false)
-          evs
-      in
-      let requests =
-        List.filter
-          (fun ev ->
-            str_field "ph" ev = "X" && str_field "name" ev = "request")
-          service_evs
-      in
-      Alcotest.(check int) "one X event per request" 3 (List.length requests);
+      let slices = request_slices (service_events json) in
+      Alcotest.(check int) "one X event per request" 3 (List.length slices);
       (* Overlapping requests 1 and 2 must not share a lane; request 3 can
          reuse a freed one. *)
       let lane_of id =
-        match
-          List.find_opt
-            (fun ev ->
-              match Json.member "args" ev with
-              | Some args -> (
-                  match Json.member "id" args with
-                  | Some (Json.Int i) -> i = id
-                  | _ -> false)
-              | None -> false)
-            requests
-        with
-        | Some ev -> int_field "tid" ev
+        match List.assoc_opt id slices with
+        | Some (ev, _) -> int_field "tid" ev
         | None -> Alcotest.failf "request %d missing from the lane" id
       in
       Alcotest.(check bool) "overlap forces distinct lanes" true
         (lane_of 1 <> lane_of 2);
       Alcotest.(check int) "disjoint request reuses lane 0" (lane_of 1)
         (lane_of 3);
-      (* Every X event carries a non-negative duration, and the stage
-         slices nest inside their request. *)
+      (* Each request spans admit -> respond, and its stage slices tile it
+         in queue/batch/solve/respond order with the span's breakdown. *)
       List.iter
-        (fun ev ->
-          match Json.member "dur" ev with
-          | Some (Json.Float d) ->
-              Alcotest.(check bool) "dur >= 0" true (d >= 0.0)
-          | Some (Json.Int d) ->
-              Alcotest.(check bool) "dur >= 0" true (d >= 0)
-          | _ -> Alcotest.fail "X event without dur")
-        (List.filter (fun ev -> str_field "ph" ev = "X") service_evs);
-      let stage_names =
-        List.filter_map
-          (fun ev ->
-            let n = str_field "name" ev in
-            if str_field "ph" ev = "X" && n <> "request" then Some n else None)
-          service_evs
-        |> List.sort_uniq compare
-      in
-      Alcotest.(check bool) "stage slices present" true
-        (List.mem "solve" stage_names && List.mem "queue" stage_names)
+        (fun (_, (ev, stages)) ->
+          Alcotest.(check (float 1e-6)) "request dur" 100.0 (dur_field ev);
+          Alcotest.(check (list string)) "stage order"
+            [ "queue"; "batch"; "solve"; "respond" ]
+            (List.map (str_field "name") stages);
+          Alcotest.(check (list (float 1e-6))) "stage durations"
+            [ 10.0; 5.0; 80.0; 5.0 ]
+            (List.map dur_field stages))
+        slices
+
+(* A traced service: every answer's wire breakdown is what the trace's
+   service lane shows for that request — solver answers through the
+   batcher and one oracle-tier point span with zero queue and batch wait. *)
+let test_tracer_lane_matches_breakdown () =
+  let b = Parcfl.Suite.build_by_name "_200_check" |> Option.get in
+  let config =
+    {
+      Parcfl.Service.default_config with
+      Parcfl.Service.threads = 1;
+      max_batch = 4;
+      context_sensitive = false;
+      oracle = true;
+    }
+  in
+  let tr = Tracer.create ~workers:1 () in
+  let svc =
+    Parcfl.Service.create ~config ~tracer:tr
+      ~type_level:b.Parcfl.Suite.type_level b.Parcfl.Suite.pag
+  in
+  let answers = Hashtbl.create 8 in
+  let respond = function
+    | Parcfl.Svc_protocol.Answer { id; breakdown; _ } ->
+        Hashtbl.replace answers id breakdown
+    | r ->
+        Alcotest.failf "unexpected %s"
+          (Parcfl.Svc_protocol.response_to_string r)
+  in
+  let ask ?budget id v =
+    Parcfl.Service.submit svc ~now:(Unix.gettimeofday ()) ~respond
+      (Parcfl.Svc_protocol.Query
+         { id; var = Printf.sprintf "#%d" v; budget; deadline_ms = None;
+           trace = None })
+  in
+  let qs = b.Parcfl.Suite.queries in
+  (* [budget=] queries fall through the oracle tier to the batcher; the
+     plain one (id 0) is answered by the tier. *)
+  ask 0 qs.(0);
+  for i = 1 to 6 do
+    ask ~budget:(Parcfl.Service.default_config.Parcfl.Service.max_budget - i)
+      i qs.(i)
+  done;
+  ignore (Parcfl.Service.pump svc ~now:(Unix.gettimeofday ()));
+  Parcfl.Service.drain svc ~now:(Unix.gettimeofday ());
+  Parcfl.Service.shutdown svc;
+  Alcotest.(check int) "every query answered" 7 (Hashtbl.length answers);
+  match Json.of_string (Json.to_string (Tracer.to_json tr)) with
+  | Error e -> Alcotest.failf "trace does not parse: %s" e
+  | Ok json ->
+      let slices = request_slices (service_events json) in
+      Alcotest.(check int) "one lane request per answer" 7
+        (List.length slices);
+      Hashtbl.iter
+        (fun id bd ->
+          let _, stages =
+            match List.assoc_opt id slices with
+            | Some s -> s
+            | None -> Alcotest.failf "request %d missing from the lane" id
+          in
+          (* Zero-length stages render no slice. *)
+          let traced name =
+            List.fold_left
+              (fun acc s ->
+                if str_field "name" s = name then acc +. dur_field s else acc)
+              0.0 stages
+          in
+          List.iter2
+            (fun name want ->
+              Alcotest.(check (float 1.0))
+                (Printf.sprintf "request %d %s" id name)
+                want (traced name))
+            Span.stage_names (Span.stage_values bd))
+        answers;
+      let point = Hashtbl.find answers 0 in
+      Alcotest.(check (float 0.0)) "oracle span: no queue wait" 0.0
+        point.Span.bd_queue_wait_us;
+      Alcotest.(check (float 0.0)) "oracle span: no batch wait" 0.0
+        point.Span.bd_batch_wait_us
 
 (* --------------------------- histograms ---------------------------- *)
 
@@ -392,6 +470,8 @@ let suite =
       Alcotest.test_case "tracer overflow" `Quick test_tracer_overflow;
       Alcotest.test_case "tracer bad worker" `Quick
         test_tracer_ignores_bad_worker;
+      Alcotest.test_case "tracer lane = response breakdown" `Quick
+        test_tracer_lane_matches_breakdown;
       Alcotest.test_case "tracer service lane" `Quick
         test_tracer_service_lane;
       Alcotest.test_case "histogram bucket" `Quick test_histogram_bucket;

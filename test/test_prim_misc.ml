@@ -1,8 +1,7 @@
-(* Union_find, Rng, Pair_set, Intern. *)
+(* Union_find, Rng, Pair_set. *)
 module Union_find = Parcfl.Union_find
 module Rng = Parcfl.Rng
 module Pair_set = Parcfl.Pair_set
-module Intern = Parcfl.Intern
 
 (* --------------------------- union-find --------------------------- *)
 
@@ -140,22 +139,6 @@ let prop_pair_set_model =
       Pair_set.to_list t = !model
       && Pair_set.cardinal t = List.length !model)
 
-(* ----------------------------- intern ----------------------------- *)
-
-let test_intern () =
-  let t = Intern.create () in
-  let a = Intern.intern t "foo" in
-  let b = Intern.intern t "bar" in
-  let a' = Intern.intern t "foo" in
-  Alcotest.(check int) "stable" a a';
-  Alcotest.(check bool) "distinct" true (a <> b);
-  Alcotest.(check string) "name a" "foo" (Intern.name t a);
-  Alcotest.(check (option int)) "find" (Some b) (Intern.find_opt t "bar");
-  Alcotest.(check (option int)) "find absent" None (Intern.find_opt t "baz");
-  Alcotest.(check int) "count" 2 (Intern.count t);
-  Alcotest.check_raises "bad id" (Invalid_argument "Intern.name: unknown id")
-    (fun () -> ignore (Intern.name t 99))
-
 let suite =
   ( "prim-misc",
     [
@@ -169,5 +152,4 @@ let suite =
       Alcotest.test_case "pair_set lazy chains" `Quick
         test_pair_set_lazy_chains;
       QCheck_alcotest.to_alcotest prop_pair_set_model;
-      Alcotest.test_case "intern" `Quick test_intern;
     ] )

@@ -61,6 +61,36 @@ let test_store_histogram () =
   (* 1e6 overflows into the last bucket. *)
   Alcotest.(check (array int)) "unfinished buckets" [| 0; 0; 0; 0; 1 |] unf
 
+(* Fig. 7 reads its histogram off a caller-owned store after a Share
+   pass: every record the store accepted lands in exactly one bucket. *)
+let test_store_histogram_after_run () =
+  let b = Option.get (Parcfl.Suite.build_by_name "_200_check") in
+  List.iter
+    (fun (tau_f, tau_u) ->
+      let store = Jmp_store.create ~tau_f ~tau_u () in
+      let r =
+        Parcfl.Runner.run ~store ~ctx_store:(Ctx.create_store ())
+          ~type_level:b.Parcfl.Suite.type_level
+          ~solver_config:
+            (Config.with_budget Parcfl.Profile.default_budget Config.default)
+          ~mode:Parcfl.Mode.Share ~threads:1 ~queries:b.Parcfl.Suite.queries
+          b.Parcfl.Suite.pag
+      in
+      let fin, unf = Jmp_store.histogram store ~buckets:17 in
+      let total = Array.fold_left ( + ) 0 in
+      Alcotest.(check bool) "the pass recorded jmp edges" true
+        (Jmp_store.n_finished store > 0);
+      Alcotest.(check int) "finished buckets = n_finished"
+        (Jmp_store.n_finished store) (total fin);
+      Alcotest.(check int) "unfinished buckets = n_unfinished"
+        (Jmp_store.n_unfinished store) (total unf);
+      Alcotest.(check int) "report counts the same store"
+        (Jmp_store.n_finished store + Jmp_store.n_unfinished store)
+        (Parcfl.Report.n_jumps r))
+    [
+      (Parcfl.Profile.default_tau_f, Parcfl.Profile.default_tau_u); (1, 1);
+    ]
+
 (* --------------------- solver with a jmp store --------------------- *)
 
 (* A graph where two queries traverse the same heap-access path: both x1
@@ -276,6 +306,8 @@ let suite =
       Alcotest.test_case "store basics" `Quick test_store_basics;
       Alcotest.test_case "store thresholds" `Quick test_store_thresholds;
       Alcotest.test_case "store histogram" `Quick test_store_histogram;
+      Alcotest.test_case "store histogram after a Share pass" `Quick
+        test_store_histogram_after_run;
       Alcotest.test_case "shortcut taken" `Quick test_shortcut_taken;
       Alcotest.test_case "step-exact replay" `Quick
         test_budget_charged_on_shortcut;

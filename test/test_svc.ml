@@ -647,6 +647,30 @@ let test_stats_count_hits () =
       | _ -> Alcotest.fail "stats payload missing cache_hits")
   | _ -> Alcotest.fail "expected a stats reply"
 
+(* The jmp counters are exported as Prometheus counters (and summed as
+   counters across a cluster), so a PAG reload — which starts an empty jmp
+   store — must not send them back to 0; the store-size gauge does reset. *)
+let test_jmp_counters_survive_load () =
+  let b, svc = make_service () in
+  let _, respond = collector () in
+  Array.iteri
+    (fun i v -> P.Service.submit svc ~now:0.0 ~respond (query i v))
+    b.P.Suite.queries;
+  P.Service.drain svc ~now:0.0;
+  let keys = [ "jmp_hits"; "jmp_misses"; "jmp_finished"; "jmp_unfinished" ] in
+  let before = List.map (Serve_mix.stat svc) keys in
+  Alcotest.(check bool) "traffic consulted the store" true
+    (Serve_mix.stat svc "jmp_misses" > 0);
+  P.Svc_engine.load (P.Service.engine svc) b.P.Suite.pag;
+  List.iter2
+    (fun k was ->
+      let now = Serve_mix.stat svc k in
+      if now < was then Alcotest.failf "%s fell from %d to %d on load" k was now)
+    keys before;
+  Alcotest.(check int) "jmp_edges gauge resets" 0
+    (Serve_mix.stat svc "jmp_edges");
+  P.Service.shutdown svc
+
 let test_resolve () =
   let b, svc = make_service () in
   let v = b.P.Suite.queries.(0) in
@@ -953,6 +977,8 @@ let suite =
       Alcotest.test_case "exhausted budget times out" `Quick
         test_budget_exhausted_is_timeout;
       Alcotest.test_case "stats count cache hits" `Quick test_stats_count_hits;
+      Alcotest.test_case "jmp counters survive a reload" `Quick
+        test_jmp_counters_survive_load;
       Alcotest.test_case "variable resolution" `Quick test_resolve;
       Alcotest.test_case "runner query stamps" `Quick test_runner_query_stamps;
       Alcotest.test_case "breakdown sums to latency" `Quick
