@@ -30,7 +30,7 @@ val try_connect : t -> (Unix.file_descr, string) result
 
 val wait_socket : ?timeout_s:float -> t -> (unit, string) result
 (** Poll-connect until the replica accepts (default 30 s), backing off from
-    1 ms to 50 ms between attempts — fails early when a spawned child
+    1 ms to 5 ms between attempts — fails early when a spawned child
     exits before ever serving. *)
 
 val kill : t -> unit

@@ -123,20 +123,6 @@ let request_with_id req id =
   | Proto.Ping _ -> Proto.Ping id
   | Proto.Quit -> Proto.Quit
 
-let response_with_id resp id =
-  match resp with
-  | Proto.Answer a -> Proto.Answer { a with id }
-  | Proto.Timeout x -> Proto.Timeout { x with id }
-  | Proto.Rejected r -> Proto.Rejected { r with id }
-  | Proto.Error e -> Proto.Error { e with id = Some id }
-  | Proto.Pong _ -> Proto.Pong id
-  | Proto.Stats_reply s -> Proto.Stats_reply { s with id }
-  | Proto.Metrics_reply m -> Proto.Metrics_reply { m with id }
-  | Proto.Slowlog_reply s -> Proto.Slowlog_reply { s with id }
-  | Proto.Explain_reply e -> Proto.Explain_reply { e with id }
-  | Proto.Health_reply h -> Proto.Health_reply { h with id }
-  | Proto.Drained d -> Proto.Drained { d with id }
-
 let fresh_rid t =
   let rid = t.next_rid in
   t.next_rid <- rid + 1;
@@ -647,7 +633,40 @@ let rebalance_now t =
 
 (* ---------------------- backend reply handling --------------------- *)
 
-let handle_backend_line t b line =
+(* A reply to a forwarded request goes on to its client as bytes: the
+   replica's rendering with only the id spliced to the client's, and the
+   solve time for the load profile read off the line's tail. *)
+let forward_reply t rid p line =
+  Hashtbl.remove t.inflight rid;
+  p.p_client.outstanding <- p.p_client.outstanding - 1;
+  (* Every answer's solve time feeds the per-variable load profile the
+     rebalancer re-scans against. *)
+  (if p.p_var >= 0 then
+     match Proto.reply_solve_us line with
+     | Some us -> t.profile.(p.p_var) <- t.profile.(p.p_var) +. us
+     | None -> ());
+  let reply_us = if t.on_span = None then 0.0 else now_us () in
+  Option.iter (Transport.send p.p_client.conn)
+    (Proto.splice line ~id:p.p_orig_id);
+  match (t.on_span, p.p_request) with
+  | Some sink, Proto.Query _ ->
+      sink
+        {
+          Tracer.rs_id = p.p_orig_id;
+          rs_rid = rid;
+          rs_replica = p.p_backend;
+          rs_var = p.p_var;
+          rs_accept_us = p.p_accept_us;
+          rs_route_us = p.p_route_us;
+          rs_forward_us = p.p_forward_us;
+          rs_reply_us = reply_us;
+          rs_respond_us = now_us ();
+        }
+  | _ -> ()
+
+(* Probe and gather replies are parsed: the router reads their bodies.
+   So are lines whose id prefix does not scan. *)
+let handle_parsed t b line =
   match Proto.response_of_string line with
   | Error e -> log "replica %d sent an unparseable reply (%s)" b.b_idx e
   | Ok resp -> (
@@ -655,8 +674,8 @@ let handle_backend_line t b line =
       | None -> log "replica %d sent a reply without an id" b.b_idx
       | Some rid -> (
           let find tbl = Hashtbl.find_opt tbl rid in
-          match (find t.probes, find t.aggs, find t.inflight) with
-          | Some (idx, sent), _, _ ->
+          match (find t.probes, find t.aggs) with
+          | Some (idx, sent), _ ->
               Hashtbl.remove t.probes rid;
               Parcfl_stats.Histogram.observe t.poll_hist
                 (int_of_float ((Unix.gettimeofday () -. sent) *. 1e6));
@@ -666,44 +685,22 @@ let handle_backend_line t b line =
                 | _ -> false
               in
               observe_poll t idx ~healthy
-          | None, Some (_, agg), _ ->
+          | None, Some (_, agg) ->
               Hashtbl.remove t.aggs rid;
               agg.g_replies <- (b.b_idx, resp) :: agg.g_replies;
               agg.g_waiting <- agg.g_waiting - 1;
               finish_agg t agg
-          | None, None, Some p -> (
-              Hashtbl.remove t.inflight rid;
-              p.p_client.outstanding <- p.p_client.outstanding - 1;
-              (* Every answer's solve time feeds the per-variable load
-                 profile the rebalancer re-scans against. *)
-              (match resp with
-              | (Proto.Answer { breakdown; _ } | Proto.Timeout { breakdown; _ })
-                when p.p_var >= 0 ->
-                  t.profile.(p.p_var) <-
-                    t.profile.(p.p_var) +. breakdown.Span.bd_solve_us
-              | _ -> ());
-              let reply_us = if t.on_span = None then 0.0 else now_us () in
-              client_send p.p_client (response_with_id resp p.p_orig_id);
-              match (t.on_span, p.p_request) with
-              | Some sink, Proto.Query _ ->
-                  sink
-                    {
-                      Tracer.rs_id = p.p_orig_id;
-                      rs_rid = rid;
-                      rs_replica = p.p_backend;
-                      rs_var = p.p_var;
-                      rs_accept_us = p.p_accept_us;
-                      rs_route_us = p.p_route_us;
-                      rs_forward_us = p.p_forward_us;
-                      rs_reply_us = reply_us;
-                      rs_respond_us = now_us ();
-                    }
-              | _ -> ())
-          | None, None, None ->
+          | None, None ->
               (* A replay already answered this request from another
                  replica; the original replica's late reply is dropped,
                  never double-delivered. *)
               ()))
+
+let handle_backend_line t b line =
+  match Proto.reply_id line with
+  | Some rid when Hashtbl.mem t.inflight rid ->
+      forward_reply t rid (Hashtbl.find t.inflight rid) line
+  | _ -> handle_parsed t b line
 
 let read_backend t b c =
   Transport.read c ~on_line:(handle_backend_line t b) ~on_overflow:(fun () ->

@@ -9,26 +9,35 @@ type t =
 
 (* ------------------------------ printing ------------------------------ *)
 
+(* Runs of bytes that need no escaping are blitted whole, so a plain
+   name costs one scan and one copy. *)
 let escape_into buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf
+        (match c with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\r' -> "\\r"
+        | '\t' -> "\\t"
+        | '\b' -> "\\b"
+        | '\012' -> "\\f"
+        | c -> Printf.sprintf "\\u%04x" (Char.code c));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
 
+(* Zero, the value of most reply stages, skips the printf. *)
 let float_token f =
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
+  if f = 0.0 && not (Float.sign_bit f) then "0.0"
+  else if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
     "null"
   else
     let s = Printf.sprintf "%.12g" f in

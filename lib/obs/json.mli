@@ -20,6 +20,16 @@ val to_string : t -> string
 (** Compact single-line rendering. Floats keep 12 significant digits and
     always carry a ['.'] or exponent so they re-parse as [Float]. *)
 
+val write : Buffer.t -> t -> unit
+(** [to_string], appended to a buffer. *)
+
+val escape_into : Buffer.t -> string -> unit
+(** Append a string as a quoted JSON string token, escaped exactly as
+    {!to_string} escapes it. *)
+
+val float_token : float -> string
+(** A float as {!to_string} spells it ([null] when not finite). *)
+
 val of_string : string -> (t, string) result
 (** Strict parse of a complete JSON document (trailing garbage is an
     error). Numbers without ['.'] or exponent parse as [Int]. *)

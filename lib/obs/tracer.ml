@@ -39,7 +39,9 @@ type ring = {
 type t = {
   rings : ring array;
   capacity : int;
-  t0 : float;
+  t0_us : float;
+      (* epoch origin, a whole number of microseconds: exported as an
+         integer, so a merger reads back exactly the origin used here *)
   spans : (int * int * Span.t) array;
       (* (request id, variable, span); single writer: the service pump *)
   mutable span_count : int;  (* total noted, including overwritten *)
@@ -61,7 +63,7 @@ let create ?(capacity = default_capacity) ~workers () =
             last_ts = 0.0;
           });
     capacity;
-    t0 = Unix.gettimeofday ();
+    t0_us = Float.round (Unix.gettimeofday () *. 1e6);
     spans = Array.make capacity (0, 0, Span.create ~admit_us:0.0);
     span_count = 0;
   }
@@ -78,7 +80,7 @@ let workers t = Array.length t.rings
 let emit t ~worker kind ~var =
   if worker >= 0 && worker < Array.length t.rings then begin
     let r = t.rings.(worker) in
-    let now = (Unix.gettimeofday () -. t.t0) *. 1e6 in
+    let now = (Unix.gettimeofday () *. 1e6) -. t.t0_us in
     let now = if now > r.last_ts then now else r.last_ts in
     r.last_ts <- now;
     let i = r.count mod t.capacity in
@@ -176,7 +178,7 @@ let assign_lanes ~start_of ~end_of items =
    admit stamp: the lane shows exactly the durations the request's
    response reported. *)
 let span_events t spans =
-  let rel us = us -. (t.t0 *. 1e6) in
+  let rel us = us -. t.t0_us in
   List.concat_map
     (fun ((id, var, admit, bd), tid) ->
       let _, stages =
@@ -236,7 +238,7 @@ let to_json t =
       (* The trace's epoch origin in absolute microseconds: timestamps
          above are relative to it, so a merger ({!merge_cluster}) can put
          several processes' traces on one clock. *)
-      ("t0_us", Json.Float (t.t0 *. 1e6));
+      ("t0_us", Json.Int (int_of_float t.t0_us));
       (* Truncation must be visible: a viewer reading a wrapped ring would
          otherwise mistake the retained window for the whole run. *)
       ("droppedEvents", Json.Int (n_dropped t));
@@ -361,7 +363,7 @@ let merge_cluster ~router_spans ~replicas =
         | Some f when f < !m -> m := f
         | _ -> ())
       replicas;
-    if Float.is_finite !m then !m else 0.0
+    if Float.is_finite !m then Float.floor !m else 0.0
   in
   let dropped_of key doc =
     Option.value (int_of_field (Json.member key doc)) ~default:0
@@ -392,7 +394,7 @@ let merge_cluster ~router_spans ~replicas =
            :: router_events ~t0 router_spans)
           @ replica_events) );
       ("displayTimeUnit", Json.String "ms");
-      ("t0_us", Json.Float t0);
+      ("t0_us", Json.Int (int_of_float t0));
       ( "droppedEvents",
         Json.Int
           (List.fold_left

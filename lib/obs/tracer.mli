@@ -79,7 +79,7 @@ val to_json : t -> Json.t
     The top-level [droppedEvents]/[droppedRequestSpans] fields carry
     {!n_dropped}/{!n_dropped_requests}, so a truncated trace declares
     itself, and [t0_us] carries the tracer's epoch origin in absolute
-    microseconds so {!merge_cluster} can align several processes'
+    microseconds, as an exact integer, so {!merge_cluster} can align several processes'
     relative timestamps on one clock. *)
 
 val write_chrome : path:string -> t -> unit
@@ -107,10 +107,12 @@ val merge_cluster :
     (args: [id], [rid], [replica]) over greedy lanes, with nested
     route/forward/replica/respond slices; each [(index, trace)] in
     [replicas] — a replica's {!to_json} document — is shifted onto the
-    merged clock via its [t0_us] and re-homed to pid [index + 1]
+    merged clock via its [t0_us] (an integer, or a float as
+    older traces wrote it) and re-homed to pid [index + 1]
     (["replica N"]), worker rows first, service-request lanes offset
     above them. The merged timebase is the earliest instant any process
-    saw. Request ids line up across lanes because the router forwards
+    saw, rounded down to a whole microsecond; the merged [t0_us] is that
+    integer. Request ids line up across lanes because the router forwards
     the client's id in the query's [trace=] option rather than its
     rewritten correlation id. Replicas that died without writing a trace
     are simply absent; [droppedEvents]/[droppedRequestSpans] sum over

@@ -37,6 +37,10 @@ let points_to t v =
   check_var t v;
   t.rows.(t.row_of.(v))
 
+let row t v =
+  check_var t v;
+  t.row_of.(v)
+
 let points_to_list t v = Bitset.elements (points_to t v)
 
 let may_alias t a b =

@@ -41,6 +41,11 @@ val points_to : t -> Parcfl_pag.Pag.var -> Parcfl_prim.Bitset.t
     mutate. O(1), allocation-free.
     @raise Invalid_argument when out of the PAG's variable range. *)
 
+val row : t -> Parcfl_pag.Pag.var -> int
+(** The id, in [0 .. distinct_rows - 1], of the distinct row the variable
+    shares: two variables with one row id have one points-to set. Bounds
+    contract as {!points_to}. *)
+
 val points_to_list : t -> Parcfl_pag.Pag.var -> int list
 (** Object ids, ascending. Bounds contract as {!points_to}. *)
 

@@ -8,6 +8,39 @@ module Jmp_store = Parcfl_sharing.Jmp_store
 module Ctx = Parcfl_pag.Ctx
 module Domain_pool = Parcfl_conc.Domain_pool
 module Oracle = Parcfl_oracle.Oracle
+module Query = Parcfl_cfl.Query
+module Json = Parcfl_obs.Json
+
+(* Object names in wire form, built once per loaded PAG: each object's
+   rank in name order — equal names share a rank, as
+   [List.sort_uniq compare] folds them — and, per rank, the name and its
+   escaped JSON string token. *)
+type names = { rank : int array; name : string array; token : string array }
+
+let names_of pag =
+  let n = Pag.n_objs pag in
+  let nm = Array.init n (Pag.obj_name pag) in
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> String.compare nm.(a) nm.(b)) order;
+  let rank = Array.make n 0 and distinct = ref [] and r = ref (-1) in
+  Array.iteri
+    (fun i o ->
+      if i = 0 || nm.(o) <> nm.(order.(i - 1)) then begin
+        incr r;
+        distinct := nm.(o) :: !distinct
+      end;
+      rank.(o) <- !r)
+    order;
+  let name = Array.of_list (List.rev !distinct) in
+  let token =
+    Array.map
+      (fun s ->
+        let b = Buffer.create (String.length s + 2) in
+        Json.escape_into b s;
+        Buffer.contents b)
+      name
+  in
+  { rank; name; token }
 
 type t = {
   mode : Mode.t;
@@ -31,6 +64,10 @@ type t = {
   mutable oracle : Oracle.t option;
       (* the O(1) CI answer tier; dies with the PAG generation — [load]
          discards it *)
+  mutable names : names;  (* of [pag]; rebuilt by [load] *)
+  mutable fragments : string array;
+      (* the live oracle's rendered objects arrays, per distinct row; ""
+         until the row's first hit. Replaced whenever [oracle] is. *)
   mutable pool : Domain_pool.t option;
       (* worker domains persist across batches — spawned on the first
          multi-threaded execute, joined by [shutdown] *)
@@ -72,6 +109,8 @@ let create ?(mode = Mode.Share_sched) ?(threads = 4) ?tau_f ?tau_u
       generation = 0;
       rate = None;
       oracle = None;
+      names = names_of pag;
+      fragments = [||];
       pool = None;
     }
   in
@@ -116,6 +155,13 @@ let explain t ~var ~obj =
   in
   Parcfl_cfl.Solver.explain s var obj
 
+let set_oracle t o =
+  t.oracle <- o;
+  t.fragments <-
+    (match o with
+    | Some o -> Array.make (Oracle.distinct_rows o) ""
+    | None -> [||])
+
 let load t ?type_level pag =
   let type_level = Option.value type_level ~default:t.type_level in
   t.pag <- pag;
@@ -124,7 +170,8 @@ let load t ?type_level pag =
   Array.iteri (fun i _ -> t.retired.(i) <- jmp_counter i t) jmp_counters;
   t.store <- fresh_store t;
   t.ctx_store <- Ctx.create_store ();
-  t.oracle <- None;
+  t.names <- names_of pag;
+  set_oracle t None;
   t.generation <- t.generation + 1
 
 (* Warm start: the O(1) answer tier, keyed to the current generation so a
@@ -132,8 +179,8 @@ let load t ?type_level pag =
    context-sensitive engine never builds one. *)
 let warm_start t =
   if not t.solver_config.Config.context_sensitive then
-    t.oracle <-
-      Some (Oracle.build ~threads:t.threads ~generation:t.generation t.pag)
+    set_oracle t
+      (Some (Oracle.build ~threads:t.threads ~generation:t.generation t.pag))
 
 (* The oracle accessor re-checks the generation so a caller holding the
    engine across a [load] can never read answers for a dead PAG. *)
@@ -158,9 +205,54 @@ let import_oracle t text =
   else
     Result.map
       (fun o ->
-        t.oracle <- Some o;
+        set_oracle t (Some o);
         Oracle.distinct_rows o)
       (Oracle.import ~generation:t.generation t.pag text)
+
+(* ------------------------- answer objects ------------------------- *)
+
+let object_ranks t = function
+  | Query.Out_of_budget -> [||]
+  | Query.Points_to pairs ->
+      let a = Array.of_list (List.map (fun (o, _) -> t.names.rank.(o)) pairs) in
+      Array.sort Int.compare a;
+      let k = ref 0 in
+      Array.iter
+        (fun r ->
+          if !k = 0 || r <> a.(!k - 1) then begin
+            a.(!k) <- r;
+            incr k
+          end)
+        a;
+      Array.sub a 0 !k
+
+let object_names t result =
+  Array.fold_right
+    (fun r acc -> t.names.name.(r) :: acc)
+    (object_ranks t result) []
+
+let objects_json t result =
+  let ranks = object_ranks t result in
+  let buf = Buffer.create (16 * (Array.length ranks + 1)) in
+  Buffer.add_char buf '[';
+  Array.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf t.names.token.(r))
+    ranks;
+  Buffer.add_char buf ']';
+  Buffer.contents buf
+
+let oracle_objects t v =
+  let o =
+    match t.oracle with
+    | Some o -> o
+    | None -> invalid_arg "Svc.Engine.oracle_objects: no live oracle"
+  in
+  let row = Oracle.row o v in
+  if t.fragments.(row) = "" then
+    t.fragments.(row) <- objects_json t (Oracle.outcome o v).Query.result;
+  t.fragments.(row)
 
 let jmp_edges t =
   match t.store with Some s -> Jmp_store.n_jumps s | None -> 0

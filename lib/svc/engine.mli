@@ -73,6 +73,29 @@ val oracle : t -> Parcfl_oracle.Oracle.t option
     generation: {!load} both clears the field and bumps the counter the
     accessor checks. *)
 
+(** {2 Answer objects}
+
+    A points-to answer lists its objects' names sorted and deduplicated
+    by name ([List.sort_uniq compare] over the names). The engine keeps,
+    per loaded PAG, each object's rank in that order and each name's
+    escaped JSON token, so an answer is ordered by sorting integers and
+    rendered by concatenating tokens. *)
+
+val object_names : t -> Parcfl_cfl.Query.result -> string list
+(** The result's object names, sorted and distinct; [[]] for
+    [Out_of_budget]. *)
+
+val objects_json : t -> Parcfl_cfl.Query.result -> string
+(** {!object_names} as a JSON array, as {!Parcfl_obs.Json} renders a list
+    of strings. *)
+
+val oracle_objects : t -> Parcfl_pag.Pag.var -> string
+(** {!objects_json} of the live oracle's answer for the variable. Built
+    on the first hit of the variable's distinct row and kept per row
+    until the oracle is replaced ({!load}, {!warm_start},
+    {!import_oracle}).
+    @raise Invalid_argument when no oracle is live. *)
+
 val jmp_edges : t -> int
 (** jmp records held by the live store: accumulated across all batches
     since the last {!load}, which starts an empty store. *)

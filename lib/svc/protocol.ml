@@ -165,93 +165,136 @@ type response =
 
 let reason_string = function `Budget -> "budget" | `Deadline -> "deadline"
 
-let response_to_json = function
+(* ------------------------------ writing ------------------------------ *)
+
+(* Replies are written straight into a buffer. Answers and timeouts, the
+   hot replies, never build a [Json.t]; the rest write one through
+   [Json.write]. Every field is spelled as [Json.to_string] would. *)
+
+let add_float buf f = Buffer.add_string buf (Json.float_token f)
+
+let write_head buf id status =
+  Buffer.add_string buf "{\"id\":";
+  Buffer.add_string buf (string_of_int id);
+  Buffer.add_string buf ",\"status\":\"";
+  Buffer.add_string buf status;
+  Buffer.add_char buf '"'
+
+let write_tail buf ~latency_us ~(breakdown : Span.breakdown) =
+  Buffer.add_string buf ",\"latency_us\":";
+  add_float buf latency_us;
+  Buffer.add_string buf ",\"queue_wait_us\":";
+  add_float buf breakdown.bd_queue_wait_us;
+  Buffer.add_string buf ",\"batch_wait_us\":";
+  add_float buf breakdown.bd_batch_wait_us;
+  Buffer.add_string buf ",\"solve_us\":";
+  add_float buf breakdown.bd_solve_us;
+  Buffer.add_string buf ",\"respond_us\":";
+  add_float buf breakdown.bd_respond_us;
+  Buffer.add_char buf '}'
+
+let add_cached buf cached =
+  Buffer.add_string buf
+    (if cached then ",\"cached\":true" else ",\"cached\":false")
+
+(* An answer is written in three parts around its objects array, so a
+   caller holding the array already rendered can blit it. *)
+let write_answer_head buf ~id ~var =
+  write_head buf id "ok";
+  Buffer.add_string buf ",\"var\":";
+  Json.escape_into buf var;
+  Buffer.add_string buf ",\"objects\":"
+
+let write_answer_tail buf ~cached ~steps ~latency_us ~breakdown =
+  add_cached buf cached;
+  Buffer.add_string buf ",\"steps\":";
+  Buffer.add_string buf (string_of_int steps);
+  write_tail buf ~latency_us ~breakdown
+
+let write_names buf names =
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i n ->
+      if i > 0 then Buffer.add_char buf ',';
+      Json.escape_into buf n)
+    names;
+  Buffer.add_char buf ']'
+
+let write_response buf r =
+  let obj id status fields =
+    Json.write buf
+      (Json.Obj
+         (("id", Json.Int id) :: ("status", Json.String status) :: fields))
+  in
+  match r with
   | Answer { id; var; objects; cached; steps; latency_us; breakdown } ->
-      Json.Obj
-        ([
-           ("id", Json.Int id);
-           ("status", Json.String "ok");
-           ("var", Json.String var);
-           ("objects", Json.List (List.map (fun o -> Json.String o) objects));
-           ("cached", Json.Bool cached);
-           ("steps", Json.Int steps);
-           ("latency_us", Json.Float latency_us);
-         ]
-        @ Span.breakdown_fields breakdown)
+      write_answer_head buf ~id ~var;
+      write_names buf objects;
+      write_answer_tail buf ~cached ~steps ~latency_us ~breakdown
   | Timeout { id; reason; cached; latency_us; breakdown } ->
-      Json.Obj
-        ([
-           ("id", Json.Int id);
-           ("status", Json.String "timeout");
-           ("reason", Json.String (reason_string reason));
-           ("cached", Json.Bool cached);
-           ("latency_us", Json.Float latency_us);
-         ]
-        @ Span.breakdown_fields breakdown)
-  | Rejected { id; reason } ->
-      Json.Obj
-        [
-          ("id", Json.Int id);
-          ("status", Json.String "rejected");
-          ("reason", Json.String reason);
-        ]
+      write_head buf id "timeout";
+      Buffer.add_string buf ",\"reason\":\"";
+      Buffer.add_string buf (reason_string reason);
+      Buffer.add_char buf '"';
+      add_cached buf cached;
+      write_tail buf ~latency_us ~breakdown
+  | Rejected { id; reason } -> obj id "rejected" [ ("reason", Json.String reason) ]
   | Error { id; reason } ->
-      Json.Obj
-        [
-          ( "id",
-            match id with Some id -> Json.Int id | None -> Json.Null );
-          ("status", Json.String "error");
-          ("reason", Json.String reason);
-        ]
-  | Pong id -> Json.Obj [ ("id", Json.Int id); ("status", Json.String "pong") ]
-  | Stats_reply { id; stats } ->
-      Json.Obj
-        [ ("id", Json.Int id); ("status", Json.String "stats"); ("stats", stats) ]
+      Json.write buf
+        (Json.Obj
+           [
+             ("id", match id with Some id -> Json.Int id | None -> Json.Null);
+             ("status", Json.String "error");
+             ("reason", Json.String reason);
+           ])
+  | Pong id -> obj id "pong" []
+  | Stats_reply { id; stats } -> obj id "stats" [ ("stats", stats) ]
   | Metrics_reply { id; body } ->
       (* The multi-line exposition rides inside a JSON string, keeping the
          one-line-per-response transport invariant. *)
-      Json.Obj
+      obj id "metrics" [ ("body", Json.String body) ]
+  | Slowlog_reply { id; entries } -> obj id "slowlog" [ ("entries", entries) ]
+  | Explain_reply { id; var; obj = o; found; depth; latency_us; chain } ->
+      obj id "explain"
         [
-          ("id", Json.Int id);
-          ("status", Json.String "metrics");
-          ("body", Json.String body);
-        ]
-  | Slowlog_reply { id; entries } ->
-      Json.Obj
-        [
-          ("id", Json.Int id);
-          ("status", Json.String "slowlog");
-          ("entries", entries);
-        ]
-  | Explain_reply { id; var; obj; found; depth; latency_us; chain } ->
-      Json.Obj
-        [
-          ("id", Json.Int id);
-          ("status", Json.String "explain");
           ("var", Json.String var);
-          ("obj", Json.String obj);
+          ("obj", Json.String o);
           ("found", Json.Bool found);
           ("depth", Json.Int depth);
           ("latency_us", Json.Float latency_us);
           ("chain", chain);
         ]
   | Health_reply { id; healthy; reasons } ->
-      Json.Obj
+      obj id "health"
         [
-          ("id", Json.Int id);
-          ("status", Json.String "health");
           ("health", Json.String (if healthy then "ok" else "degraded"));
           ("reasons", Json.List (List.map (fun r -> Json.String r) reasons));
         ]
   | Drained { id; completed } ->
-      Json.Obj
-        [
-          ("id", Json.Int id);
-          ("status", Json.String "drained");
-          ("completed", Json.Int completed);
-        ]
+      obj id "drained" [ ("completed", Json.Int completed) ]
 
-let response_to_string r = Json.to_string (response_to_json r)
+let render write =
+  let buf = Buffer.create 256 in
+  write buf;
+  Buffer.contents buf
+
+let response_to_string r = render (fun buf -> write_response buf r)
+
+let response_line r =
+  render (fun buf ->
+      write_response buf r;
+      Buffer.add_char buf '\n')
+
+(* One allocation of the line's exact size: the array is blitted once. *)
+let answer_line ~id ~var ~objects ~cached ~steps ~latency_us ~breakdown =
+  String.concat ""
+    [
+      render (write_answer_head ~id ~var);
+      objects;
+      render (fun buf ->
+          write_answer_tail buf ~cached ~steps ~latency_us ~breakdown;
+          Buffer.add_char buf '\n');
+    ]
 
 let member_int name j =
   match Json.member name j with Some (Json.Int n) -> Some n | _ -> None
@@ -411,3 +454,66 @@ let response_id = function
   | Drained { id; _ } ->
       Some id
   | Error { id; _ } -> id
+
+(* ------------------------- reading by prefix ------------------------- *)
+
+let id_key = "{\"id\":"
+let null_prefix = "{\"id\":null,"
+
+(* Index of the comma that ends a [{"id":N,] prefix, or -1. At most a
+   sign and 20 digits are looked at: no int has more. *)
+let id_end line =
+  let n = String.length line and k = String.length id_key in
+  if not (String.starts_with ~prefix:id_key line) then -1
+  else
+    let first = if k < n && line.[k] = '-' then k + 1 else k in
+    let i = ref first in
+    while !i < n && !i - first <= 20 && line.[!i] >= '0' && line.[!i] <= '9' do
+      incr i
+    done;
+    if !i = first || !i >= n || line.[!i] <> ',' then -1 else !i
+
+let reply_id line =
+  match id_end line with
+  | -1 -> None
+  | stop ->
+      let k = String.length id_key in
+      int_of_string_opt (String.sub line k (stop - k))
+
+let splice line ~id =
+  let stop =
+    if String.starts_with ~prefix:null_prefix line then
+      String.length null_prefix - 1
+    else if reply_id line = None then -1
+    else id_end line
+  in
+  if stop < 0 then None
+  else begin
+    let k = String.length id_key and ids = string_of_int id in
+    let rest = String.length line - stop in
+    let b = Bytes.create (k + String.length ids + rest + 1) in
+    Bytes.blit_string id_key 0 b 0 k;
+    Bytes.blit_string ids 0 b k (String.length ids);
+    Bytes.blit_string line stop b (k + String.length ids) rest;
+    Bytes.set b (Bytes.length b - 1) '\n';
+    Some (Bytes.unsafe_to_string b)
+  end
+
+let solve_key = ",\"solve_us\":"
+
+(* Only the line's last bytes are searched: an answer or a timeout ends
+   with its breakdown, and no float token is longer than 24 bytes. *)
+let reply_solve_us line =
+  let n = String.length line and k = String.length solve_key in
+  let rec at i j = j = k || (line.[i + j] = solve_key.[j] && at i (j + 1)) in
+  let rec find i =
+    if i < 0 || i < n - 128 then None
+    else if at i 0 then Some (i + k)
+    else find (i - 1)
+  in
+  match find (n - k) with
+  | None -> None
+  | Some start -> (
+      match String.index_from_opt line start ',' with
+      | Some stop -> float_of_string_opt (String.sub line start (stop - start))
+      | None -> None)

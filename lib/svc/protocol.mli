@@ -138,14 +138,52 @@ type response =
       (** the drain finished; [completed] counts the queued requests that
           were answered while draining *)
 
-val response_to_json : response -> Parcfl_obs.Json.t
-
 val response_to_string : response -> string
-(** Single-line JSON, no trailing newline. *)
+(** Single-line JSON, no trailing newline. Written straight into a
+    buffer; [Answer] and [Timeout] build no {!Parcfl_obs.Json.t}. Every
+    value is spelled as {!Parcfl_obs.Json.to_string} spells it. *)
 
-val response_of_json : Parcfl_obs.Json.t -> (response, string) result
+val response_line : response -> string
+(** [response_to_string r ^ "\n"], rendered once: the wire line. *)
+
+val answer_line :
+  id:int ->
+  var:string ->
+  objects:string ->
+  cached:bool ->
+  steps:int ->
+  latency_us:float ->
+  breakdown:Parcfl_obs.Span.breakdown ->
+  string
+(** The wire line of an [Answer] whose objects are already rendered:
+    [objects] is their JSON array text, blitted as is. With [objects] the
+    rendering of a name list [ns], the line is byte for byte
+    [response_line (Answer { objects = ns; ... })]. *)
 
 val response_of_string : string -> (response, string) result
 (** Total: never raises, whatever the bytes. *)
 
 val response_id : response -> int option
+
+(** {2 Reading a reply by its prefix}
+
+    A proxy that only forwards a reply needs its id, not its body. These
+    read and rewrite the [{"id":N,] prefix every rendered reply starts
+    with, looking at a bounded number of bytes, and never raise. *)
+
+val reply_id : string -> int option
+(** [Some n] when the line starts with [{"id":n,] ([n] an integer in
+    OCaml's range, optionally negative); [None] otherwise, including for
+    [{"id":null,]. Whenever [reply_id l = Some n] and
+    [response_of_string l] is [Ok r], [response_id r = Some n]. *)
+
+val splice : string -> id:int -> string option
+(** The line with its [{"id":N,] or [{"id":null,] prefix rewritten to
+    [{"id":id,], newline-terminated and ready to send; [None] when the
+    line starts with neither. For a rendered reply [r],
+    [splice (response_to_string r) ~id] is the line of [r] with its id
+    set to [id] (an [Error] gets [Some id]). *)
+
+val reply_solve_us : string -> float option
+(** The [solve_us] field of an [Answer] or [Timeout] line, read from the
+    line's last 128 bytes; [None] when it is not there. *)

@@ -14,8 +14,8 @@ let read t conn =
   Transport.read_requests conn (function
     | Protocol.Quit -> t.stopping <- true
     | req ->
-        Service.submit t.service ~now:(Unix.gettimeofday ())
-          ~respond:(Transport.reply conn) req);
+        Service.submit_line t.service ~now:(Unix.gettimeofday ())
+          ~send:(Transport.send conn) req);
   (* stdio EOF means "no more input ever": drain and stop. A socket
      client that goes away is just reaped. *)
   let is_stdio = match t.stdio with Some s -> s == conn | None -> false in

@@ -46,6 +46,15 @@ let default_config =
     wd_starvation_s = Watchdog.default_config.Watchdog.wd_starvation_s;
   }
 
+(* Where a request's replies go. [Value] hands an in-process caller the
+   response; [Line] hands a transport the rendered wire line, so an
+   answer is written from the engine's name tokens (or an oracle row's
+   cached array) without building a list of names. *)
+type sink = Value of (Protocol.response -> unit) | Line of (string -> unit)
+
+let deliver sink r =
+  match sink with Value f -> f r | Line f -> f (Protocol.response_line r)
+
 type pending = {
   p_id : int;
   p_trace : int option;
@@ -56,7 +65,7 @@ type pending = {
   p_deadline : float option;  (* absolute seconds *)
   p_arrival : float;
   p_span : Span.t;
-  p_respond : Protocol.response -> unit;
+  p_sink : sink;
 }
 
 (* The service's event counters: one striped handle each, bumped on the
@@ -565,11 +574,6 @@ let resolve_obj t name =
     | Some o -> Ok o
     | None -> Error (Printf.sprintf "unknown object %S" name)
 
-let object_names pag result =
-  Query.objects result
-  |> List.map (Pag.obj_name pag)
-  |> List.sort_uniq compare
-
 (* The request's effective step budget: its own cap, the service ceiling,
    and — when it carries a deadline — the steps the engine's observed
    traversal rate says the remaining wall clock can afford. This is how a
@@ -589,23 +593,45 @@ let cache_key t ~var ~budget =
     ck_generation = Engine.generation t.engine;
   }
 
-let answer_of_outcome t ~id ~cached ~latency_us ~breakdown
+(* A points-to answer. On a [Line] sink its objects are written from
+   [rendered], when the caller has their array already (an oracle row),
+   or from the engine's name tokens. *)
+let answer t sink ?rendered ~id ~var ~result ~cached ~steps ~latency_us
+    ~breakdown () =
+  let e = t.engine in
+  let var = Pag.var_name (Engine.pag e) var in
+  match sink with
+  | Line f ->
+      let objects =
+        match rendered with
+        | Some a -> a
+        | None -> Engine.objects_json e result
+      in
+      f
+        (Protocol.answer_line ~id ~var ~objects ~cached ~steps ~latency_us
+           ~breakdown)
+  | Value f ->
+      f
+        (Protocol.Answer
+           {
+             id;
+             var;
+             objects = Engine.object_names e result;
+             cached;
+             steps;
+             latency_us;
+             breakdown;
+           })
+
+(* A solver outcome's reply: its answer, or a budget timeout. *)
+let reply_outcome t sink ~id ~cached ~latency_us ~breakdown
     (outcome : Query.outcome) =
-  let pag = Engine.pag t.engine in
   if outcome.Query.result = Query.Out_of_budget then
-    Protocol.Timeout
-      { id; reason = `Budget; cached; latency_us; breakdown }
+    deliver sink
+      (Protocol.Timeout { id; reason = `Budget; cached; latency_us; breakdown })
   else
-    Protocol.Answer
-      {
-        id;
-        var = Pag.var_name pag outcome.Query.var;
-        objects = object_names pag outcome.Query.result;
-        cached;
-        steps = outcome.Query.steps_used;
-        latency_us;
-        breakdown;
-      }
+    answer t sink ~id ~var:outcome.Query.var ~result:outcome.Query.result
+      ~cached ~steps:outcome.Query.steps_used ~latency_us ~breakdown ()
 
 let note_slowlog t ~id ~trace ~var ~budget ~steps ~latency_us ~breakdown
     ~outcome ~cached ~now =
@@ -661,7 +687,7 @@ let note_point_trace t ~id ~trace ~var ~t0_us ~t1_us =
    stage sum as the latency keeps "the breakdown sums to the latency"
    true by construction, even when a test drives the service with a
    logical clock while solve stamps are wall clock. *)
-let finish t p ~respond_us ~steps ~outcome make_response =
+let finish t p ~respond_us ~steps ~outcome reply =
   let sp = p.p_span in
   Span.stamp_respond sp ~us:respond_us;
   let bd = Span.breakdown sp in
@@ -673,7 +699,7 @@ let finish t p ~respond_us ~steps ~outcome make_response =
     ~budget:p.p_budget ~steps ~latency_us ~breakdown:bd ~outcome
     ~cached:false ~now:(respond_us /. 1e6);
   note_trace t p;
-  p.p_respond (make_response ~latency_us ~breakdown:bd)
+  reply ~latency_us ~breakdown:bd
 
 let respond_timeout t ~respond_us ~steps p reason =
   bump
@@ -686,8 +712,9 @@ let respond_timeout t ~respond_us ~steps p reason =
       | `Deadline -> "timeout_deadline"
       | `Budget -> "timeout_budget")
     (fun ~latency_us ~breakdown ->
-      Protocol.Timeout
-        { id = p.p_id; reason; cached = false; latency_us; breakdown })
+      deliver p.p_sink
+        (Protocol.Timeout
+           { id = p.p_id; reason; cached = false; latency_us; breakdown }))
 
 let run_batch t ~now live =
   (* Coalesce duplicate variables: one solve serves every requester. *)
@@ -742,7 +769,7 @@ let run_batch t ~now live =
       | None ->
           (* Cannot happen: the runner answers every scheduled query or
              raises. Fail the request rather than hang the client. *)
-          p.p_respond
+          deliver p.p_sink
             (Protocol.Error
                { id = Some p.p_id; reason = "internal: query lost in batch" })
       | Some (outcome, qs) ->
@@ -787,7 +814,7 @@ let run_batch t ~now live =
             bump t.counters.completed;
             finish t p ~respond_us ~steps ~outcome:"ok"
               (fun ~latency_us ~breakdown ->
-                answer_of_outcome t ~id:p.p_id ~cached:false ~latency_us
+                reply_outcome t p.p_sink ~id:p.p_id ~cached:false ~latency_us
                   ~breakdown outcome)
           end)
     live;
@@ -855,7 +882,7 @@ let shutdown t = Engine.shutdown t.engine
    asking for a budgeted approximation must get the solver's semantics.
    Latency is measured with its own wall-clock pair (never the service
    drive clock, which tests run logically), reported as pure solve time. *)
-let try_oracle t ~id ~trace ~var ~v ~respond =
+let try_oracle t ~id ~trace ~var ~v sink =
   match Engine.oracle t.engine with
   | None ->
       bump t.counters.oracle_fallbacks;
@@ -863,6 +890,11 @@ let try_oracle t ~id ~trace ~var ~v ~respond =
   | Some o ->
       let t0 = Unix.gettimeofday () in
       let outcome = Parcfl_oracle.Oracle.outcome o v in
+      let rendered =
+        match sink with
+        | Line _ -> Some (Engine.oracle_objects t.engine v)
+        | Value _ -> None
+      in
       let latency_us = Float.max 0.0 ((Unix.gettimeofday () -. t0) *. 1e6) in
       bump t.counters.oracle_hits;
       bump t.counters.completed;
@@ -885,8 +917,8 @@ let try_oracle t ~id ~trace ~var ~v ~respond =
         ~now:(t0 +. (latency_us /. 1e6));
       note_point_trace t ~id ~trace ~var:v ~t0_us:(t0 *. 1e6)
         ~t1_us:((t0 *. 1e6) +. latency_us);
-      respond
-        (answer_of_outcome t ~id ~cached:false ~latency_us ~breakdown outcome);
+      answer t sink ?rendered ~id ~var:v ~result:outcome.Query.result
+        ~cached:false ~steps:0 ~latency_us ~breakdown ();
       true
 
 (* The wire chain: one JSON object per PAG edge the witness follows, in
@@ -1035,7 +1067,8 @@ let explain t ~id ~var ~obj ~respond =
           in
           respond reply)
 
-let submit t ~now ~respond req =
+let handle t ~now sink req =
+  let respond = deliver sink in
   match req with
   | Protocol.Ping id -> respond (Protocol.Pong id)
   | Protocol.Explain { id; var; obj } -> explain t ~id ~var ~obj ~respond
@@ -1073,7 +1106,7 @@ let submit t ~now ~respond req =
       | Error reason -> respond (Protocol.Error { id = Some id; reason })
       | Ok v
         when t.oracle_enabled && budget = None && deadline_ms = None
-             && try_oracle t ~id ~trace ~var ~v ~respond ->
+             && try_oracle t ~id ~trace ~var ~v sink ->
           ()
       | Ok v -> (
           (* Tier enabled but this request went past it. A refined request
@@ -1089,24 +1122,22 @@ let submit t ~now ~respond req =
           match Cache.find t.cache (cache_key t ~var:v ~budget:eff) with
           | Some outcome ->
               bump t.counters.cache_hits;
-              let resp =
-                answer_of_outcome t ~id ~cached:true ~latency_us:0.0
-                  ~breakdown:Span.zero outcome
-              in
               let outcome_str =
-                match resp with
-                | Protocol.Timeout _ ->
-                    bump t.counters.timeouts_budget;
-                    "timeout_budget"
-                | _ ->
-                    bump t.counters.completed;
-                    "ok"
+                if outcome.Query.result = Query.Out_of_budget then begin
+                  bump t.counters.timeouts_budget;
+                  "timeout_budget"
+                end
+                else begin
+                  bump t.counters.completed;
+                  "ok"
+                end
               in
               observe_latency t 0.0;
               note_slowlog t ~id ~trace ~var ~budget:eff
                 ~steps:outcome.Query.steps_used ~latency_us:0.0
                 ~breakdown:Span.zero ~outcome:outcome_str ~cached:true ~now;
-              respond resp
+              reply_outcome t sink ~id ~cached:true ~latency_us:0.0
+                ~breakdown:Span.zero outcome
           | None ->
               bump t.counters.cache_misses;
               let p =
@@ -1118,7 +1149,7 @@ let submit t ~now ~respond req =
                   p_deadline = deadline;
                   p_arrival = now;
                   p_span = Span.create ~admit_us:(now *. 1e6);
-                  p_respond = respond;
+                  p_sink = sink;
                 }
               in
               if Admission.try_add t.queue p then
@@ -1127,3 +1158,6 @@ let submit t ~now ~respond req =
                 bump t.counters.rejected;
                 respond (Protocol.Rejected { id; reason = "queue_full" })
               end))
+
+let submit t ~now ~respond req = handle t ~now (Value respond) req
+let submit_line t ~now ~send req = handle t ~now (Line send) req

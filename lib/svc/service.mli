@@ -151,6 +151,15 @@ val submit :
     {!pump}/{!drain}. [Protocol.Quit] is transport-level and ignored
     here. *)
 
+val submit_line :
+  t -> now:float -> send:(string -> unit) -> Protocol.request -> unit
+(** {!submit} for a transport: [send] gets each reply as its rendered
+    wire line, newline included — byte for byte
+    [Protocol.response_line] of what {!submit} would hand [respond]. An
+    answer is written from the engine's escaped object names, and an
+    oracle answer from its row's cached array ({!Engine.oracle_objects}),
+    without building a name list. *)
+
 val pump : t -> now:float -> int
 (** Execute one micro-batch of the oldest [min depth max_batch] queued
     requests, if any; returns the number of requests answered. The flush

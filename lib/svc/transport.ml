@@ -1,4 +1,10 @@
 let max_reply_line = 1 lsl 20
+let read_size = 65536
+
+(* Requests are read 4 KiB at a time: [serve] admits every line of a
+   read before it pumps, so a larger read would let one pipelined burst
+   overrun the admission queue that pumping between reads keeps short. *)
+let request_read_size = 4096
 let output_cap = 4 * max_reply_line
 let n_dropped = ref 0
 let dropped () = !n_dropped
@@ -56,7 +62,7 @@ type conn = {
 
 let create ?out_fd ?(owned = true) ~max_line fd =
   { in_fd = fd; out = Option.value out_fd ~default:fd; owned;
-    fr = framer ~max_line; chunk = Bytes.create 4096; queue = Queue.create ();
+    fr = framer ~max_line; chunk = Bytes.create read_size; queue = Queue.create ();
     head_off = 0; queued = 0; alive = true; closing = false }
 
 let alive c = c.alive
@@ -120,17 +126,20 @@ let send c s =
 
 let close_when_flushed c = c.closing <- true
 
-let rec read c ~on_line ~on_overflow =
+let rec read_up_to size c ~on_line ~on_overflow =
   if readable c then
-    match Unix.read c.in_fd c.chunk 0 (Bytes.length c.chunk) with
+    match Unix.read c.in_fd c.chunk 0 size with
     | 0 -> close_when_flushed c
     | n ->
         feed c.fr c.chunk 0 n
           ~on_line:(fun l -> if c.alive then on_line l)
           ~on_overflow
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (EINTR, _, _) -> read c ~on_line ~on_overflow
+    | exception Unix.Unix_error (EINTR, _, _) ->
+        read_up_to size c ~on_line ~on_overflow
     | exception Unix.Unix_error _ -> kill c
+
+let read = read_up_to read_size
 
 let wait ~listeners ~read ~write timeout =
   List.iter (fun c -> if c.closing && Queue.is_empty c.queue then kill c) write;
@@ -146,10 +155,10 @@ let wait ~listeners ~read ~write timeout =
         List.filter (fun c -> List.mem c.in_fd ready) read )
   | exception Unix.Unix_error (EINTR, _, _) -> ([], [])
 
-let reply c r = send c (Protocol.response_to_string r ^ "\n")
+let reply c r = send c (Protocol.response_line r)
 
 let read_requests c handle =
-  read c
+  read_up_to request_read_size c
     ~on_line:(fun line ->
       if String.trim line <> "" then
         match Protocol.parse_request line with
@@ -185,6 +194,10 @@ let accept ~max_line listen_fd =
       Some (create ~max_line fd)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> None
 
+(* Short enough that a waiter overshoots readiness by at most one brief
+   sleep: cluster boot waits through this. *)
+let max_poll_pause = 0.005
+
 let poll ~timeout_s f =
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec go pause =
@@ -195,7 +208,7 @@ let poll ~timeout_s f =
         if left <= 0.0 then None
         else begin
           Unix.sleepf (Float.min pause left);
-          go (Float.min (2.0 *. pause) 0.05)
+          go (Float.min (2.0 *. pause) max_poll_pause)
         end
   in
   go 0.001

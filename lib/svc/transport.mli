@@ -60,7 +60,7 @@ val wait :
 
 val read :
   conn -> on_line:(string -> unit) -> on_overflow:(unit -> unit) -> unit
-(** One [read(2)] of up to 4 KiB, framed by {!feed}; a no-op unless
+(** One [read(2)] of up to 64 KiB, framed by {!feed}; a no-op unless
     {!readable}. End of stream closes the input side only — replies can
     still be sent, as by {!close_when_flushed}; a read error kills the
     connection. No [on_line] runs after it dies. *)
@@ -73,10 +73,12 @@ val reply : conn -> Protocol.response -> unit
 (** {!send} one response line. *)
 
 val read_requests : conn -> (Protocol.request -> unit) -> unit
-(** {!read} request lines: blank lines are skipped, an unparseable line is
-    answered with one id-less error, and an over-long one with one
-    [request line too long] error, after which the connection closes
-    once that error has flushed. *)
+(** {!read} request lines, at most 4 KiB per call: [serve] admits every
+    line of a read before it pumps, so a pipelined burst reaches the
+    admission queue a turn at a time. Blank lines are skipped, an
+    unparseable line is answered with one id-less error, and an
+    over-long one with one [request line too long] error, after which
+    the connection closes once that error has flushed. *)
 
 val close_when_flushed : conn -> unit
 (** Stop reading; the connection dies at the first {!wait} that finds its
@@ -96,5 +98,5 @@ val accept : max_line:int -> Unix.file_descr -> conn option
 (** One pending client as a non-blocking connection, if any. *)
 
 val poll : timeout_s:float -> (unit -> 'a option) -> 'a option
-(** Retry [f] until [Some], sleeping 1 ms, then doubling up to 50 ms,
+(** Retry [f] until [Some], sleeping 1 ms, then doubling up to 5 ms,
     between tries; [None] once [timeout_s] has passed. *)

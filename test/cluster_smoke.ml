@@ -962,6 +962,44 @@ let () =
         [ "threads"; "oracle_live"; "generation"; "queue_depth" ])
   | r, _ ->
       fail "oracle leg: expected stats, got %s" (Proto.response_to_string r));
+  (* A routed reply is the replica's bytes with only the id spliced. A
+     repeated refined query is a cache hit, whose latency and breakdown
+     are all zero, so the two lines can be compared byte for byte: each
+     replica answers it twice directly (id 1), then the router once. *)
+  let direct = List.map (fun r -> reader (connect_path (osock ^ r))) [ ".r0"; ".r1" ] in
+  List.iteri
+    (fun k (v, budget) ->
+      let line id = Printf.sprintf "query %d #%d budget=%d" id v budget in
+      let cached =
+        List.map
+          (fun d ->
+            send_line d (line 1);
+            ignore (next_line d ~timeout:10.0);
+            send_line d (line 1);
+            match next_line d ~timeout:10.0 with
+            | Some l -> l
+            | None -> fail "splice leg: a replica did not answer")
+          direct
+      in
+      let id = 9700 + k in
+      send_line o (line id);
+      let routed =
+        match next_line o ~timeout:10.0 with
+        | Some l -> l
+        | None -> fail "splice leg: the router did not answer"
+      in
+      let prefix = "{\"id\":1," in
+      let spliced l =
+        let n = String.length prefix in
+        if String.length l < n || String.sub l 0 n <> prefix then
+          fail "splice leg: replica reply %S has no id prefix" l;
+        Printf.sprintf "{\"id\":%d,%s" id (String.sub l n (String.length l - n))
+      in
+      if not (List.exists (fun l -> spliced l = routed) cached) then
+        fail "splice leg: routed %S is no replica's %S with the id changed"
+          routed (String.concat " | " cached))
+    [ (var_of 0, 100_000); (var_of 1, 1); (var_of 2, 7) ];
+  List.iter (fun d -> Unix.close d.fd) direct;
   send_line o (Proto.request_to_string Proto.Quit);
   (match Unix.waitpid [] oracle_pid with
   | _, Unix.WEXITED 0 -> ()

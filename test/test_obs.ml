@@ -147,6 +147,66 @@ let test_tracer_roundtrip () =
       in
       Alcotest.(check int) "10 queries" 10 (List.length starts)
 
+(* A trace's origin survives export -> parse -> merge_cluster to the
+   microsecond. An epoch origin is ~1.79e15 us, where 12 significant
+   digits step by 10 ms; an integer [t0_us] is exact. *)
+let test_trace_origin_exact () =
+  let tr = Tracer.create ~workers:1 () in
+  Tracer.emit tr ~worker:0 Tracer.Query_start ~var:1;
+  Tracer.emit tr ~worker:0 Tracer.Query_end ~var:1;
+  let doc = Tracer.to_json tr in
+  (match Json.member "t0_us" doc with
+  | Some (Json.Int _) -> ()
+  | _ -> Alcotest.fail "t0_us is not written as an integer");
+  let exported t0 =
+    let doc =
+      match doc with
+      | Json.Obj fs ->
+          Json.Obj (List.map (fun (k, v) -> if k = "t0_us" then (k, t0) else (k, v)) fs)
+      | _ -> Alcotest.fail "trace is not an object"
+    in
+    match Json.of_string (Json.to_string doc) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "export does not parse: %s" e
+  in
+  let base = 1.79e15 in
+  let router =
+    {
+      Tracer.rs_id = 1; rs_rid = 1; rs_replica = 0; rs_var = 1;
+      rs_accept_us = base; rs_route_us = base; rs_forward_us = base;
+      rs_reply_us = base +. 400.0; rs_respond_us = base +. 500.0;
+    }
+  in
+  let ts_of pid j =
+    List.filter_map
+      (fun ev ->
+        match (Json.member "pid" ev, Json.member "ts" ev) with
+        | Some (Json.Int p), Some (Json.Float ts) when p = pid -> Some ts
+        | _ -> None)
+      (trace_events j)
+  in
+  let original = ts_of 0 (exported (Json.Int 0)) in
+  List.iter
+    (fun (what, t0, shift) ->
+      let merged =
+        Tracer.merge_cluster ~router_spans:[ router ]
+          ~replicas:[ (0, exported t0) ]
+      in
+      (match Json.member "t0_us" merged with
+      | Some (Json.Int n) -> Alcotest.(check int) "merged origin" 1_790_000_000_000_000 n
+      | _ -> Alcotest.fail "merged t0_us is not an integer");
+      let moved = ts_of 1 merged in
+      Alcotest.(check int) (what ^ ": events") (List.length original) (List.length moved);
+      List.iter2
+        (fun a b ->
+          if Float.abs (b -. a -. shift) >= 1.0 then
+            Alcotest.failf "%s: event at %.3f moved to %.3f, want +%.0f" what a b shift)
+        original moved)
+    [
+      ("integer origin", Json.Int 1_790_000_000_000_123, 123.0);
+      ("float origin", Json.Float 1.79000000001e15, 10_000.0);
+    ]
+
 let test_tracer_overflow () =
   let tr = Tracer.create ~capacity:16 ~workers:1 () in
   for q = 0 to 99 do
@@ -468,6 +528,8 @@ let suite =
       Alcotest.test_case "json unicode escape" `Quick test_json_unicode_escape;
       Alcotest.test_case "tracer roundtrip" `Quick test_tracer_roundtrip;
       Alcotest.test_case "tracer overflow" `Quick test_tracer_overflow;
+      Alcotest.test_case "trace origin exact through merge" `Quick
+        test_trace_origin_exact;
       Alcotest.test_case "tracer bad worker" `Quick
         test_tracer_ignores_bad_worker;
       Alcotest.test_case "tracer lane = response breakdown" `Quick
