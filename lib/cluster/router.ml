@@ -9,29 +9,24 @@ module Service = Parcfl_svc.Service
 
 type config = {
   poll_interval : float;  (* seconds between health-poll rounds *)
-  health_timeout : float;  (* unanswered probe age that counts as failed *)
-  k_readmit : int;  (* consecutive healthy polls before re-admission *)
-  admin_replica : int option;
-      (* send metrics/stats/slowlog to this one replica instead of
-         federating over all live ones — the single-replica escape hatch *)
   rebalance_interval : float;
       (* seconds between live-profile seed re-scans; 0 disables *)
-  rebalance_candidates : int;  (* seeds scanned per re-scan *)
-  rebalance_decay : float;
-      (* per-interval multiplier on the observed load profile: an EWMA
-         over intervals, so placement tracks the recent workload *)
 }
 
-let default_config =
-  {
-    poll_interval = 0.5;
-    health_timeout = 5.0;
-    k_readmit = 3;
-    admin_replica = None;
-    rebalance_interval = 0.0;
-    rebalance_candidates = 16;
-    rebalance_decay = 0.5;
-  }
+let default_config = { poll_interval = 0.5; rebalance_interval = 0.0 }
+
+(* An unanswered probe older than this counts as a failed poll. *)
+let health_timeout = 5.0
+
+(* Consecutive healthy polls a drained replica answers before re-admission. *)
+let k_readmit = 3
+
+(* Seeds scanned per placement re-scan ({!Shard_map.rebalance}). *)
+let rebalance_candidates = 16
+
+(* Per-interval multiplier on the observed load profile: an EWMA over
+   intervals, so placement tracks the recent workload. *)
+let rebalance_decay = 0.5
 
 type client = {
   conn : Transport.conn;
@@ -428,26 +423,16 @@ and route t client req =
             let route_us = if t.on_span = None then 0.0 else now_us () in
             forward t client req idx ~var:v ~accept_us ~route_us
           end)
-  | (Proto.Metrics _ | Proto.Stats _ | Proto.Slowlog _ | Proto.Health _)
-    when t.config.admin_replica = None ->
+  | Proto.Metrics _ | Proto.Stats _ | Proto.Slowlog _ | Proto.Health _ ->
       scatter t client [ req ]
-  | _ -> (
-      (* drain, or admin verbs pinned to one replica. *)
-      let target =
-        match t.config.admin_replica with
-        | Some i ->
-            if Failover.is_live t.failover i then Ok i
-            else Error (Printf.sprintf "replica %d is drained" i)
-        | None -> (
-            match live_indices t with
-            | i :: _ -> Ok i
-            | [] -> Error "no live replica")
-      in
-      match target with
-      | Error reason ->
+  | Proto.Drain _ -> (
+      (* A single-replica verb: the first live one. *)
+      match live_indices t with
+      | [] ->
           client_send client
-            (Proto.Error { id = Proto.request_id req; reason })
-      | Ok idx ->
+            (Proto.Error
+               { id = Proto.request_id req; reason = "no live replica" })
+      | idx :: _ ->
           t.routed.(idx) <- t.routed.(idx) + 1;
           forward t client req idx ~var:(-1) ~accept_us:0.0 ~route_us:0.0)
 
@@ -565,7 +550,7 @@ let observe_poll t idx ~healthy =
    stalled replica drains [health_timeout] after its first unanswered
    probe, not at the next poll round. *)
 let expire_probes t ~now =
-  take t.probes (fun (_, sent) -> now -. sent > t.config.health_timeout)
+  take t.probes (fun (_, sent) -> now -. sent > health_timeout)
   |> List.map (fun (_, (idx, _)) -> idx)
   |> List.sort_uniq compare
   |> List.iter (fun idx ->
@@ -577,7 +562,7 @@ let expire_probes t ~now =
 
 let next_expiry t =
   Hashtbl.fold
-    (fun _ (_, sent) acc -> Float.min acc (sent +. t.config.health_timeout))
+    (fun _ (_, sent) acc -> Float.min acc (sent +. health_timeout))
     t.probes infinity
 
 (* Probe everyone — drained replicas too, that's how they come back. A
@@ -607,7 +592,7 @@ let rebalance_now t =
   if total > 0 then begin
     let before = Shard_map.busiest_share t.shard_map ~load in
     let next =
-      Shard_map.rebalance ~candidates:t.config.rebalance_candidates
+      Shard_map.rebalance ~candidates:rebalance_candidates
         t.shard_map ~load
     in
     let moved = Shard_map.diff_owners t.shard_map next in
@@ -628,7 +613,7 @@ let rebalance_now t =
     end
   end;
   Array.iteri
-    (fun i x -> t.profile.(i) <- x *. t.config.rebalance_decay)
+    (fun i x -> t.profile.(i) <- x *. rebalance_decay)
     t.profile
 
 (* ---------------------- backend reply handling --------------------- *)
@@ -716,17 +701,18 @@ let read_backend t b c =
 let read_client t client =
   let scrapes = ref [] in
   Transport.read_requests client.conn (function
-    | (Proto.Metrics _ | Proto.Stats _) as req
-      when t.config.admin_replica = None ->
-        scrapes := req :: !scrapes
+    | (Proto.Metrics _ | Proto.Stats _) as req -> scrapes := req :: !scrapes
     | req -> route t client req);
   scatter t client (List.rev !scrapes)
 
 (* ----------------------------- serving ----------------------------- *)
 
-(* Replies and the quit broadcast still queued at shutdown get this long,
-   in total, to flush. *)
+(* After [quit], the replies still owed to clients get this long, in
+   total, to arrive from the replicas; the quit broadcast and the queued
+   replies then get as long again to flush. *)
 let shutdown_grace = 5.0
+
+let quiesced t = Hashtbl.length t.inflight = 0 && Hashtbl.length t.aggs = 0
 
 let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
     replicas =
@@ -734,16 +720,12 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
   if n = 0 then invalid_arg "Router.create: no replicas";
   if Shard_map.n_shards shard_map <> n then
     invalid_arg "Router.create: shard map size disagrees with replica count";
-  (match config.admin_replica with
-  | Some i when i < 0 || i >= n ->
-      invalid_arg "Router.create: admin replica out of range"
-  | _ -> ());
   let t =
     {
       config;
       shard_map;
       resolve;
-      failover = Failover.create ~n ~k_readmit:config.k_readmit;
+      failover = Failover.create ~n ~k_readmit;
       backends =
         Array.mapi
           (fun i r -> { b_idx = i; b_replica = r; b_conn = None })
@@ -774,9 +756,17 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listen_fd = Transport.listen socket_path in
+  (* Set at [quit]: the last moment to wait for owed replies. *)
+  let stop_by = ref infinity in
   t.next_rebalance <- Unix.gettimeofday () +. t.config.rebalance_interval;
   log "serving %s over %d replicas" socket_path (Array.length t.backends);
-  while not t.stopping do
+  while
+    not (t.stopping && (quiesced t || Unix.gettimeofday () >= !stop_by))
+  do
+    (* Shutdown: no new clients and no new requests; replicas are still
+       read, so what was forwarded before [quit] is answered. *)
+    if t.stopping && !stop_by = infinity then
+      stop_by := Unix.gettimeofday () +. shutdown_grace;
     let live, dead =
       List.partition (fun c -> Transport.alive c.conn) t.clients
     in
@@ -798,16 +788,22 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
     in
     let clients = List.map (fun c -> c.conn) t.clients in
     let pending, ready =
-      Transport.wait ~listeners:[ listen_fd ]
+      Transport.wait
+        ~listeners:(if t.stopping then [] else [ listen_fd ])
         ~read:
           (List.map fst backends
           @ List.filter_map
               (fun c ->
-                if c.outstanding < max_outstanding then Some c.conn else None)
+                if c.outstanding < max_outstanding && not t.stopping then
+                  Some c.conn
+                else None)
               t.clients)
         ~write:(List.map fst backends @ clients)
         (Float.max 0.01
-           (Float.min (Float.min t.next_poll (next_expiry t) -. now) 1.0))
+           (Float.min
+              (Float.min (Float.min t.next_poll (next_expiry t)) !stop_by
+              -. now)
+              1.0))
     in
     (* A flush may have found a replica gone. *)
     List.iter (fun (c, b) -> backend_check t b c) backends;
@@ -827,9 +823,9 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
               t.clients)
       ready
   done;
-  (* Shutdown: no new clients; tell every replica to drain and go, and
-     give the quit broadcast and the clients' queued replies one shared
-     grace period to flush. *)
+  (* Every owed reply is in (or the grace ran out): tell every replica to
+     drain and go, and give the quit broadcast and the clients' queued
+     replies one shared grace period to flush. *)
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
   let backends =

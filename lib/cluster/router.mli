@@ -21,10 +21,10 @@
       dropped, never double-delivered);
     + the {b health poll loop} probes every replica (live and drained)
       each [poll_interval] with the [health] verb; a degraded verdict, an
-      unanswered probe older than [health_timeout], or a failed connect
-      counts as a failed poll and drains a live replica;
-    + a drained replica re-admits only after [k_readmit] {e consecutive}
-      healthy polls ({!Failover}) — and its home shards route back by
+      unanswered probe older than 5 s, or a failed connect counts as a
+      failed poll and drains a live replica;
+    + a drained replica re-admits only after 3 {e consecutive} healthy
+      polls ({!Failover}) — and its home shards route back by
       construction of rendezvous hashing.
 
     {b Slow peers.} Every connection is a non-blocking
@@ -32,7 +32,7 @@
     past the output cap is dropped — a replica as a dead replica — and
     counted in [parcfl_router_slow_peers_dropped_total]; a client with 128
     requests out is not read until replies return; a stalled replica
-    drains within [health_timeout + poll_interval] of the stall.
+    drains within 5 s + [poll_interval] of the stall.
 
     {b Telemetry federation.} The router answers [ping] and [health]
     itself (the cluster is healthy while any replica is live; reasons
@@ -47,15 +47,13 @@
     per-replica in-flight gauges — federates ahead of the replicas'
     families as the [parcfl_router_*] namespace. A replica that dies
     mid-scatter only shrinks the merge; it never wedges the reply.
-    Setting [admin_replica] restores the single-replica behaviour
-    (inspect one replica in isolation). [drain] stays a
-    single-replica verb — first live, or [admin_replica] when set.
+    [drain] stays a single-replica verb: it goes to the first live one.
 
     {b Live rebalancing.} When [rebalance_interval > 0] the router folds
-    every answer's [solve_us] into a per-variable load profile (decayed
-    by [rebalance_decay] each interval — an EWMA over intervals) and
-    periodically re-runs the {!Shard_map.rebalance} seed scan against
-    the observed profile. The scan's strict-improvement rule means a
+    every answer's [solve_us] into a per-variable load profile (halved
+    each interval — an EWMA over intervals) and periodically re-runs the
+    {!Shard_map.rebalance} seed scan (16 candidate seeds) against the
+    observed profile. The scan's strict-improvement rule means a
     rebalance is never worse than the incumbent placement, and
     {!Shard_map.diff_owners} bounds the swap: only components whose
     rendezvous owner actually changed migrate — their replayed queries
@@ -64,25 +62,12 @@
 
 type config = {
   poll_interval : float;  (** seconds between health-poll rounds *)
-  health_timeout : float;
-      (** an unanswered probe older than this counts as a failed poll and
-          resets the connection *)
-  k_readmit : int;  (** consecutive healthy polls before re-admission *)
-  admin_replica : int option;
-      (** forward [metrics]/[stats]/[slowlog] to this one replica instead
-          of federating — the single-replica inspection escape hatch *)
   rebalance_interval : float;
       (** seconds between live-profile seed re-scans; [0.] disables *)
-  rebalance_candidates : int;
-      (** seeds scanned per re-scan ({!Shard_map.rebalance}) *)
-  rebalance_decay : float;
-      (** per-interval multiplier on the observed load profile *)
 }
 
 val default_config : config
-(** 0.5 s polls, 5 s probe timeout, 3 polls to re-admit, federation on
-    ([admin_replica = None]), rebalancing off, 16 candidate seeds,
-    0.5 decay. *)
+(** 0.5 s polls, rebalancing off. *)
 
 val serve :
   ?config:config ->
@@ -94,10 +79,15 @@ val serve :
   unit
 (** Run the router event loop until a client sends [quit]. [resolve] maps
     a protocol variable reference (["#<n>"] or an exact name) to its PAG
-    id — the router resolves only to pick the shard and forwards the
-    reference verbatim. The shard map's size must equal the replica
-    count ([Invalid_argument] otherwise, as for an out-of-range
-    [admin_replica]).
+    id ({!Parcfl_pag.Names.var}, as the replicas resolve it) — the
+    router resolves only to pick the shard and forwards the reference
+    verbatim. The shard map's size must equal the replica count
+    ([Invalid_argument] otherwise).
+
+    On [quit] the router stops accepting and reading clients, keeps
+    reading replicas until every forwarded request and federated gather
+    has been answered (at most 5 s), then tells every replica to [quit]
+    and returns once the queued replies have flushed.
 
     [on_span] receives one {!Parcfl_obs.Tracer.router_span} per answered
     query — the router-side accept/route/forward/reply/respond stamps —

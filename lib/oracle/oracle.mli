@@ -24,9 +24,10 @@
     steps) so a service can splice the oracle in front of its cache and
     solver.
 
-    An oracle is frozen against one PAG generation: it answers for the
-    graph it decomposed and must be discarded on reload ({!generation} is
-    checked by importers). *)
+    An oracle is frozen against one PAG: it answers for the graph it
+    decomposed. It carries the caller's {!generation} tag, which
+    importers check; a service engine never swaps its PAG and tags
+    every oracle 0. *)
 
 type t
 
@@ -84,8 +85,7 @@ val export : t -> string
 val import :
   generation:int -> Parcfl_pag.Pag.t -> string -> (t, string) result
 (** Rebuild an oracle for the given PAG from {!export}ed text. Refused when
-    the snapshot's generation differs from [generation] (a reloaded PAG
-    can never be served from a stale decomposition) or its
+    the snapshot's generation differs from [generation] or its
     [n_vars]/[n_objs] differ from the PAG's (a snapshot of another graph
     would answer out-of-range rows); the error names both shapes. The
     parser is strict — it accepts exactly what {!export} writes, so an

@@ -1,18 +1,14 @@
 module Query = Parcfl_cfl.Query
 
-type key = { ck_var : int; ck_budget : int; ck_generation : int }
+type key = { ck_var : int; ck_budget : int }
 
 module Map = Parcfl_conc.Sharded_map.Make (struct
   type t = key
 
-  let equal a b =
-    a.ck_var = b.ck_var
-    && a.ck_budget = b.ck_budget
-    && a.ck_generation = b.ck_generation
+  let equal a b = a.ck_var = b.ck_var && a.ck_budget = b.ck_budget
 
   let hash k =
-    let h = (k.ck_var * 0x9e3779b1) lxor (k.ck_budget * 0x85ebca77) in
-    (h lxor (k.ck_generation * 0xc2b2ae3d)) land max_int
+    ((k.ck_var * 0x9e3779b1) lxor (k.ck_budget * 0x85ebca77)) land max_int
 end)
 
 type entry = { outcome : Query.outcome; mutable tick : int }

@@ -1,17 +1,12 @@
 (** The cross-batch result cache.
 
-    Completed solves are stored keyed by
-    [(variable, effective budget, PAG generation)] and consulted at
-    admission, so a repeated query returns without touching the solver or
-    the inflight queue. The key includes:
-
-    - the {b budget}, because a demand-driven answer is only meaningful
-      relative to its budget [B] — the same variable solved under a larger
-      budget may complete where a smaller one gave up;
-    - the {b generation}, the service's monotone counter bumped every time
-      a new PAG is loaded. Entries of older generations are never returned
-      (and are swept out lazily by eviction) — the cache-invalidation rule
-      is simply "a new graph is a new generation", see DESIGN.md.
+    Completed solves are stored keyed by [(variable, effective budget)]
+    and consulted at admission, so a repeated query returns without
+    touching the solver or the inflight queue. The key includes the
+    {b budget} because a demand-driven answer is only meaningful relative
+    to its budget [B] — the same variable solved under a larger budget
+    may complete where a smaller one gave up. A service serves one PAG
+    for its lifetime, so an entry never goes stale.
 
     Capacity is bounded: inserts beyond [capacity] trigger a batched
     least-recently-used sweep over the backing {!Parcfl_conc.Sharded_map}
@@ -19,7 +14,7 @@
     the map, sorts by tick and removes the oldest ~10% — LRU-ish rather
     than exact LRU, which would need a global list and a global lock). *)
 
-type key = { ck_var : int; ck_budget : int; ck_generation : int }
+type key = { ck_var : int; ck_budget : int }
 
 type t
 

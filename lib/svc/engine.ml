@@ -11,7 +11,7 @@ module Oracle = Parcfl_oracle.Oracle
 module Query = Parcfl_cfl.Query
 module Json = Parcfl_obs.Json
 
-(* Object names in wire form, built once per loaded PAG: each object's
+(* Object names in wire form, built once per engine: each object's
    rank in name order — equal names share a rank, as
    [List.sort_uniq compare] folds them — and, per rank, the name and its
    escaped JSON string token. *)
@@ -49,22 +49,16 @@ type t = {
   tau_f : int option;
   tau_u : int option;
   tracer : Parcfl_obs.Tracer.t option;
-  mutable pag : Pag.t;
-  mutable type_level : int -> int;
-  mutable plan : Schedule.plan;
-  mutable store : Jmp_store.t option;
-  mutable ctx_store : Ctx.store;
+  pag : Pag.t;
+  type_level : int -> int;
+  plan : Schedule.plan;
+  store : Jmp_store.t option;
+  ctx_store : Ctx.store;
       (* jmp records carry context ids; the store that interned them must
-         outlive them, so it is renewed exactly when the jmp store is *)
-  retired : int array;
-      (* [jmp_counters] summed over the stores [load] retired: the counts
-         are exported as monotone counters, so a reload must not reset them *)
-  mutable generation : int;
+         outlive them *)
   mutable rate : float option;  (* EWMA steps/second *)
-  mutable oracle : Oracle.t option;
-      (* the O(1) CI answer tier; dies with the PAG generation — [load]
-         discards it *)
-  mutable names : names;  (* of [pag]; rebuilt by [load] *)
+  mutable oracle : Oracle.t option;  (* the O(1) CI answer tier *)
+  names : names;  (* of [pag] *)
   mutable fragments : string array;
       (* the live oracle's rendered objects arrays, per distinct row; ""
          until the row's first hit. Replaced whenever [oracle] is. *)
@@ -73,49 +67,28 @@ type t = {
          multi-threaded execute, joined by [shutdown] *)
 }
 
-(* hits, misses, finished, unfinished: the store counts [load] carries
-   over into [retired]. *)
-let jmp_counters =
-  [|
-    Jmp_store.n_hits; Jmp_store.n_misses; Jmp_store.n_finished;
-    Jmp_store.n_unfinished;
-  |]
-
-let jmp_counter i t =
-  t.retired.(i)
-  + match t.store with Some s -> jmp_counters.(i) s | None -> 0
-
-let fresh_store t =
-  if Mode.uses_sharing t.mode then
-    Some (Jmp_store.create ?tau_f:t.tau_f ?tau_u:t.tau_u ())
-  else None
-
 let create ?(mode = Mode.Share_sched) ?(threads = 4) ?tau_f ?tau_u
     ?(solver_config = Config.default) ?tracer ~type_level pag =
-  let t =
-    {
-      mode;
-      threads = max 1 threads;
-      solver_config;
-      tau_f;
-      tau_u;
-      tracer;
-      pag;
-      type_level;
-      plan = Schedule.prepare ~pag ~type_level;
-      store = None;
-      ctx_store = Ctx.create_store ();
-      retired = Array.make (Array.length jmp_counters) 0;
-      generation = 0;
-      rate = None;
-      oracle = None;
-      names = names_of pag;
-      fragments = [||];
-      pool = None;
-    }
-  in
-  t.store <- fresh_store t;
-  t
+  {
+    mode;
+    threads = max 1 threads;
+    solver_config;
+    tau_f;
+    tau_u;
+    tracer;
+    pag;
+    type_level;
+    plan = Schedule.prepare ~pag ~type_level;
+    store =
+      (if Mode.uses_sharing mode then Some (Jmp_store.create ?tau_f ?tau_u ())
+       else None);
+    ctx_store = Ctx.create_store ();
+    rate = None;
+    oracle = None;
+    names = names_of pag;
+    fragments = [||];
+    pool = None;
+  }
 
 (* [Seq] forces one thread inside the runner, so a pool would sit unused
    there; everywhere else the pool is sized exactly to [t.threads] as
@@ -137,7 +110,6 @@ let shutdown t =
   | None -> ()
 
 let pag t = t.pag
-let generation t = t.generation
 let mode t = t.mode
 let threads t = t.threads
 let max_budget t = t.solver_config.Config.budget
@@ -162,38 +134,19 @@ let set_oracle t o =
     | Some o -> Array.make (Oracle.distinct_rows o) ""
     | None -> [||])
 
-let load t ?type_level pag =
-  let type_level = Option.value type_level ~default:t.type_level in
-  t.pag <- pag;
-  t.type_level <- type_level;
-  t.plan <- Schedule.prepare ~pag ~type_level;
-  Array.iteri (fun i _ -> t.retired.(i) <- jmp_counter i t) jmp_counters;
-  t.store <- fresh_store t;
-  t.ctx_store <- Ctx.create_store ();
-  t.names <- names_of pag;
-  set_oracle t None;
-  t.generation <- t.generation + 1
-
-(* Warm start: the O(1) answer tier, keyed to the current generation so a
-   later [load] discards it. It answers the CI relation; a
-   context-sensitive engine never builds one. *)
+(* Warm start: the O(1) answer tier over the engine's one PAG. It answers
+   the CI relation; a context-sensitive engine never builds one. *)
 let warm_start t =
   if not t.solver_config.Config.context_sensitive then
-    set_oracle t
-      (Some (Oracle.build ~threads:t.threads ~generation:t.generation t.pag))
+    set_oracle t (Some (Oracle.build ~threads:t.threads ~generation:0 t.pag))
 
-(* The oracle accessor re-checks the generation so a caller holding the
-   engine across a [load] can never read answers for a dead PAG. *)
-let oracle t =
-  match t.oracle with
-  | Some o when Oracle.generation o = t.generation -> Some o
-  | _ -> None
+let oracle t = t.oracle
 
 (* Cluster warm-up: replica 0 exports its compressed rows, joiners import
    them instead of re-running the kernel. A row is only valid for the
-   exact PAG it was derived from, so import refuses both a generation
-   mismatch and a snapshot shaped for a different graph — a stale file
-   must be an [Error], never an out-of-range row on the first query. *)
+   exact PAG it was derived from, so import refuses a snapshot shaped for
+   a different graph — a stale file must be an [Error], never an
+   out-of-range row on the first query. *)
 let export_oracle t =
   match oracle t with
   | None -> Error "engine holds no live oracle"
@@ -207,7 +160,7 @@ let import_oracle t text =
       (fun o ->
         set_oracle t (Some o);
         Oracle.distinct_rows o)
-      (Oracle.import ~generation:t.generation t.pag text)
+      (Oracle.import ~generation:0 t.pag text)
 
 (* ------------------------- answer objects ------------------------- *)
 
@@ -254,13 +207,12 @@ let oracle_objects t v =
     t.fragments.(row) <- objects_json t (Oracle.outcome o v).Query.result;
   t.fragments.(row)
 
-let jmp_edges t =
-  match t.store with Some s -> Jmp_store.n_jumps s | None -> 0
-
-let jmp_hits = jmp_counter 0
-let jmp_misses = jmp_counter 1
-let jmp_finished = jmp_counter 2
-let jmp_unfinished = jmp_counter 3
+let jmp_count count t = match t.store with Some s -> count s | None -> 0
+let jmp_edges = jmp_count Jmp_store.n_jumps
+let jmp_hits = jmp_count Jmp_store.n_hits
+let jmp_misses = jmp_count Jmp_store.n_misses
+let jmp_finished = jmp_count Jmp_store.n_finished
+let jmp_unfinished = jmp_count Jmp_store.n_unfinished
 
 let steps_per_second t = t.rate
 

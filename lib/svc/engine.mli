@@ -1,11 +1,12 @@
 (** The persistent solver state behind the service.
 
-    An engine owns, for its whole lifetime: the loaded PAG, the shared jmp
-    store (so shortcuts recorded by one batch are replayed by every later
-    batch — the paper's data sharing lifted across batches), the
-    precomputed scheduling plan (direct groups + CD/DD, built once per
-    loaded graph instead of once per batch) and the monotone {b generation}
-    counter that versions all of it for the result cache.
+    An engine serves one PAG for its whole lifetime and owns what is
+    valid for exactly that graph: the shared jmp store (so shortcuts
+    recorded by one batch are replayed by every later batch — the
+    paper's data sharing lifted across batches), the precomputed
+    scheduling plan (direct groups + CD/DD, built once instead of once
+    per batch) and the O(1) oracle tier. Serving another graph means
+    creating another engine.
 
     {!execute} runs one micro-batch through {!Parcfl_par.Runner.run} on the
     configured mode/threads and returns the full report (per-query
@@ -32,7 +33,6 @@ val create :
     service-wide {e maximum} per-query budget; requests can only lower it. *)
 
 val pag : t -> Parcfl_pag.Pag.t
-val generation : t -> int
 val mode : t -> Parcfl_par.Mode.t
 val threads : t -> int
 
@@ -40,8 +40,8 @@ val max_budget : t -> int
 (** The solver config's budget [B]. *)
 
 val ctx_store : t -> Parcfl_pag.Ctx.store
-(** The live context-intern store (renewed by {!load}); the store that
-    interns every context id the engine's outcomes and witnesses carry. *)
+(** The context-intern store that interns every context id the engine's
+    outcomes and witnesses carry. *)
 
 val explain :
   t ->
@@ -54,30 +54,20 @@ val explain :
     when [obj] is not in the set within budget. Runs on the caller's
     thread; cold path by design. *)
 
-val load : t -> ?type_level:(int -> int) -> Parcfl_pag.Pag.t -> unit
-(** Replace the loaded graph: bumps the generation, starts an empty jmp
-    store (the jmp counters keep their totals) and rebuilds the scheduling
-    plan. [type_level] defaults to the previous one (pass it whenever the
-    new graph has its own type hierarchy). *)
-
 val warm_start : t -> unit
-(** Build the O(1) oracle tier for the current generation
-    ({!Parcfl_oracle.Oracle.build} on the engine's thread count: one
-    whole-program bitset-kernel run plus row compression). The oracle
-    answers the CI relation, so a context-sensitive engine silently skips
-    it. A later {!load} discards it. *)
+(** Build the O(1) oracle tier ({!Parcfl_oracle.Oracle.build} on the
+    engine's thread count: one whole-program bitset-kernel run plus row
+    compression). The oracle answers the CI relation, so a
+    context-sensitive engine silently skips it. *)
 
 val oracle : t -> Parcfl_oracle.Oracle.t option
-(** The live O(1) answer tier, if one was built or imported for the
-    {e current} generation. Never returns an oracle from a previous
-    generation: {!load} both clears the field and bumps the counter the
-    accessor checks. *)
+(** The live O(1) answer tier, if one was built or imported. *)
 
 (** {2 Answer objects}
 
     A points-to answer lists its objects' names sorted and deduplicated
-    by name ([List.sort_uniq compare] over the names). The engine keeps,
-    per loaded PAG, each object's rank in that order and each name's
+    by name ([List.sort_uniq compare] over the names). The engine keeps
+    each object's rank in that order and each name's
     escaped JSON token, so an answer is ordered by sorting integers and
     rendered by concatenating tokens. *)
 
@@ -92,19 +82,15 @@ val objects_json : t -> Parcfl_cfl.Query.result -> string
 val oracle_objects : t -> Parcfl_pag.Pag.var -> string
 (** {!objects_json} of the live oracle's answer for the variable. Built
     on the first hit of the variable's distinct row and kept per row
-    until the oracle is replaced ({!load}, {!warm_start},
-    {!import_oracle}).
+    until the oracle is replaced ({!warm_start}, {!import_oracle}).
     @raise Invalid_argument when no oracle is live. *)
 
 val jmp_edges : t -> int
-(** jmp records held by the live store: accumulated across all batches
-    since the last {!load}, which starts an empty store. *)
+(** jmp records held by the store, accumulated across all batches. *)
 
 val jmp_hits : t -> int
 (** Store lookups that found a record; 0 in modes without sharing. This
-    and the three counts below are monotone over the engine's lifetime:
-    {!load} folds the retiring store's counts into the total rather than
-    resetting them. *)
+    and the three counts below are monotone over the engine's lifetime. *)
 
 val jmp_misses : t -> int
 val jmp_finished : t -> int
@@ -133,15 +119,15 @@ val shutdown : t -> unit
     limit. *)
 
 val export_oracle : t -> (string * int, string) result
-(** [(text, distinct_rows)]: the live oracle as a generation-tagged
-    [oraclesnap] text ({!Parcfl_oracle.Oracle.export}). Errors when the
-    engine holds no live oracle. *)
+(** [(text, distinct_rows)]: the live oracle as an [oraclesnap] text
+    ({!Parcfl_oracle.Oracle.export}). Errors when the engine holds no live
+    oracle. *)
 
 val import_oracle : t -> string -> (int, string) result
 (** Install a peer's oracle snapshot as this engine's answer tier,
     returning its distinct-row count. Rejected on a context-sensitive
-    engine (the oracle answers the CI relation), on a generation mismatch,
-    and when the snapshot's [n_vars]/[n_objs] differ from the loaded
-    PAG's (the error names both shapes) — see
-    {!Parcfl_oracle.Oracle.import}. A rejected import leaves the tier as
-    it was. *)
+    engine (the oracle answers the CI relation), on a snapshot
+    generation other than 0 (every engine builds generation 0), and when
+    the snapshot's [n_vars]/[n_objs] differ from the PAG's (the error
+    names both shapes) — see {!Parcfl_oracle.Oracle.import}. A rejected
+    import leaves the tier as it was. *)

@@ -7,6 +7,10 @@
     input at hand is in — no timer holds it. Requests that arrive during
     a solve wait in their sockets and form the next, larger batch; while
     a capped batch left work queued, the next [select] does not block.
+    A read never queues more than one batch: once [max_batch] requests
+    wait, the loop solves them before it admits the next line, so a
+    pipelined burst stays in its socket instead of overrunning the
+    admission queue.
 
     Transports, usable together:
     - {b stdio}: requests on [stdin], responses on [stdout] — `parcfl

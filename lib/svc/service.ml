@@ -1,4 +1,5 @@
 module Pag = Parcfl_pag.Pag
+module Names = Parcfl_pag.Names
 module Ctx = Parcfl_pag.Ctx
 module Config = Parcfl_cfl.Config
 module Query = Parcfl_cfl.Query
@@ -124,8 +125,7 @@ type t = {
   registry : Registry.t;
   watchdog : Watchdog.t;
   tracer : Tracer.t option;
-  names : (string, Pag.var) Hashtbl.t;
-  obj_names : (string, Pag.obj) Hashtbl.t;
+  names : Names.t;
   explain_hist : int array;  (* explain re-derivation latency, us, log2 *)
   chain_hist : int array;  (* witness chain depth, log2 *)
   (* Cumulative service-lifetime histograms (log2 buckets), folded in from
@@ -147,24 +147,6 @@ type t = {
          "draining" while stats/health/metrics keep answering, so an
          operator (or the cluster router) can watch the hand-off *)
 }
-
-let index_names pag =
-  let tbl = Hashtbl.create 1024 in
-  for v = 0 to Pag.n_vars pag - 1 do
-    let name = Pag.var_name pag v in
-    (* First binding wins: resolution is deterministic when names repeat
-       across methods; clients needing precision use the #id form. *)
-    if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name v
-  done;
-  tbl
-
-let index_obj_names pag =
-  let tbl = Hashtbl.create 1024 in
-  for o = 0 to Pag.n_objs pag - 1 do
-    let name = Pag.obj_name pag o in
-    if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name o
-  done;
-  tbl
 
 (* ------------------------------ stats ------------------------------ *)
 
@@ -270,8 +252,6 @@ let rows =
     gauge ~shape:Float "uptime_s" "parcfl_svc_uptime_seconds"
       "Seconds since service start" (fun t ->
         one (Float.max 0.0 (Unix.gettimeofday () -. t.created)));
-    gauge "generation" "parcfl_svc_generation" "Loaded-PAG generation"
-      (fun t -> one (fi (Engine.generation t.engine)));
     gauge "jmp_edges" "parcfl_jmp_edges" "jmp records held in the store"
       (fun t -> one (fi (Engine.jmp_edges t.engine)));
     count "jmp_hits" "parcfl_jmp_hits_total"
@@ -480,7 +460,7 @@ let create ?(config = default_config) ?tracer ~type_level pag =
       ~type_level pag
   in
   (* Warm start before any traffic: one whole-program kernel run builds
-     the O(1) oracle tier, keyed to the engine's initial generation. *)
+     the O(1) oracle tier. *)
   if config.oracle then Engine.warm_start engine;
   let buckets = Report.hist_buckets in
   let t =
@@ -503,8 +483,7 @@ let create ?(config = default_config) ?tracer ~type_level pag =
           ~workers:(Engine.threads engine)
           ~now:(Unix.gettimeofday ()) ();
       tracer;
-      names = index_names pag;
-      obj_names = index_obj_names pag;
+      names = Names.of_pag pag;
       explain_hist = Array.make buckets 0;
       chain_hist = Array.make buckets 0;
       lat_hist = Array.make buckets 0;
@@ -542,38 +521,6 @@ let inject_stall t ~now ~worker ~stalled =
 
 let stats t = view (Registry.collect t.registry)
 
-let resolve t name =
-  let pag = Engine.pag t.engine in
-  let len = String.length name in
-  if len > 1 && name.[0] = '#' then
-    match int_of_string_opt (String.sub name 1 (len - 1)) with
-    | Some v when v >= 0 && v < Pag.n_vars pag -> Ok v
-    | Some v ->
-        Error
-          (Printf.sprintf "variable id %d out of range (0..%d)" v
-             (Pag.n_vars pag - 1))
-    | None -> Error (Printf.sprintf "malformed variable id %S" name)
-  else
-    match Hashtbl.find_opt t.names name with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "unknown variable %S" name)
-
-let resolve_obj t name =
-  let pag = Engine.pag t.engine in
-  let len = String.length name in
-  if len > 1 && name.[0] = '#' then
-    match int_of_string_opt (String.sub name 1 (len - 1)) with
-    | Some o when o >= 0 && o < Pag.n_objs pag -> Ok o
-    | Some o ->
-        Error
-          (Printf.sprintf "object id %d out of range (0..%d)" o
-             (Pag.n_objs pag - 1))
-    | None -> Error (Printf.sprintf "malformed object id %S" name)
-  else
-    match Hashtbl.find_opt t.obj_names name with
-    | Some o -> Ok o
-    | None -> Error (Printf.sprintf "unknown object %S" name)
-
 (* The request's effective step budget: its own cap, the service ceiling,
    and — when it carries a deadline — the steps the engine's observed
    traversal rate says the remaining wall clock can afford. This is how a
@@ -586,12 +533,7 @@ let effective_budget t ~now ~budget ~deadline =
   | Some d ->
       min b (Engine.deadline_budget t.engine ~seconds_left:(d -. now))
 
-let cache_key t ~var ~budget =
-  {
-    Cache.ck_var = var;
-    ck_budget = budget;
-    ck_generation = Engine.generation t.engine;
-  }
+let cache_key ~var ~budget = { Cache.ck_var = var; ck_budget = budget }
 
 (* A points-to answer. On a [Line] sink its objects are written from
    [rendered], when the caller has their array already (an oracle row),
@@ -785,14 +727,14 @@ let run_batch t ~now live =
              fabricate an outcome the solver did not produce. *)
           if within_budget then
             Cache.put t.cache
-              (cache_key t ~var:p.p_var ~budget:p.p_budget)
+              (cache_key ~var:p.p_var ~budget:p.p_budget)
               outcome
           else if
             outcome.Query.result = Query.Out_of_budget
             && p.p_budget = batch_budget
           then
             Cache.put t.cache
-              (cache_key t ~var:p.p_var ~budget:p.p_budget)
+              (cache_key ~var:p.p_var ~budget:p.p_budget)
               outcome;
           (* Solve stamps come straight from the runner's per-query
              start/end microseconds — the span costs the solver no extra
@@ -1021,10 +963,10 @@ let chain_json t (w : Solver.Witness.t) =
    nothing with the hot answer tiers, so the serve path costs nothing for
    it. *)
 let explain t ~id ~var ~obj ~respond =
-  match resolve t var with
+  match Names.var t.names var with
   | Error reason -> respond (Protocol.Error { id = Some id; reason })
   | Ok v -> (
-      match resolve_obj t obj with
+      match Names.obj t.names obj with
       | Error reason -> respond (Protocol.Error { id = Some id; reason })
       | Ok o ->
           let t0 = Unix.gettimeofday () in
@@ -1102,7 +1044,7 @@ let handle t ~now sink req =
       bump t.counters.rejected;
       respond (Protocol.Rejected { id; reason = "draining" })
   | Protocol.Query { id; var; budget; deadline_ms; trace } -> (
-      match resolve t var with
+      match Names.var t.names var with
       | Error reason -> respond (Protocol.Error { id = Some id; reason })
       | Ok v
         when t.oracle_enabled && budget = None && deadline_ms = None
@@ -1119,7 +1061,7 @@ let handle t ~now sink req =
               | None -> t.counters.oracle_fallbacks);
           let deadline = Option.map (fun d -> now +. (d /. 1000.0)) deadline_ms in
           let eff = effective_budget t ~now ~budget ~deadline in
-          match Cache.find t.cache (cache_key t ~var:v ~budget:eff) with
+          match Cache.find t.cache (cache_key ~var:v ~budget:eff) with
           | Some outcome ->
               bump t.counters.cache_hits;
               let outcome_str =

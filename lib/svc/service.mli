@@ -118,7 +118,7 @@ val view : Parcfl_telemetry.Expo.family list -> Parcfl_obs.Json.t
     ([admitted] … [explains_miss]); [cache_hit_rate] and
     [mean_batch_size], recomputed from the counters they divide (0 on a
     zero denominator); the gauges [queue_depth], [in_flight],
-    [cache_size], [uptime_s] and [generation]; the jmp store
+    [cache_size] and [uptime_s]; the jmp store
     ([jmp_edges], [jmp_hits] … [jmp_unfinished]); [cache_evictions],
     [steps_per_second], [threads], [mode] (the [parcfl_svc_info] label);
     [oracle_live], then the live oracle's [oracle_build_seconds],
@@ -133,12 +133,6 @@ val view : Parcfl_telemetry.Expo.family list -> Parcfl_obs.Json.t
 
 val stats : t -> Parcfl_obs.Json.t
 (** The [stats] payload: [view (Registry.collect (registry t))]. *)
-
-val resolve : t -> string -> (Parcfl_pag.Pag.var, string) result
-(** ["#<n>"] by id (bounds-checked), otherwise exact-name lookup. *)
-
-val resolve_obj : t -> string -> (Parcfl_pag.Pag.obj, string) result
-(** Same resolution for allocation-site (object) names. *)
 
 val submit :
   t ->
@@ -178,8 +172,7 @@ val draining : t -> bool
     keep answering (rolling restarts watch the hand-off this way). *)
 
 val export_oracle : t -> (string * int, string) result
-(** [(text, distinct_rows)]: the live oracle as a generation-tagged
-    [oraclesnap] text (see {!Engine.export_oracle}). Errors when no live
+(** [(text, distinct_rows)]: the live oracle as an [oraclesnap] text (see {!Engine.export_oracle}). Errors when no live
     oracle is installed. *)
 
 val import_oracle : t -> string -> (int, string) result

@@ -73,9 +73,8 @@ val reply : conn -> Protocol.response -> unit
 (** {!send} one response line. *)
 
 val read_requests : conn -> (Protocol.request -> unit) -> unit
-(** {!read} request lines, at most 4 KiB per call: [serve] admits every
-    line of a read before it pumps, so a pipelined burst reaches the
-    admission queue a turn at a time. Blank lines are skipped, an
+(** {!read} request lines, at most 4 KiB per call, so a pipelined burst
+    reaches [serve] a turn at a time. Blank lines are skipped, an
     unparseable line is answered with one id-less error, and an
     over-long one with one [request line too long] error, after which
     the connection closes once that error has flushed. *)

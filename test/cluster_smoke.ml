@@ -39,7 +39,12 @@
       must come back with the in-process oracle's row, and the federated
       `stats` must show both replicas' tiers live and one thread each,
       one oracle hit per query in its totals, and no summed gauge
-      (`threads`, `oracle_live`, `generation`, `queue_depth`) there.
+      (`threads`, `oracle_live`, `queue_depth`) there; every variable
+      name of the profile, routed by name, must come back with its first
+      binding's oracle row (the router and the replicas resolve names
+      through one function);
+  10. quit drains: `query 1 #5` and `quit` in one write get the query's
+      answer, and the router and both replicas exit within 1 s.
 
    Usage: cluster_smoke.exe <path/to/parcfl_cli.exe> *)
 
@@ -959,7 +964,7 @@ let () =
           if P.Json.member k totals <> None then
             fail "oracle leg: totals sums the gauge %s: %s" k
               (P.Json.to_string stats))
-        [ "threads"; "oracle_live"; "generation"; "queue_depth" ])
+        [ "threads"; "oracle_live"; "queue_depth" ])
   | r, _ ->
       fail "oracle leg: expected stats, got %s" (Proto.response_to_string r));
   (* A routed reply is the replica's bytes with only the id spliced. A
@@ -1000,10 +1005,66 @@ let () =
           routed (String.concat " | " cached))
     [ (var_of 0, 100_000); (var_of 1, 1); (var_of 2, 7) ];
   List.iter (fun d -> Unix.close d.fd) direct;
-  send_line o (Proto.request_to_string Proto.Quit);
+  (* Names resolve at the router as at the replica: each name reaches a
+     replica (no routing error) and is answered for its first binding. *)
+  let pag = bench.P.Suite.pag in
+  let first = Hashtbl.create 64 in
+  for v = P.Pag.n_vars pag - 1 downto 0 do
+    Hashtbl.replace first (P.Pag.var_name pag v) v
+  done;
+  let by_name =
+    Array.of_list (Hashtbl.fold (fun name v acc -> (name, v) :: acc) first [])
+  in
+  let n_names = Array.length by_name in
+  Array.iteri
+    (fun i (name, _) ->
+      send_line o
+        (Proto.request_to_string
+           (Proto.Query
+              { id = 9700 + i; var = name; budget = None; deadline_ms = None;
+                trace = None })))
+    by_name;
+  let seen = Hashtbl.create n_names in
+  for _ = 1 to n_names do
+    match next_line o ~timeout:10.0 with
+    | None -> fail "names leg: a reply is missing"
+    | Some line -> (
+        match Proto.response_of_string line with
+        | Ok (Proto.Answer { id; objects; _ })
+          when id >= 9700 && id < 9700 + n_names && not (Hashtbl.mem seen id)
+          ->
+            Hashtbl.add seen id ();
+            let name, v = by_name.(id - 9700) in
+            if objects <> oracle_row v then
+              fail "names leg: %S is not answered as #%d" name v
+        | _ -> fail "names leg: unexpected reply %S" line)
+  done;
+  (* A query pipelined ahead of quit is answered before the cluster goes,
+     and going takes no grace period: the router waits only for the
+     replies it owes. *)
+  let t_quit = Unix.gettimeofday () in
+  write_all o.fd "query 1 #5\nquit\n";
+  (match next_line o ~timeout:5.0 with
+  | None -> fail "quit leg: the query ahead of quit got no answer"
+  | Some line -> (
+      match Proto.response_of_string line with
+      | Ok (Proto.Answer { id = 1; objects; _ }) ->
+          if objects <> oracle_row 5 then
+            fail "quit leg: #5 differs from the oracle row"
+      | _ -> fail "quit leg: unexpected reply %S" line));
   (match Unix.waitpid [] oracle_pid with
   | _, Unix.WEXITED 0 -> ()
   | _ -> fail "oracle cluster did not exit cleanly");
+  let quit_s = Unix.gettimeofday () -. t_quit in
+  if quit_s > 1.0 then fail "quit leg: the cluster took %.2f s to exit" quit_s;
+  (* The router reaps its replicas before it exits; one still running
+     would have been killed, not have quit. *)
+  Hashtbl.iter
+    (fun i pid ->
+      match Unix.kill pid 0 with
+      | () -> fail "quit leg: replica %d outlived the router" i
+      | exception Unix.Unix_error (ESRCH, _, _) -> ())
+    oracle_replicas;
   Unix.close o.fd;
 
   (try Sys.remove sock with Sys_error _ -> ());
@@ -1016,5 +1077,5 @@ let () =
   Printf.printf
     "cluster smoke: ok (%d answers, replica 0 killed at 150, federated \
      scrape consistent, trace lanes correlated, %d oracle hits over 2 \
-     replicas)\n"
-    n_requests n_oracle
+     replicas, %d names routed, quit drained in %.2f s)\n"
+    n_requests n_oracle n_names quit_s

@@ -10,7 +10,8 @@
    non-reader must be dropped and counted. The same leg then checks work
    conservation: a lone query on the idle server waits under 2 ms before
    its solve, and a 128-query burst in one write still forms a full
-   batch.
+   batch. A pushback leg pipes 1,000 distinct cache misses into a server
+   whose admission queue holds 64: none may be refused.
 
    Usage: serve_smoke.exe <path/to/parcfl_cli.exe> *)
 
@@ -359,6 +360,48 @@ let () =
    match Unix.waitpid [] pid with
    | _, Unix.WEXITED 0 -> close_in ic
    | _ -> fail "EOF leg: server did not exit cleanly");
+
+  (* Pushback leg: one write of 1,000 distinct (variable, budget) cache
+     misses, over 15 times the admission queue, reaches an idle server. It
+     solves a full batch before it admits more, so the burst waits in the
+     pipe and no query is refused as queue_full. *)
+  (let to_r, to_w = Unix.pipe ~cloexec:true () in
+   let from_r, from_w = Unix.pipe ~cloexec:true () in
+   let pid =
+     Unix.create_process cli
+       [| cli; "serve"; "-b"; "tiny"; "-t"; "1"; "--stdio"; "--queue-cap"; "64" |]
+       to_r from_w Unix.stderr
+   in
+   Unix.close to_r;
+   Unix.close from_w;
+   let n = 1000 and n_vars = P.Pag.n_vars bench.P.Suite.pag in
+   let oc = Unix.out_channel_of_descr to_w in
+   for k = 0 to n - 1 do
+     output_string oc
+       (Proto.request_to_string
+          (Proto.Query
+             { id = k; var = Printf.sprintf "#%d" (k mod n_vars);
+               budget = Some (1_000 + k); deadline_ms = None; trace = None })
+       ^ "\n")
+   done;
+   (* Under a pipe buffer: the write completes before any reply is read. *)
+   close_out oc;
+   let ic = Unix.in_channel_of_descr from_r in
+   let refused = ref 0 in
+   for _ = 1 to n do
+     match Proto.response_of_string (input_line ic) with
+     | Ok (Proto.Answer _ | Proto.Timeout _) -> ()
+     | Ok (Proto.Rejected { reason = "queue_full"; _ }) -> incr refused
+     | Ok r -> fail "pushback leg: unexpected %s" (Proto.response_to_string r)
+     | Error e -> fail "pushback leg: bad reply: %s" e
+     | exception End_of_file -> fail "pushback leg: replies lost"
+   done;
+   if !refused > 0 then
+     fail "pushback leg: an idle server refused %d of %d queries as queue_full"
+       !refused n;
+   match Unix.waitpid [] pid with
+   | _, Unix.WEXITED 0 -> close_in ic
+   | _ -> fail "pushback leg: server did not exit cleanly");
 
   (* Slow-reader leg: client A pipelines 240 KB of stats lines and never
      reads its replies; client B's pings and queries must still come back

@@ -1,9 +1,8 @@
-(* Concurrency substrate: counters, sharded map, work queue, barrier,
+(* Concurrency substrate: counters, sharded map, work queue,
    domain pool. Multi-domain tests use 2-4 domains; on a single core they
    still exercise the synchronisation paths through time slicing. *)
 module Counter = Parcfl.Counter
 module Work_queue = Parcfl.Work_queue
-module Barrier = Parcfl.Barrier
 module Domain_pool = Parcfl.Domain_pool
 
 module Int_map = Parcfl.Sharded_map.Make (struct
@@ -173,25 +172,6 @@ let test_queue_parallel () =
     (fun i c -> if c <> 1 then Alcotest.failf "item %d served %d times" i c)
     seen
 
-(* ----------------------------- barrier ---------------------------- *)
-
-let test_barrier () =
-  let parties = 4 in
-  let b = Barrier.create parties in
-  let phase = Atomic.make 0 in
-  let errors = Atomic.make 0 in
-  Domain_pool.with_pool ~threads:parties (fun pool ->
-      Domain_pool.run pool (fun ~worker:_ ->
-          for round = 1 to 5 do
-            ignore (Atomic.fetch_and_add phase 1);
-            Barrier.wait b;
-            (* After the barrier every party of this round has bumped. *)
-            if Atomic.get phase < round * parties then
-              ignore (Atomic.fetch_and_add errors 1);
-            Barrier.wait b
-          done));
-  Alcotest.(check int) "no phase violations" 0 (Atomic.get errors)
-
 (* --------------------------- domain pool --------------------------- *)
 
 let test_pool_runs_all () =
@@ -236,7 +216,6 @@ let suite =
       Alcotest.test_case "sharded map race" `Quick test_map_race;
       Alcotest.test_case "work queue order" `Quick test_queue_order;
       Alcotest.test_case "work queue parallel" `Quick test_queue_parallel;
-      Alcotest.test_case "barrier" `Quick test_barrier;
       Alcotest.test_case "pool runs all workers" `Quick test_pool_runs_all;
       Alcotest.test_case "pool exception" `Quick test_pool_exception;
       Alcotest.test_case "pool single thread" `Quick test_pool_single_thread;

@@ -6,9 +6,9 @@
    sets (the engine the tier sits in front of), and an oracle-tiered
    service must return byte-identical (var, objects) payloads to an
    oracle-less one on the same traffic. The tier's bookkeeping is checked
-   separately: refined requests fall through as misses, a dead generation
-   falls back, imports arm the tier, and the stats/exposition surfaces
-   agree. *)
+   separately: refined requests fall through as misses, a context-
+   sensitive service falls back, imports arm the tier, and the
+   stats/exposition surfaces agree. *)
 
 module P = Parcfl
 module Pag = P.Pag
@@ -496,24 +496,6 @@ let test_refined_falls_through () =
   Alcotest.(check int) "refined traffic never hits" 0 (stat "oracle_hits");
   P.Service.shutdown svc
 
-let test_generation_death () =
-  let b, svc = make_service ~oracle:true () in
-  let engine = P.Service.engine svc in
-  Alcotest.(check bool) "oracle live at start" true
-    (P.Svc_engine.oracle engine <> None);
-  (* Reloading the PAG bumps the generation; the oracle must die with it
-     and budget-free traffic must degrade to the solver, counted as
-     fallbacks — never answered from the dead oracle's rows. *)
-  P.Svc_engine.load engine b.P.Suite.pag;
-  Alcotest.(check bool) "oracle dead after load" true
-    (P.Svc_engine.oracle engine = None);
-  (match submit_one svc ~id:0 ~var:"#0" ~budget:None ~deadline_ms:None with
-  | Some (P.Svc_protocol.Answer _) -> ()
-  | _ -> Alcotest.fail "post-load request was not answered by the solver");
-  Alcotest.(check int) "fallback counted" 1
-    (Serve_mix.stat svc "oracle_fallbacks");
-  P.Service.shutdown svc
-
 let test_cs_service_never_builds () =
   let _, svc = make_service ~context_sensitive:true ~oracle:true () in
   Alcotest.(check bool) "CS engine built no oracle" true
@@ -614,8 +596,6 @@ let suite =
         test_service_identity;
       Alcotest.test_case "refined requests fall through" `Quick
         test_refined_falls_through;
-      Alcotest.test_case "generation death falls back" `Quick
-        test_generation_death;
       Alcotest.test_case "CS service never builds/imports" `Quick
         test_cs_service_never_builds;
       Alcotest.test_case "import arms the tier" `Quick test_import_arms_tier;

@@ -277,26 +277,20 @@ let test_cache_basic () =
   let b = Lazy.force tiny in
   let outcome = solve_outcome b.P.Suite.queries.(0) in
   let c = P.Svc_cache.create ~capacity:10 () in
-  let key g v = { P.Svc_cache.ck_var = v; ck_budget = 100; ck_generation = g } in
-  Alcotest.(check bool) "miss" true (P.Svc_cache.find c (key 0 0) = None);
-  P.Svc_cache.put c (key 0 0) outcome;
-  Alcotest.(check bool) "hit" true (P.Svc_cache.find c (key 0 0) <> None);
+  let key v = { P.Svc_cache.ck_var = v; ck_budget = 100 } in
+  Alcotest.(check bool) "miss" true (P.Svc_cache.find c (key 0) = None);
+  P.Svc_cache.put c (key 0) outcome;
+  Alcotest.(check bool) "hit" true (P.Svc_cache.find c (key 0) <> None);
   Alcotest.(check int) "size" 1 (P.Svc_cache.size c);
-  (* A new generation is a different key: loading a new PAG invalidates
-     without a sweep. *)
-  Alcotest.(check bool) "new generation misses" true
-    (P.Svc_cache.find c (key 1 0) = None);
-  (* A different budget is a different key too. *)
+  (* A different budget is a different key. *)
   Alcotest.(check bool) "other budget misses" true
-    (P.Svc_cache.find c
-       { P.Svc_cache.ck_var = 0; ck_budget = 99; ck_generation = 0 }
-    = None)
+    (P.Svc_cache.find c { P.Svc_cache.ck_var = 0; ck_budget = 99 } = None)
 
 let test_cache_eviction () =
   let b = Lazy.force tiny in
   let outcome = solve_outcome b.P.Suite.queries.(0) in
   let c = P.Svc_cache.create ~capacity:10 () in
-  let key v = { P.Svc_cache.ck_var = v; ck_budget = 1; ck_generation = 0 } in
+  let key v = { P.Svc_cache.ck_var = v; ck_budget = 1 } in
   for v = 0 to 9 do
     P.Svc_cache.put c (key v) outcome
   done;
@@ -322,7 +316,7 @@ let test_cache_reput_replaces () =
     { real with P.Query.result = P.Query.Out_of_budget; early_terminated = true }
   in
   let c = P.Svc_cache.create ~capacity:10 () in
-  let k = { P.Svc_cache.ck_var = 0; ck_budget = 7; ck_generation = 0 } in
+  let k = { P.Svc_cache.ck_var = 0; ck_budget = 7 } in
   P.Svc_cache.put c k starved;
   (match P.Svc_cache.find c k with
   | Some o ->
@@ -350,9 +344,7 @@ let test_cache_concurrent_inserts () =
   let worker d () =
     for i = 0 to per_domain - 1 do
       let k =
-        { P.Svc_cache.ck_var = (d * per_domain) + i;
-          ck_budget = 1;
-          ck_generation = 0 }
+        { P.Svc_cache.ck_var = (d * per_domain) + i; ck_budget = 1 }
       in
       P.Svc_cache.put c k outcome
     done
@@ -647,45 +639,95 @@ let test_stats_count_hits () =
       | _ -> Alcotest.fail "stats payload missing cache_hits")
   | _ -> Alcotest.fail "expected a stats reply"
 
-(* The jmp counters are exported as Prometheus counters (and summed as
-   counters across a cluster), so a PAG reload — which starts an empty jmp
-   store — must not send them back to 0; the store-size gauge does reset. *)
-let test_jmp_counters_survive_load () =
-  let b, svc = make_service () in
-  let _, respond = collector () in
-  Array.iteri
-    (fun i v -> P.Service.submit svc ~now:0.0 ~respond (query i v))
-    b.P.Suite.queries;
-  P.Service.drain svc ~now:0.0;
-  let keys = [ "jmp_hits"; "jmp_misses"; "jmp_finished"; "jmp_unfinished" ] in
-  let before = List.map (Serve_mix.stat svc) keys in
-  Alcotest.(check bool) "traffic consulted the store" true
-    (Serve_mix.stat svc "jmp_misses" > 0);
-  P.Svc_engine.load (P.Service.engine svc) b.P.Suite.pag;
-  List.iter2
-    (fun k was ->
-      let now = Serve_mix.stat svc k in
-      if now < was then Alcotest.failf "%s fell from %d to %d on load" k was now)
-    keys before;
-  Alcotest.(check int) "jmp_edges gauge resets" 0
-    (Serve_mix.stat svc "jmp_edges");
-  P.Service.shutdown svc
-
+(* One resolver: [Names] answers every "#<n>" or name reference, the
+   service resolves through it, and the cluster CLI hands the router
+   [Names.var (Names.of_pag pag)] — so both hops pick the same variable. *)
 let test_resolve () =
   let b, svc = make_service () in
-  let v = b.P.Suite.queries.(0) in
-  (match P.Service.resolve svc (Printf.sprintf "#%d" v) with
-  | Ok v' -> Alcotest.(check int) "by id" v v'
-  | Error e -> Alcotest.failf "resolve #id failed: %s" e);
-  (match P.Service.resolve svc (P.Pag.var_name b.P.Suite.pag v) with
-  | Ok v' -> Alcotest.(check int) "by name" v v'
-  | Error e -> Alcotest.failf "resolve name failed: %s" e);
-  (match P.Service.resolve svc "#999999999" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "out-of-range id resolved");
-  match P.Service.resolve svc "no_such_variable_xyz" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown name resolved"
+  let pag = b.P.Suite.pag in
+  let names = P.Names.of_pag pag in
+  let nv = P.Pag.n_vars pag and no = P.Pag.n_objs pag in
+  let ok what want = function
+    | Ok got -> Alcotest.(check int) what want got
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let err what want = function
+    | Error got -> Alcotest.(check string) what want got
+    | Ok got -> Alcotest.failf "%s resolved to %d" what got
+  in
+  ok "var by id" (nv - 1) (P.Names.var names (Printf.sprintf "#%d" (nv - 1)));
+  ok "obj by id" (no - 1) (P.Names.obj names (Printf.sprintf "#%d" (no - 1)));
+  err "var id past the end"
+    (Printf.sprintf "variable id %d out of range (0..%d)" nv (nv - 1))
+    (P.Names.var names (Printf.sprintf "#%d" nv));
+  err "negative obj id"
+    (Printf.sprintf "object id -1 out of range (0..%d)" (no - 1))
+    (P.Names.obj names "#-1");
+  err "malformed var id" "malformed variable id \"#x\"" (P.Names.var names "#x");
+  err "malformed obj id" "malformed object id \"#1x\"" (P.Names.obj names "#1x");
+  err "unknown var" "unknown variable \"no_such\"" (P.Names.var names "no_such");
+  err "unknown obj" "unknown object \"#\"" (P.Names.obj names "#");
+  (* First binding wins: every name resolves to the lowest id bearing it.
+     The profile repeats some variable names across methods. *)
+  let first n name_of =
+    let tbl = Hashtbl.create 64 in
+    for i = n - 1 downto 0 do
+      Hashtbl.replace tbl (name_of i) i
+    done;
+    tbl
+  in
+  let first_var = first nv (P.Pag.var_name pag) in
+  Alcotest.(check bool) "profile repeats a variable name" true
+    (Hashtbl.length first_var < nv);
+  for v = 0 to nv - 1 do
+    let name = P.Pag.var_name pag v in
+    ok name (Hashtbl.find first_var name) (P.Names.var names name)
+  done;
+  let first_obj = first no (P.Pag.obj_name pag) in
+  for o = 0 to no - 1 do
+    let name = P.Pag.obj_name pag o in
+    ok name (Hashtbl.find first_obj name) (P.Names.obj names name)
+  done;
+  (* A graph whose objects share a name: the first allocation site wins. *)
+  let dup =
+    let open P.Pag.Build in
+    let g = create () in
+    let x = add_var g "x" in
+    let o0 = add_obj g "A.new" and o1 = add_obj g "A.new" in
+    new_edge g ~dst:x o0;
+    new_edge g ~dst:x o1;
+    P.Names.of_pag (freeze g)
+  in
+  ok "duplicate object name" 0 (P.Names.obj dup "A.new");
+  ok "second binding by id" 1 (P.Names.obj dup "#1");
+  (* The service resolves a name as that first binding: once every
+     variable was solved by id, each name is a cache hit on exactly that
+     id's entry. *)
+  let responses, respond = collector () in
+  let ids = Hashtbl.fold (fun name v acc -> (name, v) :: acc) first_var [] in
+  List.iteri (fun i (_, v) -> P.Service.submit svc ~now:0.0 ~respond (query i v)) ids;
+  P.Service.drain svc ~now:0.0;
+  let by_name = List.length ids in
+  List.iteri
+    (fun i (name, _) ->
+      P.Service.submit svc ~now:0.0 ~respond
+        (Proto.Query
+           { id = by_name + i; var = name; budget = None; deadline_ms = None;
+             trace = None }))
+    ids;
+  List.iteri
+    (fun i (name, _) ->
+      match
+        (Hashtbl.find responses i, Hashtbl.find_opt responses (by_name + i))
+      with
+      | Proto.Answer a, Some (Proto.Answer n) ->
+          Alcotest.(check bool) (name ^ " is a cache hit") true n.cached;
+          Alcotest.(check (list string)) name a.objects n.objects
+      | Proto.Timeout _, Some (Proto.Timeout n) ->
+          Alcotest.(check bool) (name ^ " is a cache hit") true n.cached
+      | _ -> Alcotest.failf "%s: by-name reply differs from by-id" name)
+    ids;
+  P.Service.shutdown svc
 
 (* Satellite: Runner surfaces per-query wall-clock start/end stamps. *)
 let test_runner_query_stamps () =
@@ -958,7 +1000,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_request_round_trip;
       Alcotest.test_case "protocol response round trip" `Quick
         test_response_round_trip;
-      Alcotest.test_case "cache basic + generation" `Quick test_cache_basic;
+      Alcotest.test_case "cache basic" `Quick test_cache_basic;
       Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
       Alcotest.test_case "cache re-put replaces outcome" `Quick
         test_cache_reput_replaces;
@@ -977,8 +1019,6 @@ let suite =
       Alcotest.test_case "exhausted budget times out" `Quick
         test_budget_exhausted_is_timeout;
       Alcotest.test_case "stats count cache hits" `Quick test_stats_count_hits;
-      Alcotest.test_case "jmp counters survive a reload" `Quick
-        test_jmp_counters_survive_load;
       Alcotest.test_case "variable resolution" `Quick test_resolve;
       Alcotest.test_case "runner query stamps" `Quick test_runner_query_stamps;
       Alcotest.test_case "breakdown sums to latency" `Quick

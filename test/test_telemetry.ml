@@ -393,7 +393,7 @@ let golden_stats ~oracle =
   @ [ ("uptime_s", "float") ]
   @ ints
       [
-        "generation"; "jmp_edges"; "jmp_hits"; "jmp_misses"; "jmp_finished";
+        "jmp_edges"; "jmp_hits"; "jmp_misses"; "jmp_finished";
         "jmp_unfinished"; "cache_evictions";
       ]
   @ [
@@ -426,7 +426,7 @@ let golden_families =
     "parcfl_svc_completed_total"; "parcfl_svc_explains_miss_total";
     "parcfl_svc_explains_ok_total"; "parcfl_svc_flushes_forced_total";
     "parcfl_svc_flushes_full_total"; "parcfl_svc_flushes_idle_total";
-    "parcfl_svc_generation"; "parcfl_svc_healthy"; "parcfl_svc_in_flight";
+    "parcfl_svc_healthy"; "parcfl_svc_in_flight";
     "parcfl_svc_info"; "parcfl_svc_latency_us"; "parcfl_svc_queue_depth";
     "parcfl_svc_rejected_total"; "parcfl_svc_stage_batch_wait_us_total";
     "parcfl_svc_stage_queue_wait_us_total";
