@@ -1,170 +1,146 @@
 module Bitset = Parcfl_prim.Bitset
 module Vec = Parcfl_prim.Vec
-module Domain_pool = Parcfl_conc.Domain_pool
+module Scc = Parcfl_prim.Scc
+module Int_table = Parcfl_prim.Int_table
 module Pag = Parcfl_pag.Pag
 module Constraints = Parcfl_andersen.Constraints
 
-(* The whole-program backend as a bitset matrix computation. Nodes are the
-   PAG variables plus demand-interned (object, field) heap nodes; the state
-   is two ragged boolean matrices over that node space:
+(* The whole-program backend as a condensed, dirty-driven bitset
+   computation (the paper's cycle removal, §IV-A, then Muravev-style
+   dirty-block propagation).
 
-   - [pts]:  node -> object row (the points-to relation being computed)
-   - [pred]: node -> node row (the inclusion edges discovered so far,
-     stored as in-edges: [src ∈ pred(dst)] means pts(dst) ⊇ pts(src))
+   Nodes are the copy-SCCs of the PAG (every member of a cycle of
+   assign/param/ret edges has one points-to set, so one row serves the
+   whole component) plus demand-interned (object, field) heap nodes. Each
+   node has a points-to row, a successor list of inclusion edges
+   (pts(dst) ⊇ pts(src)) and two delta rows: the bits it gained in the
+   previous round, and the bits it is gaining in this one.
 
-   Each BSP round multiplies the dirty vector from the previous round
-   against [pred]: a node whose in-edge row intersects the dirty vector
-   re-unions the rows of its dirty predecessors. Complex (load/store)
-   constraints inject new [pred] bits between rounds. Where the worklist
-   reference {!Parcfl_andersen.Solver} walks explicit successor lists,
-   this kernel is driven entirely by row intersection against the dirty
-   vector, which is what makes the union and candidate-selection loops
-   word-parallel. *)
+   A round visits only the nodes the previous round dirtied. Each pushes
+   its delta to its successors, and a base's delta fires the load/store
+   rule on its new objects: every new edge transfers its source's full row
+   once, later growth travels as deltas. A round reads only the previous
+   round's deltas and writes only the next round's, so a delta is never
+   read while it is being written, and the fixpoint is the same whatever
+   order a round visits its nodes in. *)
 
 type t = {
-  n_vars : int;
-  n_nodes : int;
+  scc : Scc.t;
   pts : Bitset.t Vec.t;
+      (* node -> object row: the copy-SCCs are nodes [0, n_comps), the
+         heap nodes follow *)
   rounds : int;
 }
 
 let fld_key o f = (o lsl 24) lor f
+let edge_key src dst = (src lsl 31) lor dst
 
-let solve ?(threads = 1) pag =
-  let c = Constraints.of_pag pag in
-  let n_vars = c.Constraints.n_vars in
-  let pts : Bitset.t Vec.t = Vec.create () in
-  let pred : Bitset.t Vec.t = Vec.create () in
-  let new_node () =
-    let n = Vec.length pts in
-    Vec.push pts (Bitset.create ());
-    Vec.push pred (Bitset.create ());
-    n
+(* The copy relation's SCCs, numbered by this exact successor order:
+   {!Parcfl_oracle.Oracle} assigns its row ids in component order, so the
+   numbering is part of the snapshot format. *)
+let copy_sccs pag =
+  let succs v =
+    let out = ref [] in
+    Pag.iter_direct_succs pag v (fun w -> out := w :: !out);
+    !out
   in
-  for _ = 1 to n_vars do
+  Scc.compute ~n:(Pag.n_vars pag) ~succs
+
+let solve pag =
+  let c = Constraints.of_pag pag in
+  let scc = copy_sccs pag in
+  let comp = scc.Scc.comp_of and n_comps = scc.Scc.n_comps in
+  let pts : Bitset.t Vec.t = Vec.create () in
+  let succ : int Vec.t Vec.t = Vec.create () in
+  (* [delta]: what each node gained last round, read this round; [next]:
+     what it gains this round. Swapped between rounds. *)
+  let delta : Bitset.t Vec.t ref = ref (Vec.create ()) in
+  let next : Bitset.t Vec.t ref = ref (Vec.create ()) in
+  let new_node () =
+    Vec.push pts (Bitset.create ());
+    Vec.push succ (Vec.create ());
+    Vec.push !delta (Bitset.create ());
+    Vec.push !next (Bitset.create ());
+    Vec.length pts - 1
+  in
+  for _ = 1 to n_comps do
     ignore (new_node ())
   done;
-  let fld_node = Hashtbl.create 256 in
-  let node_of_fld k =
-    match Hashtbl.find_opt fld_node k with
-    | Some n -> n
-    | None ->
-        let n = new_node () in
-        Hashtbl.replace fld_node k n;
-        n
+  let heap = Int_table.create ~capacity:256 () in
+  let node_of_fld o f =
+    Int_table.find_or_add heap (fld_key o f) (fun _ -> new_node ())
   in
-  let loads_by_base = Constraints.loads_by_base c in
-  let stores_by_base = Constraints.stores_by_base c in
-  (* Raw-keyed pred bits already installed (or buffered): written only in
-     the sequential merge phase, read concurrently by the workers. *)
-  let edge_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 4096 in
+  let dirty = ref (Bitset.create ~capacity:n_comps ()) in
+  let next_dirty = ref (Bitset.create ~capacity:n_comps ()) in
+  let push ~src dst =
+    if
+      Bitset.union_into_delta ~dst:(Vec.get pts dst) ~delta:(Vec.get !next dst)
+        ~src
+    then ignore (Bitset.add !next_dirty dst)
+  in
+  let edges = Int_table.Set.create ~capacity:4096 () in
+  let add_edge src dst =
+    if src <> dst && Int_table.Set.add edges (edge_key src dst) then begin
+      Vec.push (Vec.get succ src) dst;
+      push ~src:(Vec.get pts src) dst
+    end
+  in
+  (* Condensed copy edges first, while every row is still empty. *)
   List.iter
-    (fun (x, o) -> ignore (Bitset.add (Vec.get pts x) o))
-    c.Constraints.base;
-  List.iter
-    (fun (dst, src) ->
-      if dst <> src then ignore (Bitset.add (Vec.get pred dst) src))
+    (fun (dst, src) -> add_edge comp.(src) comp.(dst))
     c.Constraints.copy;
-  let dirty = ref (Bitset.create ()) in
-  for v = 0 to n_vars - 1 do
-    if not (Bitset.is_empty (Vec.get pts v)) then ignore (Bitset.add !dirty v)
-  done;
+  List.iter
+    (fun (x, o) ->
+      let n = comp.(x) in
+      if Bitset.add (Vec.get pts n) o then begin
+        ignore (Bitset.add (Vec.get !next n) o);
+        ignore (Bitset.add !next_dirty n)
+      end)
+    c.Constraints.base;
+  (* A component's loads and stores are all of its members' ones. *)
+  let loads = Array.make n_comps [] and stores = Array.make n_comps [] in
+  List.iter
+    (fun (x, p, f) -> loads.(comp.(p)) <- (f, comp.(x)) :: loads.(comp.(p)))
+    c.Constraints.loads;
+  List.iter
+    (fun (q, f, y) -> stores.(comp.(q)) <- (f, comp.(y)) :: stores.(comp.(q)))
+    c.Constraints.stores;
+  let loads = Array.map (List.sort_uniq compare) loads in
+  let stores = Array.map (List.sort_uniq compare) stores in
   let rounds = ref 0 in
-  Domain_pool.with_pool ~threads (fun pool ->
-      let nw = Domain_pool.threads pool in
-      let worker_dirty = Array.init nw (fun _ -> Bitset.create ()) in
-      let worker_edges = Array.make nw [] in
-      while not (Bitset.is_empty !dirty) do
-        incr rounds;
-        let prev = !dirty in
-        let n_nodes = Vec.length pts in
-        (* Parallel phase: the node range is row-partitioned, so each pts
-           row has exactly one writer. Reading a predecessor row that
-           another worker is extending is a benign monotone race: any bits
-           missed here were added by a worker that marked that row dirty,
-           so the very next round re-unions them (and the final round, by
-           definition, runs with no concurrent writes at all). *)
-        Domain_pool.run pool (fun ~worker ->
-            let wd = worker_dirty.(worker) in
-            let edges = ref [] in
-            let chunk = (n_nodes + nw - 1) / nw in
-            let lo = worker * chunk
-            and hi = min n_nodes ((worker + 1) * chunk) in
-            for dst = lo to hi - 1 do
-              let row = Vec.get pred dst in
-              if Bitset.intersects row prev then begin
-                let d = Vec.get pts dst in
-                let changed = ref false in
-                Bitset.iter
-                  (fun src ->
-                    if
-                      Bitset.mem prev src
-                      && Bitset.union_into ~dst:d ~src:(Vec.get pts src)
-                    then changed := true)
-                  row;
-                if !changed then ignore (Bitset.add wd dst)
-              end;
-              (* Complex constraints: a base variable whose row grew last
-                 round may imply new pred bits through its loads/stores. *)
-              if dst < n_vars && Bitset.mem prev dst then begin
-                let lds = loads_by_base.(dst)
-                and sts = stores_by_base.(dst) in
-                if lds <> [] || sts <> [] then
-                  Bitset.iter
-                    (fun o ->
-                      List.iter
-                        (fun (f, x) ->
-                          let raw = n_vars + fld_key o f in
-                          if not (Hashtbl.mem edge_seen (raw, x)) then
-                            edges := (raw, x) :: !edges)
-                        lds;
-                      List.iter
-                        (fun (f, y) ->
-                          let raw = n_vars + fld_key o f in
-                          if not (Hashtbl.mem edge_seen (y, raw)) then
-                            edges := (y, raw) :: !edges)
-                        sts)
-                    (Vec.get pts dst)
-              end
-            done;
-            worker_edges.(worker) <- !edges);
-        (* Sequential merge: fold the per-worker dirty rows, intern the
-           heap nodes named by buffered edges, install the pred bits and
-           apply each new edge's first union immediately (so an edge whose
-           source never changes again still transfers its row once). *)
-        let next = Bitset.create () in
-        Array.iter
-          (fun wd ->
-            ignore (Bitset.union_into ~dst:next ~src:wd);
-            Bitset.clear wd)
-          worker_dirty;
-        let resolve raw = if raw < n_vars then raw else node_of_fld raw in
-        Array.iteri
-          (fun w l ->
-            worker_edges.(w) <- [];
-            List.iter
-              (fun (sr, dr) ->
-                if not (Hashtbl.mem edge_seen (sr, dr)) then begin
-                  Hashtbl.replace edge_seen (sr, dr) ();
-                  let src = resolve sr and dst = resolve dr in
-                  if
-                    src <> dst
-                    && Bitset.add (Vec.get pred dst) src
-                    && Bitset.union_into ~dst:(Vec.get pts dst)
-                         ~src:(Vec.get pts src)
-                  then ignore (Bitset.add next dst)
-                end)
-              l)
-          worker_edges;
-        dirty := next
-      done);
-  { n_vars; n_nodes = Vec.length pts; pts; rounds = !rounds }
+  while not (Bitset.is_empty !next_dirty) do
+    incr rounds;
+    let cur = !next_dirty in
+    next_dirty := !dirty;
+    dirty := cur;
+    let d = !next in
+    next := !delta;
+    delta := d;
+    Bitset.iter
+      (fun n ->
+        let d = Vec.get !delta n in
+        Vec.iter (fun s -> push ~src:d s) (Vec.get succ n);
+        if n < n_comps then begin
+          let lds = loads.(n) and sts = stores.(n) in
+          if lds <> [] || sts <> [] then
+            Bitset.iter
+              (fun o ->
+                List.iter (fun (f, x) -> add_edge (node_of_fld o f) x) lds;
+                List.iter (fun (f, y) -> add_edge y (node_of_fld o f)) sts)
+              d
+        end;
+        Bitset.clear d)
+      cur;
+    Bitset.clear cur
+  done;
+  { scc; pts; rounds = !rounds }
+
+let components t = t.scc
 
 let points_to t v =
-  if v < 0 || v >= t.n_vars then invalid_arg "Matrix.Kernel.points_to";
-  Vec.get t.pts v
+  if v < 0 || v >= Array.length t.scc.Scc.comp_of then
+    invalid_arg "Matrix.Kernel.points_to";
+  Vec.get t.pts t.scc.Scc.comp_of.(v)
 
 let points_to_list t v = Bitset.elements (points_to t v)
 let rounds t = t.rounds
-let n_nodes t = t.n_nodes
-let n_vars t = t.n_vars

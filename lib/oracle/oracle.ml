@@ -87,7 +87,7 @@ let compress ~generation ~n_vars ~n_objs ~build_seconds ~components row_for =
         Hashtbl.replace by_hash h ((row, id) :: bucket);
         id
   in
-  List.iter
+  Array.iter
     (fun members ->
       match members with
       | [] -> ()
@@ -109,19 +109,13 @@ let compress ~generation ~n_vars ~n_objs ~build_seconds ~components row_for =
     build_seconds;
   }
 
-let build ?(threads = 1) ~generation pag =
+let build ~generation pag =
   let t0 = Unix.gettimeofday () in
-  let kernel = Kernel.solve ~threads pag in
-  let n_vars = Pag.n_vars pag in
-  let succs v =
-    let out = ref [] in
-    Pag.iter_direct_succs pag v (fun w -> out := w :: !out);
-    !out
-  in
-  let scc = Scc.compute ~n:n_vars ~succs in
+  let kernel = Kernel.solve pag in
   let t =
-    compress ~generation ~n_vars ~n_objs:(Pag.n_objs pag) ~build_seconds:0.0
-      ~components:(Array.to_list scc.Scc.members)
+    compress ~generation ~n_vars:(Pag.n_vars pag) ~n_objs:(Pag.n_objs pag)
+      ~build_seconds:0.0
+      ~components:(Kernel.components kernel).Scc.members
       (Kernel.points_to kernel)
   in
   { t with build_seconds = Unix.gettimeofday () -. t0 }

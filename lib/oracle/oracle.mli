@@ -11,8 +11,9 @@
       a points-to set (mutual subset inclusion), so one row serves the
       whole component;
     + {e saturate}: run the whole-program bitset kernel
-      ({!Parcfl_matrix.Kernel.solve}, row-range parallel) to the CI
-      fixpoint;
+      ({!Parcfl_matrix.Kernel.solve}) over that condensation to the CI
+      fixpoint — the kernel's one SCC pass is the decomposition, reused
+      here through {!Parcfl_matrix.Kernel.components};
     + {e compress}: dedupe identical rows across components by hashing,
       leaving one shared bitset per distinct points-to set plus a
       var → row-id table.
@@ -31,9 +32,10 @@
 
 type t
 
-val build : ?threads:int -> generation:int -> Parcfl_pag.Pag.t -> t
-(** Run the offline pass: kernel fixpoint ([threads] defaults to 1) plus
-    decomposition and row compression. *)
+val build : generation:int -> Parcfl_pag.Pag.t -> t
+(** Run the offline pass: the condensed kernel fixpoint, then row
+    compression over the kernel's copy-SCCs (component order fixes the row
+    ids, so one PAG always exports the same snapshot). *)
 
 (* {2 Queries} *)
 

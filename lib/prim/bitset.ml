@@ -45,10 +45,11 @@ let remove t i =
     Bytes.unsafe_set t.words b (Char.unsafe_chr (old land lnot m))
   end
 
-let union_into ~dst ~src =
-  (* Grow dst to src's highest *set* byte, not src's capacity: sizing to
-     capacity lets union cycles (a ⊇ b and b ⊇ a) ping-pong the doubling
-     growth into exponentially larger allocations with no new members. *)
+(* Bytes up to and including src's highest *set* byte. Unions grow dst to
+   this, not to src's capacity: sizing to capacity lets union cycles
+   (a ⊇ b and b ⊇ a) ping-pong the doubling growth into exponentially
+   larger allocations with no new members. *)
+let used_bytes src =
   let n = ref (Bytes.length src.words) in
   while !n >= 8 && Bytes.get_int64_ne src.words (!n - 8) = 0L do
     n := !n - 8
@@ -56,7 +57,10 @@ let union_into ~dst ~src =
   while !n > 0 && Bytes.unsafe_get src.words (!n - 1) = '\000' do
     decr n
   done;
-  let n = !n in
+  !n
+
+let union_into ~dst ~src =
+  let n = used_bytes src in
   if n * 8 > capacity dst then ensure dst ((n * 8) - 1);
   let changed = ref false in
   let b = ref 0 in
@@ -83,6 +87,40 @@ let union_into ~dst ~src =
          changed := true
        end
      end);
+    incr b
+  done;
+  !changed
+
+let union_into_delta ~dst ~delta ~src =
+  let n = used_bytes src in
+  if n * 8 > capacity dst then ensure dst ((n * 8) - 1);
+  if n * 8 > capacity delta then ensure delta ((n * 8) - 1);
+  let changed = ref false in
+  let b = ref 0 in
+  while !b + 8 <= n do
+    let s = Bytes.get_int64_ne src.words !b in
+    if s <> 0L then begin
+      let d = Bytes.get_int64_ne dst.words !b in
+      let fresh = Int64.logand s (Int64.lognot d) in
+      if fresh <> 0L then begin
+        Bytes.set_int64_ne dst.words !b (Int64.logor d fresh);
+        Bytes.set_int64_ne delta.words !b
+          (Int64.logor (Bytes.get_int64_ne delta.words !b) fresh);
+        changed := true
+      end
+    end;
+    b := !b + 8
+  done;
+  while !b < n do
+    let s = Char.code (Bytes.unsafe_get src.words !b) in
+    let d = Char.code (Bytes.unsafe_get dst.words !b) in
+    let fresh = s land lnot d in
+    if fresh <> 0 then begin
+      let m = Char.code (Bytes.unsafe_get delta.words !b) in
+      Bytes.unsafe_set dst.words !b (Char.unsafe_chr (d lor fresh));
+      Bytes.unsafe_set delta.words !b (Char.unsafe_chr (m lor fresh));
+      changed := true
+    end;
     incr b
   done;
   !changed

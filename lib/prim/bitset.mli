@@ -20,6 +20,12 @@ val union_into : dst:t -> src:t -> bool
 (** [union_into ~dst ~src] adds all of [src] to [dst]; returns [true] iff
     [dst] changed. *)
 
+val union_into_delta : dst:t -> delta:t -> src:t -> bool
+(** [union_into_delta ~dst ~delta ~src] adds all of [src] to [dst] and adds
+    the members that were new to [dst] ([src \ dst]) to [delta]; returns
+    [true] iff [dst] changed. [delta] must be physically distinct from
+    [dst] and [src]. *)
+
 val intersects : t -> t -> bool
 (** [intersects a b] is [true] iff [a] and [b] share a member. Never
     allocates; the two sets' capacities need not match. *)

@@ -138,7 +138,7 @@ let set_oracle t o =
    the CI relation; a context-sensitive engine never builds one. *)
 let warm_start t =
   if not t.solver_config.Config.context_sensitive then
-    set_oracle t (Some (Oracle.build ~threads:t.threads ~generation:0 t.pag))
+    set_oracle t (Some (Oracle.build ~generation:0 t.pag))
 
 let oracle t = t.oracle
 

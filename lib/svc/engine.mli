@@ -55,9 +55,8 @@ val explain :
     thread; cold path by design. *)
 
 val warm_start : t -> unit
-(** Build the O(1) oracle tier ({!Parcfl_oracle.Oracle.build} on the
-    engine's thread count: one whole-program bitset-kernel run plus row
-    compression). The oracle answers the CI relation, so a
+(** Build the O(1) oracle tier ({!Parcfl_oracle.Oracle.build}: one
+    sequential whole-program bitset-kernel run plus row compression). The oracle answers the CI relation, so a
     context-sensitive engine silently skips it. *)
 
 val oracle : t -> Parcfl_oracle.Oracle.t option

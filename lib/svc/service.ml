@@ -282,7 +282,7 @@ let rows =
           };
         ]);
     gauge "oracle_live" "parcfl_oracle_live"
-      "Whether a current-generation oracle is installed (1/0)" (fun t ->
+      "Whether the oracle tier is installed (1/0)" (fun t ->
         one (if Engine.oracle t.engine = None then 0.0 else 1.0));
     oracle_gauge ~shape:Float "oracle_build_seconds"
       "parcfl_oracle_build_seconds"

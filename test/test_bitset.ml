@@ -149,6 +149,21 @@ let prop_union =
       ignore (Bitset.union_into ~dst:a ~src:b);
       Bitset.elements a = List.sort_uniq compare (xs @ ys))
 
+let prop_union_delta =
+  QCheck.Test.make ~name:"union_into_delta records exactly the new members"
+    ~count:200
+    QCheck.(
+      triple (list (int_bound 300)) (list (int_bound 3000))
+        (list (int_bound 1000)))
+    (fun (xs, ys, zs) ->
+      let dst = Bitset.of_list xs
+      and src = Bitset.of_list ys
+      and delta = Bitset.of_list zs in
+      let fresh = List.filter (fun y -> not (List.mem y xs)) ys in
+      Bitset.union_into_delta ~dst ~delta ~src = (fresh <> [])
+      && Bitset.elements dst = List.sort_uniq compare (xs @ ys)
+      && Bitset.elements delta = List.sort_uniq compare (zs @ fresh))
+
 let prop_subset =
   QCheck.Test.make ~name:"subset matches model" ~count:200
     QCheck.(pair (list (int_bound 64)) (list (int_bound 64)))
@@ -165,6 +180,7 @@ let suite =
       Alcotest.test_case "growth" `Quick test_growth;
       Alcotest.test_case "remove" `Quick test_remove;
       Alcotest.test_case "union" `Quick test_union;
+      QCheck_alcotest.to_alcotest prop_union_delta;
       Alcotest.test_case "subset/equal" `Quick test_subset_equal;
       Alcotest.test_case "clear/copy" `Quick test_clear_copy;
       Alcotest.test_case "union cycle capacity" `Quick

@@ -106,11 +106,11 @@ let random_pag_gen =
            map3 (fun a i b -> `Ret (a, i, b)) small (int_bound 3) small;
          ]))
 
-let build_random edges =
+let build_random ?(n_vars = 8) ?(n_objs = 5) edges =
   let module B = Parcfl.Pag.Build in
   let b = B.create () in
-  let vars = Array.init 8 (fun i -> B.add_var b (Printf.sprintf "v%d" i)) in
-  let objects = Array.init 5 (fun i -> B.add_obj b (Printf.sprintf "o%d" i)) in
+  let vars = Array.init n_vars (fun i -> B.add_var b (Printf.sprintf "v%d" i)) in
+  let objects = Array.init n_objs (fun i -> B.add_obj b (Printf.sprintf "o%d" i)) in
   List.iter
     (fun e ->
       match e with
