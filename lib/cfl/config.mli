@@ -11,9 +11,14 @@ type t = {
           eq. (2), used by the Andersen-equivalence oracle. *)
   max_ctx_depth : int;
       (** Safety cap on context-stack depth. Recursion-cycle collapsing
-          already bounds depth for well-formed call graphs; beyond the cap a
-          [ret] edge is traversed without pushing (degrading to
-          context-insensitive on that path). *)
+          already bounds depth for well-formed call graphs; at the cap an
+          edge that would push a call site is traversed without pushing
+          it. That does not make the path context-insensitive: the
+          matching edge out of the callee still requires its site on top
+          of the stack, the unpushed site never is, so the path is cut
+          there. A capped answer can therefore lose objects (an
+          under-approximation, not sound); a sound k-limit is open under
+          ROADMAP item 4. *)
   exhaustive : bool;
       (** Iterate each query to a fixpoint so that cyclic alias dependences
           are fully resolved: the exact CFL relation. Intended for oracle

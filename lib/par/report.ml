@@ -29,7 +29,6 @@ type t = {
   r_minor_words_hist : int array;
   r_group_sizes : int array;
   r_worker_busy_us : float array;
-  r_worker_last_progress_us : float array;
   r_queries : query_stat array;
   r_outcomes : Query.outcome array;
 }

@@ -53,12 +53,6 @@ type t = {
       (** per-worker time spent inside queries, indexed by worker id: wall
           microseconds under {!Runner.run}, virtual steps under
           {!Runner.simulate}. Busy over wall is the domain's utilization. *)
-  r_worker_last_progress_us : float array;
-      (** when each worker last finished a query, same clock as
-          [qs_end_us] (absolute epoch microseconds under {!Runner.run},
-          virtual under {!Runner.simulate}); 0.0 for a worker that
-          executed nothing this batch. The serving layer's liveness
-          watchdog heartbeats from these stamps. *)
   r_queries : query_stat array;  (** in issue order *)
   r_outcomes : Parcfl_cfl.Query.outcome array;  (** same order *)
 }

@@ -75,8 +75,7 @@ let ensure_complete outcomes =
     outcomes
 
 let finish_report ~mode ~threads ~wall ~sim_makespan ~stats ~jumps
-    ~mean_group_size ~group_sizes ~busy ~last_progress ~starts ~ends ~minor
-    outcomes =
+    ~mean_group_size ~group_sizes ~busy ~starts ~ends ~minor outcomes =
   ensure_complete outcomes;
   let nf, nu = jumps in
   let buckets = Report.hist_buckets in
@@ -103,7 +102,6 @@ let finish_report ~mode ~threads ~wall ~sim_makespan ~stats ~jumps
     r_minor_words_hist = minor_words_hist;
     r_group_sizes = group_sizes;
     r_worker_busy_us = busy;
-    r_worker_last_progress_us = last_progress;
     r_queries =
       Array.mapi
         (fun i o -> query_stat_of o starts.(i) ends.(i) minor.(i))
@@ -158,7 +156,6 @@ let run ?tau_f ?tau_u ?share_directions ?sched_order_within
   (* Per-worker slot: each domain writes only its own index, so no
      synchronisation is needed beyond the pool join. *)
   let busy = Array.make threads 0.0 in
-  let last_progress = Array.make threads 0.0 in
   (* One reusable qstate per worker: the solver's worklists, memo tables
      and visited sets stay warm across the worker's whole share of the
      batch, so steady-state queries allocate (almost) nothing. *)
@@ -183,7 +180,6 @@ let run ?tau_f ?tau_u ?share_directions ?sched_order_within
               starts.(offsets.(i) + j) <- t0 *. 1e6;
               ends.(offsets.(i) + j) <- t1 *. 1e6;
               busy.(worker) <- busy.(worker) +. ((t1 -. t0) *. 1e6);
-              last_progress.(worker) <- t1 *. 1e6;
               minor.(offsets.(i) + j) <- int_of_float (m1 -. m0);
               outcomes.(offsets.(i) + j) <- o)
             unit_vars
@@ -211,7 +207,7 @@ let run ?tau_f ?tau_u ?share_directions ?sched_order_within
   in
   finish_report ~mode ~threads ~wall ~sim_makespan:None ~stats ~jumps
     ~mean_group_size ~group_sizes:(Array.map Array.length units)
-    ~busy ~last_progress ~starts ~ends ~minor outcomes
+    ~busy ~starts ~ends ~minor outcomes
 
 let simulate ?tau_f ?tau_u ?sched_order_within ?sched_order_across
     ?(type_level = fun _ -> 1) ?(solver_config = Config.default) ?tracer
@@ -301,7 +297,6 @@ let simulate ?tau_f ?tau_u ?sched_order_within ?sched_order_across
     ~jumps ~mean_group_size
     ~group_sizes:(Array.map Array.length units)
     ~busy:(Array.map float_of_int clocks)
-    ~last_progress:(Array.map float_of_int clocks)
     ~starts ~ends ~minor outcomes
 
 let per_query_cost report =

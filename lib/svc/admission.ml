@@ -1,8 +1,6 @@
-type 'a t = { cap : int; q : 'a Queue.t; lock : Mutex.t }
+type 'a t = { q : 'a Queue.t; lock : Mutex.t }
 
-let create ~capacity =
-  if capacity <= 0 then invalid_arg "Svc.Admission.create: capacity must be > 0";
-  { cap = capacity; q = Queue.create (); lock = Mutex.create () }
+let create () = { q = Queue.create (); lock = Mutex.create () }
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -14,16 +12,8 @@ let with_lock t f =
       Mutex.unlock t.lock;
       raise e
 
-let capacity t = t.cap
 let depth t = with_lock t (fun () -> Queue.length t.q)
-
-let try_add t x =
-  with_lock t (fun () ->
-      if Queue.length t.q >= t.cap then false
-      else begin
-        Queue.add x t.q;
-        true
-      end)
+let add t x = with_lock t (fun () -> Queue.add x t.q)
 
 let peek t = with_lock t (fun () -> Queue.peek_opt t.q)
 
@@ -37,9 +27,3 @@ let take t ~max =
           | Some x -> go (n - 1) (x :: acc)
       in
       go (Stdlib.max 0 max) [])
-
-let drain t =
-  with_lock t (fun () ->
-      let acc = List.of_seq (Queue.to_seq t.q) in
-      Queue.clear t.q;
-      acc)

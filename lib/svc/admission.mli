@@ -1,28 +1,19 @@
-(** Bounded inflight-request queue — the service's backpressure valve.
+(** The inflight-request queue between admission and batch formation.
 
-    Admission is all-or-nothing: {!try_add} either enqueues or reports the
-    queue full, and the caller answers the client with an explicit
-    [rejected] response instead of buffering unboundedly. FIFO order is
-    preserved from admission to batch formation (each batch takes a prefix;
-    the scheduler may reorder {e within} the batch). *)
+    It has no capacity of its own: {!Service} pumps a full batch before it
+    handles another request while [max_batch] are queued, so the queue
+    never holds more than that. FIFO order is preserved from admission to
+    batch formation (each batch takes a prefix; the scheduler may reorder
+    {e within} the batch). *)
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** @raise Invalid_argument when [capacity <= 0]. *)
-
-val capacity : 'a t -> int
-
+val create : unit -> 'a t
 val depth : 'a t -> int
-
-val try_add : 'a t -> 'a -> bool
-(** [false] means full — reject, do not retry internally. *)
+val add : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
-(** Oldest queued item, not removed (the watchdog reads its arrival time). *)
+(** Oldest queued item, not removed. *)
 
 val take : 'a t -> max:int -> 'a list
 (** Dequeue up to [max] oldest items, admission order. *)
-
-val drain : 'a t -> 'a list
-(** Everything, admission order; the queue is left empty. *)

@@ -50,7 +50,7 @@ type request =
       (** the flight recorder's worst queries by latency, worst first;
           [limit] truncates the reply *)
   | Health of int
-      (** the liveness watchdog's verdict: [ok] or [degraded] + reasons *)
+      (** the liveness verdict: [ok], or [degraded] + reasons *)
   | Drain of int
       (** stop admitting queries (subsequent ones are [Rejected] with
           reason ["draining"]), finish everything in flight, then report

@@ -11,15 +11,9 @@ type t = {
 }
 
 let read t conn =
-  let max_batch = (Service.config t.service).Service.max_batch in
   Transport.read_requests conn (function
     | Protocol.Quit -> t.stopping <- true
     | req ->
-        (* Pushback: with a full batch queued, solve it before admitting
-           another line, so a pipelined burst waits in its socket rather
-           than overrunning the admission queue. *)
-        if Service.queue_depth t.service >= max_batch then
-          ignore (Service.pump t.service ~now:(Unix.gettimeofday ()));
         Service.submit_line t.service ~now:(Unix.gettimeofday ())
           ~send:(Transport.send conn) req);
   (* stdio EOF means "no more input ever": drain and stop. A socket

@@ -18,7 +18,6 @@ type config = {
   threads : int;
   mode : Mode.t;
   max_batch : int;
-  queue_capacity : int;
   cache_capacity : int;
   max_budget : int;
   context_sensitive : bool;
@@ -26,8 +25,6 @@ type config = {
   tau_f : int option;
   tau_u : int option;
   slowlog_capacity : int;
-  wd_stall_s : float;
-  wd_starvation_s : float;
 }
 
 let default_config =
@@ -35,7 +32,6 @@ let default_config =
     threads = 4;
     mode = Mode.Share_sched;
     max_batch = 64;
-    queue_capacity = 1024;
     cache_capacity = 4096;
     max_budget = Config.default.Config.budget;
     context_sensitive = Config.default.Config.context_sensitive;
@@ -43,9 +39,11 @@ let default_config =
     tau_f = None;
     tau_u = None;
     slowlog_capacity = 32;
-    wd_stall_s = Watchdog.default_config.Watchdog.wd_stall_s;
-    wd_starvation_s = Watchdog.default_config.Watchdog.wd_starvation_s;
   }
+
+(* [health] reports degraded once the oldest admitted request has waited
+   this long: orders of magnitude above a healthy batch's solve time. *)
+let starvation_s = 1.0
 
 (* Where a request's replies go. [Value] hands an in-process caller the
    response; [Line] hands a transport the rendered wire line, so an
@@ -74,7 +72,7 @@ type pending = {
    family its [stats] row reads (see [rows]). *)
 type counters = {
   admitted : Counter.t;  (* queries accepted into the inflight queue *)
-  rejected : Counter.t;  (* refused: queue full, or draining *)
+  rejected : Counter.t;  (* refused while draining *)
   cache_hits : Counter.t;
   cache_misses : Counter.t;
   completed : Counter.t;  (* answered with a points-to set *)
@@ -123,7 +121,6 @@ type t = {
   created : float;  (* the zero of [uptime_s] *)
   slowlog : Slowlog.t;
   registry : Registry.t;
-  watchdog : Watchdog.t;
   tracer : Tracer.t option;
   names : Names.t;
   explain_hist : int array;  (* explain re-derivation latency, us, log2 *)
@@ -147,6 +144,18 @@ type t = {
          "draining" while stats/health/metrics keep answering, so an
          operator (or the cluster router) can watch the hand-off *)
 }
+
+(* The [health] verb's reasons; none means healthy. A quiet service is
+   healthy: only a request left waiting in the queue owes progress. *)
+let health t ~now =
+  match Admission.peek t.queue with
+  | Some p when now -. p.p_arrival > starvation_s ->
+      [
+        Printf.sprintf
+          "queue starved: oldest admitted waiting %.1fs (threshold %.1fs)"
+          (now -. p.p_arrival) starvation_s;
+      ]
+  | _ -> []
 
 (* ------------------------------ stats ------------------------------ *)
 
@@ -406,16 +415,11 @@ let register_collectors t =
       ]);
   (* Request lifecycle: stage decomposition + liveness. *)
   Registry.register t.registry (fun () ->
-      let verdict =
-        Watchdog.check t.watchdog ~now:(Unix.gettimeofday ())
-          ~oldest_admitted:
-            (Option.map (fun p -> p.p_arrival) (Admission.peek t.queue))
-      in
       [
         stage_seconds_family t;
         g ~name:"parcfl_svc_healthy"
           ~help:"Liveness watchdog verdict (1 = ok, 0 = degraded)"
-          (if verdict.Watchdog.wd_healthy then 1.0 else 0.0);
+          (if health t ~now:(Unix.gettimeofday ()) = [] then 1.0 else 0.0);
       ]);
   (* Per-domain utilization: busy microseconds by worker. *)
   Registry.register t.registry (fun () ->
@@ -468,20 +472,11 @@ let create ?(config = default_config) ?tracer ~type_level pag =
       cfg = config;
       engine;
       cache = Cache.create ~capacity:config.cache_capacity ();
-      queue = Admission.create ~capacity:config.queue_capacity;
+      queue = Admission.create ();
       counters = make_counters ();
       created = Unix.gettimeofday ();
       slowlog = Slowlog.create ~capacity:config.slowlog_capacity;
       registry = Registry.create ();
-      watchdog =
-        Watchdog.create
-          ~config:
-            {
-              Watchdog.wd_stall_s = config.wd_stall_s;
-              wd_starvation_s = config.wd_starvation_s;
-            }
-          ~workers:(Engine.threads engine)
-          ~now:(Unix.gettimeofday ()) ();
       tracer;
       names = Names.of_pag pag;
       explain_hist = Array.make buckets 0;
@@ -506,18 +501,8 @@ let engine t = t.engine
 let queue_depth t = Admission.depth t.queue
 let slowlog t = t.slowlog
 let registry t = t.registry
-let watchdog t = t.watchdog
 let in_flight t = t.in_flight
 let metrics_text t = Registry.render t.registry
-
-let oldest_arrival t =
-  Option.map (fun p -> p.p_arrival) (Admission.peek t.queue)
-
-let health t ~now =
-  Watchdog.check t.watchdog ~now ~oldest_admitted:(oldest_arrival t)
-
-let inject_stall t ~now ~worker ~stalled =
-  Watchdog.inject_stall t.watchdog ~now ~worker ~stalled
 
 let stats t = view (Registry.collect t.registry)
 
@@ -658,7 +643,7 @@ let respond_timeout t ~respond_us ~steps p reason =
         (Protocol.Timeout
            { id = p.p_id; reason; cached = false; latency_us; breakdown }))
 
-let run_batch t ~now live =
+let run_batch t live =
   (* Coalesce duplicate variables: one solve serves every requester. *)
   let seen = Hashtbl.create 64 in
   let vars =
@@ -685,8 +670,6 @@ let run_batch t ~now live =
   List.iter (fun p -> Span.stamp_sched p.p_span ~us:sched_us) live;
   t.in_flight <- List.length live;
   let report = Engine.execute t.engine ~budget:batch_budget vars in
-  Watchdog.observe_batch t.watchdog ~now
-    ~last_progress_us:report.Report.r_worker_last_progress_us;
   add t.counters.sched_groups (Array.length report.Report.r_group_sizes);
   add t.counters.early_terminations (Report.n_early_terminations report);
   Array.iteri
@@ -784,7 +767,7 @@ let form_batch t ~now reason =
         Span.stamp_solve p.p_span ~start_us:batch_us ~end_us:batch_us;
         respond_timeout t ~respond_us:batch_us ~steps:0 p `Deadline)
       expired;
-    if live <> [] then run_batch t ~now live;
+    if live <> [] then run_batch t live;
     List.length batch
   end
 
@@ -1011,6 +994,12 @@ let explain t ~id ~var ~obj ~respond =
 
 let handle t ~now sink req =
   let respond = deliver sink in
+  (* Pushback: with a full batch queued, solve it before handling anything
+     else, so the queue never holds more than [max_batch] and a pipelined
+     burst waits in its socket instead. *)
+  (match req with
+  | Protocol.Quit -> ()
+  | _ -> if queue_depth t >= t.cfg.max_batch then ignore (pump t ~now));
   match req with
   | Protocol.Ping id -> respond (Protocol.Pong id)
   | Protocol.Explain { id; var; obj } -> explain t ~id ~var ~obj ~respond
@@ -1023,14 +1012,8 @@ let handle t ~now sink req =
         (Protocol.Slowlog_reply
            { id; entries = Slowlog.to_json ?limit t.slowlog })
   | Protocol.Health id ->
-      let v = health t ~now in
-      respond
-        (Protocol.Health_reply
-           {
-             id;
-             healthy = v.Watchdog.wd_healthy;
-             reasons = v.Watchdog.wd_reasons;
-           })
+      let reasons = health t ~now in
+      respond (Protocol.Health_reply { id; healthy = reasons = []; reasons })
   | Protocol.Drain id ->
       (* Stop admitting first, then finish everything already admitted, so
          the completed count in the reply is exact and nothing can slip in
@@ -1094,12 +1077,8 @@ let handle t ~now sink req =
                   p_sink = sink;
                 }
               in
-              if Admission.try_add t.queue p then
-                bump t.counters.admitted
-              else begin
-                bump t.counters.rejected;
-                respond (Protocol.Rejected { id; reason = "queue_full" })
-              end))
+              Admission.add t.queue p;
+              bump t.counters.admitted))
 
 let submit t ~now ~respond req = handle t ~now (Value respond) req
 let submit_line t ~now ~send req = handle t ~now (Line send) req

@@ -13,7 +13,10 @@
       wall-clock deadline translated through the engine's observed
       traversal rate, and the service maximum — whichever is smallest),
       then consults the cache. A hit responds immediately; a miss enters
-      the admission queue or is {e rejected} with backpressure when full.
+      the admission queue. While [max_batch] requests are queued, the
+      service solves one batch before it handles the next request, so the
+      queue never holds more than [max_batch]: a burst waits upstream
+      (in its socket) instead of being refused.
     + {!pump} forms a micro-batch from whatever is queued — at most
       [max_batch] queries, with no timer: the front end pumps once it has
       read all its ready input, so batches grow only with load (requests
@@ -30,9 +33,8 @@
     batch-formed → schedule-ordered → solve-start → solve-end → respond;
     its breakdown rides on the response, feeds the per-stage histograms
     ([parcfl_stage_seconds]) and the slowlog, and — when the service has a
-    tracer — becomes a span on the Chrome trace's service lane. A
-    {!Watchdog} turns per-worker last-progress heartbeats and the oldest
-    admitted request's age into the [health] verb's verdict and the
+    tracer — becomes a span on the Chrome trace's service lane. The oldest
+    admitted request's age is the [health] verb's verdict and the
     [parcfl_svc_healthy] gauge.
 
     The service is driven from one front-end thread ({!Server}'s event
@@ -43,8 +45,7 @@
 type config = {
   threads : int;  (** engine domain pool size *)
   mode : Parcfl_par.Mode.t;
-  max_batch : int;  (** micro-batch cap, queries *)
-  queue_capacity : int;  (** admission bound; beyond it requests are rejected *)
+  max_batch : int;  (** micro-batch cap and admission-queue bound, queries *)
   cache_capacity : int;
   max_budget : int;  (** service-wide per-query step-budget ceiling *)
   context_sensitive : bool;
@@ -58,15 +59,12 @@ type config = {
   tau_f : int option;
   tau_u : int option;
   slowlog_capacity : int;  (** flight-recorder bound (worst queries kept) *)
-  wd_stall_s : float;  (** watchdog: max worker-heartbeat age under demand *)
-  wd_starvation_s : float;  (** watchdog: max oldest-admitted wait *)
 }
 
 val default_config : config
-(** 4 threads, [Share_sched], batches of at most 64, queue 1024, cache
-    4096, budget and context sensitivity {!Parcfl_cfl.Config.default}'s,
-    no oracle, slowlog 32, watchdog
-    {!Watchdog.default_config}'s thresholds. *)
+(** 4 threads, [Share_sched], batches (and so the queue) of at most 64,
+    cache 4096, budget and context sensitivity
+    {!Parcfl_cfl.Config.default}'s, no oracle, slowlog 32. *)
 
 type t
 
@@ -86,17 +84,10 @@ val in_flight : t -> int
 (** Requests inside the currently-executing micro-batch (0 between
     pumps). *)
 
-val watchdog : t -> Watchdog.t
-(** The liveness watchdog: fed a heartbeat per worker after every batch
-    (from the report's per-worker last-progress stamps). *)
-
-val health : t -> now:float -> Watchdog.verdict
-(** The [health] verb's verdict: worker-stall and queue-starvation checks
-    against the configured [wd_stall_s]/[wd_starvation_s] thresholds. *)
-
-val inject_stall : t -> now:float -> worker:int -> stalled:bool -> unit
-(** Fault injection for drills and tests: pin [worker]'s heartbeat in the
-    past (or release it) so {!health} reports degraded deterministically. *)
+val health : t -> now:float -> string list
+(** The [health] verb's reasons, empty when healthy: the oldest admitted
+    request has waited more than 1 s ("queue starved"). A quiet service
+    is healthy however long ago it last ran a batch. *)
 
 val slowlog : t -> Slowlog.t
 (** The flight recorder; populated by every answered query. *)
@@ -142,8 +133,9 @@ val submit :
   unit
 (** [respond] fires zero or one time per request: immediately (ping,
     stats, cache hit, rejection, resolution error) or from a later
-    {!pump}/{!drain}. [Protocol.Quit] is transport-level and ignored
-    here. *)
+    {!pump}/{!drain}. With [max_batch] requests queued, any request but
+    [Quit] first pumps one batch (whose replies go out before this
+    request's). [Protocol.Quit] is transport-level and ignored here. *)
 
 val submit_line :
   t -> now:float -> send:(string -> unit) -> Protocol.request -> unit

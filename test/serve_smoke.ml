@@ -11,7 +11,9 @@
    conservation: a lone query on the idle server waits under 2 ms before
    its solve, and a 128-query burst in one write still forms a full
    batch. A pushback leg pipes 1,000 distinct cache misses into a server
-   whose admission queue holds 64: none may be refused.
+   at default settings: none may be refused. A usage leg starts
+   `serve --max-batch 0`, which must exit 124 with cmdliner's usage
+   message, not an uncaught exception.
 
    Usage: serve_smoke.exe <path/to/parcfl_cli.exe> *)
 
@@ -361,15 +363,43 @@ let () =
    | _, Unix.WEXITED 0 -> close_in ic
    | _ -> fail "EOF leg: server did not exit cleanly");
 
+  (* Usage leg: an out-of-range capacity is a usage error (exit 124),
+     reported before the server builds anything. *)
+  (let err_r, err_w = Unix.pipe ~cloexec:true () in
+   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+   let pid =
+     Unix.create_process cli
+       [| cli; "serve"; "-b"; "tiny"; "-t"; "1"; "--max-batch"; "0" |]
+       null null err_w
+   in
+   Unix.close err_w;
+   Unix.close null;
+   let ic = Unix.in_channel_of_descr err_r in
+   let err = In_channel.input_all ic in
+   close_in ic;
+   let mentions sub =
+     let n = String.length sub in
+     let rec go i =
+       i + n <= String.length err && (String.sub err i n = sub || go (i + 1))
+     in
+     go 0
+   in
+   if mentions "uncaught exception" then
+     fail "usage leg: --max-batch 0 raised: %s" err;
+   match Unix.waitpid [] pid with
+   | _, Unix.WEXITED 124 -> ()
+   | _, Unix.WEXITED n -> fail "usage leg: --max-batch 0 exited %d, not 124" n
+   | _ -> fail "usage leg: --max-batch 0 did not exit");
+
   (* Pushback leg: one write of 1,000 distinct (variable, budget) cache
-     misses, over 15 times the admission queue, reaches an idle server. It
-     solves a full batch before it admits more, so the burst waits in the
-     pipe and no query is refused as queue_full. *)
+     misses, over 15 times [max_batch], reaches an idle server at default
+     settings. It solves a full batch before it handles the next line, so
+     the burst waits in the pipe and no query is refused. *)
   (let to_r, to_w = Unix.pipe ~cloexec:true () in
    let from_r, from_w = Unix.pipe ~cloexec:true () in
    let pid =
      Unix.create_process cli
-       [| cli; "serve"; "-b"; "tiny"; "-t"; "1"; "--stdio"; "--queue-cap"; "64" |]
+       [| cli; "serve"; "-b"; "tiny"; "-t"; "1"; "--stdio" |]
        to_r from_w Unix.stderr
    in
    Unix.close to_r;
@@ -387,18 +417,13 @@ let () =
    (* Under a pipe buffer: the write completes before any reply is read. *)
    close_out oc;
    let ic = Unix.in_channel_of_descr from_r in
-   let refused = ref 0 in
    for _ = 1 to n do
      match Proto.response_of_string (input_line ic) with
      | Ok (Proto.Answer _ | Proto.Timeout _) -> ()
-     | Ok (Proto.Rejected { reason = "queue_full"; _ }) -> incr refused
      | Ok r -> fail "pushback leg: unexpected %s" (Proto.response_to_string r)
      | Error e -> fail "pushback leg: bad reply: %s" e
      | exception End_of_file -> fail "pushback leg: replies lost"
    done;
-   if !refused > 0 then
-     fail "pushback leg: an idle server refused %d of %d queries as queue_full"
-       !refused n;
    match Unix.waitpid [] pid with
    | _, Unix.WEXITED 0 -> close_in ic
    | _ -> fail "pushback leg: server did not exit cleanly");

@@ -85,7 +85,7 @@ let gen_fuzz_line =
          [
            Proto.Pong 6;
            Proto.Error { id = None; reason = "request line too long" };
-           Proto.Rejected { id = 4; reason = "queue_full" };
+           Proto.Rejected { id = 4; reason = "draining" };
            Proto.Explain_reply
              {
                id = 14; var = "v"; obj = "o"; found = true; depth = 1;
@@ -197,7 +197,7 @@ let test_response_round_trip () =
           latency_us = 100.0;
           breakdown = P.Svc_span.zero;
         };
-      Proto.Rejected { id = 4; reason = "queue_full" };
+      Proto.Rejected { id = 4; reason = "draining" };
       Proto.Error { id = Some 5; reason = "no such variable" };
       Proto.Error { id = None; reason = "parse error" };
       Proto.Pong 6;
@@ -247,7 +247,8 @@ let test_response_round_trip () =
         {
           id = 11;
           healthy = false;
-          reasons = [ "worker 0 stalled"; "queue starvation" ];
+          reasons =
+            [ "queue starved: oldest admitted waiting 2.0s (threshold 1.0s)" ];
         };
       Proto.Drained { id = 12; completed = 3 };
     ]
@@ -363,18 +364,6 @@ let test_cache_concurrent_inserts () =
 
 (* ---------------------------- admission ---------------------------- *)
 
-let test_admission () =
-  let q = P.Svc_admission.create ~capacity:2 in
-  Alcotest.(check bool) "add 1" true (P.Svc_admission.try_add q 1);
-  Alcotest.(check bool) "add 2" true (P.Svc_admission.try_add q 2);
-  Alcotest.(check bool) "full" false (P.Svc_admission.try_add q 3);
-  Alcotest.(check int) "depth" 2 (P.Svc_admission.depth q);
-  Alcotest.(check (option int)) "peek oldest" (Some 1) (P.Svc_admission.peek q);
-  Alcotest.(check (list int)) "take fifo" [ 1 ] (P.Svc_admission.take q ~max:1);
-  Alcotest.(check bool) "space again" true (P.Svc_admission.try_add q 3);
-  Alcotest.(check (list int)) "drain fifo" [ 2; 3 ] (P.Svc_admission.drain q);
-  Alcotest.(check int) "empty" 0 (P.Svc_admission.depth q)
-
 (* ----------------------------- service ----------------------------- *)
 
 let service_config =
@@ -427,29 +416,46 @@ let test_cached_equals_cold () =
       Alcotest.failf "unexpected cached response %s"
         (match r with Some r -> Proto.response_to_string r | None -> "none")
 
-let test_queue_full_rejection () =
-  let _, svc =
-    make_service
-      ~config:{ service_config with P.Service.queue_capacity = 1 }
-      ()
-  in
-  let b = Lazy.force tiny in
-  let v0 = b.P.Suite.queries.(0) and v1 = b.P.Suite.queries.(1) in
+(* The queue is FIFO and unbounded by itself; the service bounds it. With
+   [max_batch] requests queued, the next request first pumps one full
+   batch: the queued requests are answered before it is admitted, and
+   none is refused. *)
+let test_admission () =
+  let q = P.Svc_admission.create () in
+  P.Svc_admission.add q 1;
+  P.Svc_admission.add q 2;
+  Alcotest.(check int) "depth" 2 (P.Svc_admission.depth q);
+  Alcotest.(check (option int)) "peek oldest" (Some 1) (P.Svc_admission.peek q);
+  Alcotest.(check (list int)) "take fifo" [ 1 ] (P.Svc_admission.take q ~max:1);
+  P.Svc_admission.add q 3;
+  Alcotest.(check (list int)) "take fifo again" [ 2; 3 ]
+    (P.Svc_admission.take q ~max:5);
+  Alcotest.(check int) "empty" 0 (P.Svc_admission.depth q);
+  let b, svc = make_service () in
+  let max_batch = service_config.P.Service.max_batch in
+  let v = b.P.Suite.queries.(0) in
   let responses, respond = collector () in
-  P.Service.submit svc ~now:0.0 ~respond (query 1 v0);
-  P.Service.submit svc ~now:0.0 ~respond (query 2 v1);
-  (match Hashtbl.find_opt responses 2 with
-  | Some (Proto.Rejected _) -> ()
-  | r ->
-      Alcotest.failf "expected rejection, got %s"
-        (match r with Some r -> Proto.response_to_string r | None -> "none"));
-  (* The admitted request is untouched by the rejection. *)
-  ignore (P.Service.pump svc ~now:0.0);
-  match Hashtbl.find_opt responses 1 with
-  | Some (Proto.Answer _) -> ()
-  | r ->
-      Alcotest.failf "expected an answer, got %s"
-        (match r with Some r -> Proto.response_to_string r | None -> "none")
+  (* Distinct budgets: each request is its own cache miss. *)
+  for i = 0 to max_batch - 1 do
+    P.Service.submit svc ~now:0.0 ~respond (query ~budget:(1000 + i) i v)
+  done;
+  Alcotest.(check int) "a full batch queued" max_batch
+    (P.Service.queue_depth svc);
+  Alcotest.(check int) "nothing answered yet" 0 (Hashtbl.length responses);
+  P.Service.submit svc ~now:0.0 ~respond
+    (query ~budget:(1000 + max_batch) max_batch v);
+  Alcotest.(check int) "only the newcomer queued" 1 (P.Service.queue_depth svc);
+  for i = 0 to max_batch - 1 do
+    match Hashtbl.find_opt responses i with
+    | Some (Proto.Answer _) | Some (Proto.Timeout _) -> ()
+    | r ->
+        Alcotest.failf "request %d: expected a real response, got %s" i
+          (match r with Some r -> Proto.response_to_string r | None -> "none")
+  done;
+  Alcotest.(check int) "the pushback is a full flush" 1
+    (Serve_mix.stat svc "flushes_full");
+  Alcotest.(check int) "nothing refused" 0 (Serve_mix.stat svc "rejected");
+  P.Service.shutdown svc
 
 (* The work-conserving batching rule on a logical clock. Each turn
    submits 0-200 queries — duplicates, repeats of answered ones and
@@ -472,6 +478,10 @@ let prop_batching_policy =
       let qs = b.P.Suite.queries in
       let replies = Hashtbl.create 256 in
       let respond r =
+        (match r with
+        | Proto.Rejected { id; reason } ->
+            QCheck.Test.fail_reportf "request %d rejected (%s)" id reason
+        | _ -> ());
         match Proto.response_id r with
         | Some id ->
             Hashtbl.replace replies id
@@ -486,14 +496,17 @@ let prop_batching_policy =
             (fun (k, budget) ->
               P.Service.submit svc ~now ~respond
                 (query ?budget !sent qs.(k mod Array.length qs));
-              incr sent)
+              incr sent;
+              if P.Service.queue_depth svc > max_batch then
+                QCheck.Test.fail_reportf "%d queued, over max_batch %d"
+                  (P.Service.queue_depth svc) max_batch)
             reqs;
           let depth = P.Service.queue_depth svc in
           let n = P.Service.pump svc ~now in
           if n > max_batch then
             QCheck.Test.fail_reportf "a batch of %d over max_batch %d" n
               max_batch;
-          if depth <= max_batch && P.Service.queue_depth svc <> 0 then
+          if P.Service.queue_depth svc <> 0 then
             QCheck.Test.fail_reportf "%d of %d queued requests held back"
               (P.Service.queue_depth svc) depth)
         turns;
@@ -748,7 +761,7 @@ let test_runner_query_stamps () =
         Alcotest.fail "qs_latency_us disagrees with the stamps")
     r.P.Report.r_queries
 
-(* ------------------------ spans & watchdog ------------------------- *)
+(* -------------------------- spans & health -------------------------- *)
 
 let contains s sub =
   let n = String.length sub and m = String.length s in
@@ -816,36 +829,14 @@ let test_breakdown_sums_to_latency () =
             (Proto.response_to_string r))
     responses
 
-let test_watchdog_unit () =
-  let module W = P.Svc_watchdog in
-  let wd = W.create ~workers:2 ~now:0.0 () in
-  (* A quiet service owes no progress, however stale the beats. *)
-  let v = W.check wd ~now:100.0 ~oldest_admitted:None in
-  Alcotest.(check bool) "quiet is healthy" true v.W.wd_healthy;
-  (* Demand turns the same stale beats into a stall — one reason per
-     worker (default stall threshold 5 s). *)
-  let v = W.check wd ~now:100.0 ~oldest_admitted:(Some 99.9) in
-  Alcotest.(check bool) "stale under demand" false v.W.wd_healthy;
-  Alcotest.(check int) "both workers named" 2 (List.length v.W.wd_reasons);
-  (* A joined batch heartbeats everyone back to health. *)
-  W.observe_batch wd ~now:100.0;
-  let v = W.check wd ~now:100.0 ~oldest_admitted:(Some 99.9) in
-  Alcotest.(check bool) "fresh beats are healthy" true v.W.wd_healthy;
-  (* Queue starvation fires independently of worker health (default
-     starvation threshold 1 s). *)
-  let v = W.check wd ~now:102.0 ~oldest_admitted:(Some 100.0) in
-  Alcotest.(check bool) "starved queue degrades" false v.W.wd_healthy;
-  Alcotest.(check bool) "reason names starvation" true
-    (List.exists (fun r -> contains r "starved") v.W.wd_reasons);
-  (* Real runner stamps (epoch µs) beat workers at their last solve-end;
-     a zero stamp (worker never ran a query) falls back to the batch
-     end. *)
-  W.observe_batch wd ~now:200.0 ~last_progress_us:[| 199.5e6; 0.0 |];
-  Alcotest.(check (float 1e-9)) "stamped worker" 199.5 (W.last_beat wd 0);
-  Alcotest.(check (float 1e-9)) "idle worker" 200.0 (W.last_beat wd 1)
-
-let test_health_verb_and_injection () =
-  let _, svc = make_service () in
+(* The [health] verb's one check is queue starvation. A service that has
+   not run a batch for longer than any stall threshold, then reads a
+   cache-miss query and a [health] in one turn, is healthy: nothing has
+   waited. A request left unpumped past 1 s degrades it, and a pump
+   recovers it. Driven on the wall clock's timebase, offset forward, so
+   "the last batch ran 6 s ago" holds on every clock the service has. *)
+let test_health_verb () =
+  let b, svc = make_service () in
   let health now =
     let seen = ref None in
     P.Service.submit svc ~now
@@ -858,20 +849,26 @@ let test_health_verb_and_injection () =
           (Proto.response_to_string r)
     | None -> Alcotest.fail "health got no reply"
   in
-  let healthy, reasons = health 0.0 in
-  Alcotest.(check bool) "initially ok" true healthy;
-  Alcotest.(check (list string)) "no reasons" [] reasons;
-  (* An injected stall must flow through the same verdict the operator
-     sees, and recovery must be observable the same way. *)
-  P.Service.inject_stall svc ~now:10.0 ~worker:0 ~stalled:true;
-  let healthy, reasons = health 10.0 in
-  Alcotest.(check bool) "injected stall degrades" false healthy;
-  Alcotest.(check bool) "reason names worker 0" true
-    (List.exists (fun r -> contains r "worker 0") reasons);
-  P.Service.inject_stall svc ~now:20.0 ~worker:0 ~stalled:false;
-  let healthy, reasons = health 20.0 in
-  Alcotest.(check bool) "recovers" true healthy;
-  Alcotest.(check (list string)) "reasons clear" [] reasons
+  let _, respond = collector () in
+  let t0 = Unix.gettimeofday () in
+  P.Service.submit svc ~now:t0 ~respond (query 1 b.P.Suite.queries.(0));
+  ignore (P.Service.pump svc ~now:t0);
+  let t = t0 +. 6.0 in
+  P.Service.submit svc ~now:t ~respond (query 2 b.P.Suite.queries.(1));
+  Alcotest.(check int) "a cache miss is queued" 1 (P.Service.queue_depth svc);
+  let healthy, reasons = health t in
+  Alcotest.(check (list string)) "no reasons after a quiet spell" [] reasons;
+  Alcotest.(check bool) "ok after a quiet spell" true healthy;
+  let healthy, reasons = health (t +. 2.0) in
+  Alcotest.(check bool) "an unpumped request degrades" false healthy;
+  Alcotest.(check (list string)) "the reason is starvation"
+    [ "queue starved: oldest admitted waiting 2.0s (threshold 1.0s)" ]
+    reasons;
+  ignore (P.Service.pump svc ~now:(t +. 2.0));
+  let healthy, reasons = health (t +. 2.0) in
+  Alcotest.(check bool) "a pump recovers" true healthy;
+  Alcotest.(check (list string)) "reasons clear" [] reasons;
+  P.Service.shutdown svc
 
 (* ----------------------------- transport ---------------------------- *)
 
@@ -1010,7 +1007,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_batching_policy;
       Alcotest.test_case "cached result equals cold solve" `Quick
         test_cached_equals_cold;
-      Alcotest.test_case "queue full rejects" `Quick test_queue_full_rejection;
       Alcotest.test_case "drain completes in-flight" `Quick
         test_drain_completes_inflight;
       Alcotest.test_case "drain verb hand-off" `Quick test_drain_verb;
@@ -1023,10 +1019,8 @@ let suite =
       Alcotest.test_case "runner query stamps" `Quick test_runner_query_stamps;
       Alcotest.test_case "breakdown sums to latency" `Quick
         test_breakdown_sums_to_latency;
-      Alcotest.test_case "watchdog stall + starvation" `Quick
-        test_watchdog_unit;
-      Alcotest.test_case "health verb + stall injection" `Quick
-        test_health_verb_and_injection;
+      Alcotest.test_case "health verb reports starvation only" `Quick
+        test_health_verb;
       QCheck_alcotest.to_alcotest prop_framer_chunking;
       Alcotest.test_case "transport queues behind a partial write" `Quick
         test_transport_queue_order;
