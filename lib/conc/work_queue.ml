@@ -15,16 +15,5 @@ let pop t =
   let i = Atomic.fetch_and_add t.next 1 in
   if i < Array.length t.items then Some t.items.(i) else None
 
-(* A grab hands back a window into the backing array instead of building a
-   list: one tuple per batch, nothing per item. *)
-let pop_many t n =
-  if n <= 0 then (t.items, 0, 0)
-  else begin
-    let i = Atomic.fetch_and_add t.next n in
-    let len = Array.length t.items in
-    if i >= len then (t.items, 0, 0)
-    else (t.items, i, min len (i + n) - i)
-  end
-
 let remaining t =
   max 0 (Array.length t.items - Atomic.get t.next)

@@ -18,11 +18,4 @@ val of_list : 'a list -> 'a t
 val pop : 'a t -> 'a option
 (** Next item, or [None] when drained. *)
 
-val pop_many : 'a t -> int -> 'a array * int * int
-(** [pop_many t n] claims up to [n] consecutive items in one atomic
-    operation and returns them as a slice [(items, start, len)] of the
-    queue's backing array — [len = 0] when drained. The array is shared
-    with the queue and other consumers: read only the claimed window,
-    never write. *)
-
 val remaining : 'a t -> int

@@ -112,7 +112,7 @@ let finish_report ~mode ~threads ~wall ~sim_makespan ~stats ~jumps
 let run ?tau_f ?tau_u ?share_directions ?sched_order_within
     ?sched_order_across ?sched_plan ?store ?ctx_store
     ?(type_level = fun _ -> 1) ?(solver_config = Config.default) ?tracer
-    ?(batch = 1) ?pool ~mode ~threads ~queries pag =
+    ?pool ~mode ~threads ~queries pag =
   let threads = match mode with Mode.Seq -> 1 | _ -> max 1 threads in
   (match pool with
   | Some p when Domain_pool.threads p <> threads ->
@@ -162,14 +162,12 @@ let run ?tau_f ?tau_u ?share_directions ?sched_order_within
   let qstates =
     Array.init threads (fun w -> Solver.make_qstate ~worker:w session)
   in
-  let batch = max 1 batch in
   let worker ~worker =
     let qs = qstates.(worker) in
     let rec loop () =
-      let units_arr, first, len = Work_queue.pop_many queue batch in
-      if len > 0 then begin
-        for u = first to first + len - 1 do
-          let i, unit_vars = units_arr.(u) in
+      match Work_queue.pop queue with
+      | None -> ()
+      | Some (i, unit_vars) ->
           Array.iteri
             (fun j v ->
               let t0 = Unix.gettimeofday () in
@@ -182,10 +180,8 @@ let run ?tau_f ?tau_u ?share_directions ?sched_order_within
               busy.(worker) <- busy.(worker) +. ((t1 -. t0) *. 1e6);
               minor.(offsets.(i) + j) <- int_of_float (m1 -. m0);
               outcomes.(offsets.(i) + j) <- o)
-            unit_vars
-        done;
-        loop ()
-      end
+            unit_vars;
+          loop ()
     in
     loop ()
   in

@@ -27,17 +27,13 @@ val run :
   ?type_level:(int -> int) ->
   ?solver_config:Parcfl_cfl.Config.t ->
   ?tracer:Parcfl_obs.Tracer.t ->
-  ?batch:int ->
   ?pool:Parcfl_conc.Domain_pool.t ->
   mode:Mode.t ->
   threads:int ->
   queries:Parcfl_pag.Pag.var array ->
   Parcfl_pag.Pag.t ->
   Report.t
-(** [batch] is how many work units a worker claims from the shared queue
-    per grab (default 1 — one atomic operation per unit, identical work
-    distribution to popping singly; raise it to amortize queue contention
-    when units are tiny).
+(** Each worker claims one work unit at a time from the shared queue.
     [pool] is a caller-owned domain pool to run on instead of spawning a
     fresh one per call — a long-lived service executing many micro-batches
     pays domain spawn/join once instead of per batch. Its size must equal

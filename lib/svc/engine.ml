@@ -13,9 +13,9 @@ module Json = Parcfl_obs.Json
 
 (* Object names in wire form, built once per engine: each object's
    rank in name order — equal names share a rank, as
-   [List.sort_uniq compare] folds them — and, per rank, the name and its
+   [List.sort_uniq compare] folds them — and, per rank, the name's
    escaped JSON string token. *)
-type names = { rank : int array; name : string array; token : string array }
+type names = { rank : int array; token : string array }
 
 let names_of pag =
   let n = Pag.n_objs pag in
@@ -31,16 +31,15 @@ let names_of pag =
       end;
       rank.(o) <- !r)
     order;
-  let name = Array.of_list (List.rev !distinct) in
   let token =
     Array.map
       (fun s ->
         let b = Buffer.create (String.length s + 2) in
         Json.escape_into b s;
         Buffer.contents b)
-      name
+      (Array.of_list (List.rev !distinct))
   in
-  { rank; name; token }
+  { rank; token }
 
 type t = {
   mode : Mode.t;
@@ -178,11 +177,6 @@ let object_ranks t = function
           end)
         a;
       Array.sub a 0 !k
-
-let object_names t result =
-  Array.fold_right
-    (fun r acc -> t.names.name.(r) :: acc)
-    (object_ranks t result) []
 
 let objects_json t result =
   let ranks = object_ranks t result in

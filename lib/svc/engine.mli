@@ -70,13 +70,10 @@ val oracle : t -> Parcfl_oracle.Oracle.t option
     escaped JSON token, so an answer is ordered by sorting integers and
     rendered by concatenating tokens. *)
 
-val object_names : t -> Parcfl_cfl.Query.result -> string list
-(** The result's object names, sorted and distinct; [[]] for
-    [Out_of_budget]. *)
-
 val objects_json : t -> Parcfl_cfl.Query.result -> string
-(** {!object_names} as a JSON array, as {!Parcfl_obs.Json} renders a list
-    of strings. *)
+(** The result's object names, sorted and distinct, as a JSON array — as
+    {!Parcfl_obs.Json} renders a list of strings; [[]] for
+    [Out_of_budget]. *)
 
 val oracle_objects : t -> Parcfl_pag.Pag.var -> string
 (** {!objects_json} of the live oracle's answer for the variable. Built

@@ -45,15 +45,6 @@ let default_config =
    this long: orders of magnitude above a healthy batch's solve time. *)
 let starvation_s = 1.0
 
-(* Where a request's replies go. [Value] hands an in-process caller the
-   response; [Line] hands a transport the rendered wire line, so an
-   answer is written from the engine's name tokens (or an oracle row's
-   cached array) without building a list of names. *)
-type sink = Value of (Protocol.response -> unit) | Line of (string -> unit)
-
-let deliver sink r =
-  match sink with Value f -> f r | Line f -> f (Protocol.response_line r)
-
 type pending = {
   p_id : int;
   p_trace : int option;
@@ -64,7 +55,7 @@ type pending = {
   p_deadline : float option;  (* absolute seconds *)
   p_arrival : float;
   p_span : Span.t;
-  p_sink : sink;
+  p_send : string -> unit;  (* where the request's reply line goes *)
 }
 
 (* The service's event counters: one striped handle each, bumped on the
@@ -91,7 +82,6 @@ type counters = {
          order, over answered requests *)
   oracle_hits : Counter.t;
   oracle_misses : Counter.t;  (* live tier, refined request fell through *)
-  oracle_fallbacks : Counter.t;  (* tier enabled, no live oracle *)
   explains_ok : Counter.t;
   explains_miss : Counter.t;
 }
@@ -105,7 +95,7 @@ let make_counters () =
     flushes_full = c (); flushes_idle = c (); flushes_forced = c ();
     sched_groups = c (); early_terminations = c ();
     stage_us = Array.init (List.length Span.stage_names) (fun _ -> c ());
-    oracle_hits = c (); oracle_misses = c (); oracle_fallbacks = c ();
+    oracle_hits = c (); oracle_misses = c ();
     explains_ok = c (); explains_miss = c ();
   }
 
@@ -133,12 +123,6 @@ type t = {
   group_hist : int array;
   stage_hists : int array array;  (* per Span stage, microsecond buckets *)
   busy_us : float array;  (* per engine worker, across all batches *)
-  mutable in_flight : int;  (* requests inside the currently solving batch *)
-  mutable oracle_enabled : bool;
-      (* the answer tier's switch: on from [config.oracle], or flipped on
-         when a cluster joiner imports an oracle snapshot. With the switch
-         on but no live oracle, queries count oracle_fallbacks and take the
-         normal path — the tier degrades, never wedges. *)
   mutable draining : bool;
       (* set by the [drain] verb: new queries are rejected with reason
          "draining" while stats/health/metrics keep answering, so an
@@ -242,9 +226,6 @@ let rows =
     handle "oracle_misses" "parcfl_oracle_misses_total"
       "Oracle-eligible queries refined past the tier (budget/deadline)"
       (fun c -> c.oracle_misses);
-    handle "oracle_fallbacks" "parcfl_oracle_fallbacks_total"
-      "Queries arriving with the tier enabled but no live oracle" (fun c ->
-        c.oracle_fallbacks);
     svc "explains_ok" (fun c -> c.explains_ok);
     svc "explains_miss" (fun c -> c.explains_miss);
     Ratio
@@ -253,9 +234,6 @@ let rows =
     Ratio { key = "mean_batch_size"; num = batched_queries; den = [ batches ] };
     gauge "queue_depth" "parcfl_svc_queue_depth" "Admission queue depth"
       (fun t -> one (fi (Admission.depth t.queue)));
-    gauge "in_flight" "parcfl_svc_in_flight"
-      "Requests inside the currently solving batch" (fun t ->
-        one (fi t.in_flight));
     gauge "cache_size" "parcfl_cache_size" "Result-cache entries" (fun t ->
         one (fi (Cache.size t.cache)));
     gauge ~shape:Float "uptime_s" "parcfl_svc_uptime_seconds"
@@ -418,7 +396,9 @@ let register_collectors t =
       [
         stage_seconds_family t;
         g ~name:"parcfl_svc_healthy"
-          ~help:"Liveness watchdog verdict (1 = ok, 0 = degraded)"
+          ~help:
+            "Queue-starvation check (1 = ok, 0 = degraded: the oldest \
+             admitted request has waited over 1 s)"
           (if health t ~now:(Unix.gettimeofday ()) = [] then 1.0 else 0.0);
       ]);
   (* Per-domain utilization: busy microseconds by worker. *)
@@ -452,6 +432,10 @@ let register_collectors t =
 let create ?(config = default_config) ?tracer ~type_level pag =
   if config.max_batch <= 0 then
     invalid_arg "Svc.Service.create: max_batch must be > 0";
+  if config.oracle && config.context_sensitive then
+    invalid_arg
+      "Svc.Service.create: the oracle holds the CI relation; a \
+       context-sensitive service cannot host it";
   let solver_config =
     {
       (Config.with_budget config.max_budget Config.default) with
@@ -488,8 +472,6 @@ let create ?(config = default_config) ?tracer ~type_level pag =
       stage_hists =
         Array.make_matrix (List.length Span.stage_names) buckets 0;
       busy_us = Array.make (Engine.threads engine) 0.0;
-      in_flight = 0;
-      oracle_enabled = config.oracle;
       draining = false;
     }
   in
@@ -501,7 +483,6 @@ let engine t = t.engine
 let queue_depth t = Admission.depth t.queue
 let slowlog t = t.slowlog
 let registry t = t.registry
-let in_flight t = t.in_flight
 let metrics_text t = Registry.render t.registry
 
 let stats t = view (Registry.collect t.registry)
@@ -520,45 +501,26 @@ let effective_budget t ~now ~budget ~deadline =
 
 let cache_key ~var ~budget = { Cache.ck_var = var; ck_budget = budget }
 
-(* A points-to answer. On a [Line] sink its objects are written from
-   [rendered], when the caller has their array already (an oracle row),
-   or from the engine's name tokens. *)
-let answer t sink ?rendered ~id ~var ~result ~cached ~steps ~latency_us
-    ~breakdown () =
-  let e = t.engine in
-  let var = Pag.var_name (Engine.pag e) var in
-  match sink with
-  | Line f ->
-      let objects =
-        match rendered with
-        | Some a -> a
-        | None -> Engine.objects_json e result
-      in
-      f
-        (Protocol.answer_line ~id ~var ~objects ~cached ~steps ~latency_us
-           ~breakdown)
-  | Value f ->
-      f
-        (Protocol.Answer
-           {
-             id;
-             var;
-             objects = Engine.object_names e result;
-             cached;
-             steps;
-             latency_us;
-             breakdown;
-           })
+let deliver send r = send (Protocol.response_line r)
+
+(* A points-to answer whose objects array is already rendered (an oracle
+   row's cached array, or the engine's name tokens), blitted as is. *)
+let answer t send ~id ~var ~objects ~cached ~steps ~latency_us ~breakdown =
+  send
+    (Protocol.answer_line ~id
+       ~var:(Pag.var_name (Engine.pag t.engine) var)
+       ~objects ~cached ~steps ~latency_us ~breakdown)
 
 (* A solver outcome's reply: its answer, or a budget timeout. *)
-let reply_outcome t sink ~id ~cached ~latency_us ~breakdown
+let reply_outcome t send ~id ~cached ~latency_us ~breakdown
     (outcome : Query.outcome) =
   if outcome.Query.result = Query.Out_of_budget then
-    deliver sink
+    deliver send
       (Protocol.Timeout { id; reason = `Budget; cached; latency_us; breakdown })
   else
-    answer t sink ~id ~var:outcome.Query.var ~result:outcome.Query.result
-      ~cached ~steps:outcome.Query.steps_used ~latency_us ~breakdown ()
+    answer t send ~id ~var:outcome.Query.var
+      ~objects:(Engine.objects_json t.engine outcome.Query.result)
+      ~cached ~steps:outcome.Query.steps_used ~latency_us ~breakdown
 
 let note_slowlog t ~id ~trace ~var ~budget ~steps ~latency_us ~breakdown
     ~outcome ~cached ~now =
@@ -639,7 +601,7 @@ let respond_timeout t ~respond_us ~steps p reason =
       | `Deadline -> "timeout_deadline"
       | `Budget -> "timeout_budget")
     (fun ~latency_us ~breakdown ->
-      deliver p.p_sink
+      deliver p.p_send
         (Protocol.Timeout
            { id = p.p_id; reason; cached = false; latency_us; breakdown }))
 
@@ -668,7 +630,6 @@ let run_batch t live =
      trace lane, never the breakdown arithmetic. *)
   let sched_us = Unix.gettimeofday () *. 1e6 in
   List.iter (fun p -> Span.stamp_sched p.p_span ~us:sched_us) live;
-  t.in_flight <- List.length live;
   let report = Engine.execute t.engine ~budget:batch_budget vars in
   add t.counters.sched_groups (Array.length report.Report.r_group_sizes);
   add t.counters.early_terminations (Report.n_early_terminations report);
@@ -694,7 +655,7 @@ let run_batch t live =
       | None ->
           (* Cannot happen: the runner answers every scheduled query or
              raises. Fail the request rather than hang the client. *)
-          deliver p.p_sink
+          deliver p.p_send
             (Protocol.Error
                { id = Some p.p_id; reason = "internal: query lost in batch" })
       | Some (outcome, qs) ->
@@ -739,11 +700,10 @@ let run_batch t live =
             bump t.counters.completed;
             finish t p ~respond_us ~steps ~outcome:"ok"
               (fun ~latency_us ~breakdown ->
-                reply_outcome t p.p_sink ~id:p.p_id ~cached:false ~latency_us
+                reply_outcome t p.p_send ~id:p.p_id ~cached:false ~latency_us
                   ~breakdown outcome)
           end)
-    live;
-  t.in_flight <- 0
+    live
 
 let form_batch t ~now reason =
   if queue_depth t = 0 then 0
@@ -788,15 +748,11 @@ let draining t = t.draining
 
 let export_oracle t = Engine.export_oracle t.engine
 
-(* A successful import arms the tier even when the service was started
-   without [config.oracle] — this is how cluster joiners receive the tier
-   from replica 0 without re-running the kernel. *)
-let import_oracle t text =
-  Result.map
-    (fun n ->
-      t.oracle_enabled <- true;
-      n)
-    (Engine.import_oracle t.engine text)
+(* The tier is live exactly when the engine holds an oracle, so a
+   successful import arms it even when the service was started without
+   [config.oracle] — this is how cluster joiners receive the tier from
+   replica 0 without re-running the kernel. *)
+let import_oracle t text = Engine.import_oracle t.engine text
 
 let shutdown t = Engine.shutdown t.engine
 
@@ -807,44 +763,33 @@ let shutdown t = Engine.shutdown t.engine
    asking for a budgeted approximation must get the solver's semantics.
    Latency is measured with its own wall-clock pair (never the service
    drive clock, which tests run logically), reported as pure solve time. *)
-let try_oracle t ~id ~trace ~var ~v sink =
-  match Engine.oracle t.engine with
-  | None ->
-      bump t.counters.oracle_fallbacks;
-      false
-  | Some o ->
-      let t0 = Unix.gettimeofday () in
-      let outcome = Parcfl_oracle.Oracle.outcome o v in
-      let rendered =
-        match sink with
-        | Line _ -> Some (Engine.oracle_objects t.engine v)
-        | Value _ -> None
-      in
-      let latency_us = Float.max 0.0 ((Unix.gettimeofday () -. t0) *. 1e6) in
-      bump t.counters.oracle_hits;
-      bump t.counters.completed;
-      (* Tier answers never form a batch: every stage except solve is
-         pinned to 0 (never read from a Span, whose batch stamps would be
-         meaningless here), and the trace span collapses its queue/batch
-         points onto the start for the same reason. *)
-      let breakdown =
-        {
-          Span.bd_queue_wait_us = 0.0;
-          bd_batch_wait_us = 0.0;
-          bd_solve_us = latency_us;
-          bd_respond_us = 0.0;
-        }
-      in
-      observe_latency t latency_us;
-      observe_stages t breakdown;
-      note_slowlog t ~id ~trace ~var ~budget:(Engine.max_budget t.engine)
-        ~steps:0 ~latency_us ~breakdown ~outcome:"ok" ~cached:false
-        ~now:(t0 +. (latency_us /. 1e6));
-      note_point_trace t ~id ~trace ~var:v ~t0_us:(t0 *. 1e6)
-        ~t1_us:((t0 *. 1e6) +. latency_us);
-      answer t sink ?rendered ~id ~var:v ~result:outcome.Query.result
-        ~cached:false ~steps:0 ~latency_us ~breakdown ();
-      true
+let oracle_answer t ~id ~trace ~var ~v send =
+  let t0 = Unix.gettimeofday () in
+  let objects = Engine.oracle_objects t.engine v in
+  let latency_us = Float.max 0.0 ((Unix.gettimeofday () -. t0) *. 1e6) in
+  bump t.counters.oracle_hits;
+  bump t.counters.completed;
+  (* Tier answers never form a batch: every stage except solve is pinned
+     to 0 (never read from a Span, whose batch stamps would be meaningless
+     here), and the trace span collapses its queue/batch points onto the
+     start for the same reason. *)
+  let breakdown =
+    {
+      Span.bd_queue_wait_us = 0.0;
+      bd_batch_wait_us = 0.0;
+      bd_solve_us = latency_us;
+      bd_respond_us = 0.0;
+    }
+  in
+  observe_latency t latency_us;
+  observe_stages t breakdown;
+  note_slowlog t ~id ~trace ~var ~budget:(Engine.max_budget t.engine)
+    ~steps:0 ~latency_us ~breakdown ~outcome:"ok" ~cached:false
+    ~now:(t0 +. (latency_us /. 1e6));
+  note_point_trace t ~id ~trace ~var:v ~t0_us:(t0 *. 1e6)
+    ~t1_us:((t0 *. 1e6) +. latency_us);
+  answer t send ~id ~var:v ~objects ~cached:false ~steps:0 ~latency_us
+    ~breakdown
 
 (* The wire chain: one JSON object per PAG edge the witness follows, in
    traversal order (query variable towards the allocation). Each carries
@@ -992,8 +937,8 @@ let explain t ~id ~var ~obj ~respond =
           in
           respond reply)
 
-let handle t ~now sink req =
-  let respond = deliver sink in
+let submit_line t ~now ~send req =
+  let respond = deliver send in
   (* Pushback: with a full batch queued, solve it before handling anything
      else, so the queue never holds more than [max_batch] and a pipelined
      burst waits in its socket instead. *)
@@ -1030,18 +975,12 @@ let handle t ~now sink req =
       match Names.var t.names var with
       | Error reason -> respond (Protocol.Error { id = Some id; reason })
       | Ok v
-        when t.oracle_enabled && budget = None && deadline_ms = None
-             && try_oracle t ~id ~trace ~var ~v sink ->
-          ()
+        when Engine.oracle t.engine <> None
+             && budget = None && deadline_ms = None ->
+          oracle_answer t ~id ~trace ~var ~v send
       | Ok v -> (
-          (* Tier enabled but this request went past it. A refined request
-             against a live oracle is a miss; with no live oracle it is a
-             fallback (try_oracle already counted the budget-free case). *)
-          if t.oracle_enabled && (budget <> None || deadline_ms <> None) then
-            bump
-              (match Engine.oracle t.engine with
-              | Some _ -> t.counters.oracle_misses
-              | None -> t.counters.oracle_fallbacks);
+          (* Past a live tier only a refined request gets here: a miss. *)
+          if Engine.oracle t.engine <> None then bump t.counters.oracle_misses;
           let deadline = Option.map (fun d -> now +. (d /. 1000.0)) deadline_ms in
           let eff = effective_budget t ~now ~budget ~deadline in
           match Cache.find t.cache (cache_key ~var:v ~budget:eff) with
@@ -1061,7 +1000,7 @@ let handle t ~now sink req =
               note_slowlog t ~id ~trace ~var ~budget:eff
                 ~steps:outcome.Query.steps_used ~latency_us:0.0
                 ~breakdown:Span.zero ~outcome:outcome_str ~cached:true ~now;
-              reply_outcome t sink ~id ~cached:true ~latency_us:0.0
+              reply_outcome t send ~id ~cached:true ~latency_us:0.0
                 ~breakdown:Span.zero outcome
           | None ->
               bump t.counters.cache_misses;
@@ -1074,11 +1013,20 @@ let handle t ~now sink req =
                   p_deadline = deadline;
                   p_arrival = now;
                   p_span = Span.create ~admit_us:(now *. 1e6);
-                  p_sink = sink;
+                  p_send = send;
                 }
               in
               Admission.add t.queue p;
               bump t.counters.admitted))
 
-let submit t ~now ~respond req = handle t ~now (Value respond) req
-let submit_line t ~now ~send req = handle t ~now (Line send) req
+(* The in-process adapter: every reply line, read back as a value. *)
+let submit t ~now ~respond req =
+  submit_line t ~now
+    ~send:(fun line ->
+      match Protocol.response_of_string line with
+      | Ok r -> respond r
+      | Error e ->
+          failwith
+            (Printf.sprintf "Svc.Service.submit: unreadable reply %S: %s" line
+               e))
+    req

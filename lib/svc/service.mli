@@ -4,10 +4,10 @@
     {!Cache} and an {!Admission} queue, and turns a stream of {!Protocol}
     requests into responses:
 
-    + {!submit} answers [ping]/[stats] immediately and resolves a query's
-      variable. With the {b oracle tier} enabled, a budget-free,
-      deadline-free query against a live {!Parcfl_oracle.Oracle} is
-      answered right here — O(1), before the cache, without entering the
+    + {!submit_line} answers [ping]/[stats] immediately and resolves a
+      query's variable. While the engine holds an oracle (the {b oracle
+      tier}), a budget-free, deadline-free query is answered from it right
+      here — O(1), before the cache, without entering the
       pipeline at all; refined requests fall through. Otherwise it computes
       the request's {e effective budget} (the request's own cap, the
       wall-clock deadline translated through the engine's observed
@@ -39,8 +39,10 @@
 
     The service is driven from one front-end thread ({!Server}'s event
     loop or a test harness); the parallelism lives inside the engine's
-    batch execution. Responses are delivered through the callback given at
-    submission, always from within {!submit}/{!pump}/{!drain}. *)
+    batch execution. Every reply is one rendered wire line, handed to the
+    [send] given with its request, always from within
+    {!submit_line}/{!pump}/{!drain}; {!submit} reads those lines back as
+    {!Protocol.response} values for in-process callers. *)
 
 type config = {
   threads : int;  (** engine domain pool size *)
@@ -54,8 +56,8 @@ type config = {
   oracle : bool;
       (** build the O(1) pair-query oracle at {!create} and answer
           budget-free, deadline-free queries from it before the cache and
-          solver (see {!Engine.warm_start}). The oracle holds the CI relation, so a [context_sensitive]
-          service counts fallbacks instead of building one. *)
+          solver (see {!Engine.warm_start}). The oracle holds the CI
+          relation, so it requires [context_sensitive = false]. *)
   tau_f : int option;
   tau_u : int option;
   slowlog_capacity : int;  (** flight-recorder bound (worst queries kept) *)
@@ -74,15 +76,12 @@ val create :
   type_level:(int -> int) ->
   Parcfl_pag.Pag.t ->
   t
-(** @raise Invalid_argument when [config.max_batch <= 0]. *)
+(** @raise Invalid_argument when [config.max_batch <= 0], or when
+    [config.oracle] and [config.context_sensitive] are both set. *)
 
 val config : t -> config
 val engine : t -> Engine.t
 val queue_depth : t -> int
-
-val in_flight : t -> int
-(** Requests inside the currently-executing micro-batch (0 between
-    pumps). *)
 
 val health : t -> now:float -> string list
 (** The [health] verb's reasons, empty when healthy: the oldest admitted
@@ -108,7 +107,7 @@ val view : Parcfl_telemetry.Expo.family list -> Parcfl_obs.Json.t
     a [stats] key. Its rows, in wire order: the service event counters
     ([admitted] … [explains_miss]); [cache_hit_rate] and
     [mean_batch_size], recomputed from the counters they divide (0 on a
-    zero denominator); the gauges [queue_depth], [in_flight],
+    zero denominator); the gauges [queue_depth],
     [cache_size] and [uptime_s]; the jmp store
     ([jmp_edges], [jmp_hits] … [jmp_unfinished]); [cache_evictions],
     [steps_per_second], [threads], [mode] (the [parcfl_svc_info] label);
@@ -125,26 +124,28 @@ val view : Parcfl_telemetry.Expo.family list -> Parcfl_obs.Json.t
 val stats : t -> Parcfl_obs.Json.t
 (** The [stats] payload: [view (Registry.collect (registry t))]. *)
 
+val submit_line :
+  t -> now:float -> send:(string -> unit) -> Protocol.request -> unit
+(** Handle one request. [send] gets its reply as one rendered wire line,
+    newline included, zero or one time: immediately (ping, stats, cache
+    hit, rejection, resolution error) or from a later {!pump}/{!drain}.
+    An answer's objects array is written from the engine's escaped object
+    names, and an oracle answer's from its row's cached array
+    ({!Engine.oracle_objects}). With [max_batch] requests queued, any
+    request but [Quit] first pumps one batch (whose replies go out before
+    this request's). [Protocol.Quit] is transport-level and ignored
+    here. *)
+
 val submit :
   t ->
   now:float ->
   respond:(Protocol.response -> unit) ->
   Protocol.request ->
   unit
-(** [respond] fires zero or one time per request: immediately (ping,
-    stats, cache hit, rejection, resolution error) or from a later
-    {!pump}/{!drain}. With [max_batch] requests queued, any request but
-    [Quit] first pumps one batch (whose replies go out before this
-    request's). [Protocol.Quit] is transport-level and ignored here. *)
-
-val submit_line :
-  t -> now:float -> send:(string -> unit) -> Protocol.request -> unit
-(** {!submit} for a transport: [send] gets each reply as its rendered
-    wire line, newline included — byte for byte
-    [Protocol.response_line] of what {!submit} would hand [respond]. An
-    answer is written from the engine's escaped object names, and an
-    oracle answer from its row's cached array ({!Engine.oracle_objects}),
-    without building a name list. *)
+(** {!submit_line} for an in-process caller: [respond] gets each reply
+    line parsed by {!Protocol.response_of_string}, the way the cluster
+    router reads a replica's replies.
+    @raise Failure if a reply line does not parse (none is dropped). *)
 
 val pump : t -> now:float -> int
 (** Execute one micro-batch of the oldest [min depth max_batch] queued
@@ -168,11 +169,11 @@ val export_oracle : t -> (string * int, string) result
     oracle is installed. *)
 
 val import_oracle : t -> string -> (int, string) result
-(** Install a peer's oracle snapshot and {e arm the tier} — a service
-    started without [config.oracle] begins answering from the oracle after
-    a successful import (cluster joiners warm up this way). Same
+(** Install a peer's oracle snapshot, which arms the tier: a service
+    started without [config.oracle] answers from the oracle after a
+    successful import (cluster joiners warm up this way). Same
     generation/shape/CS rejection rules as {!Engine.import_oracle}; a
-    rejected import leaves the tier unarmed. *)
+    rejected import leaves the tier as it was. *)
 
 val shutdown : t -> unit
 (** Join the engine's persistent worker domains (see {!Engine.shutdown}).

@@ -151,7 +151,6 @@ let () =
           "parcfl_stage_seconds_bucket{stage=\"solve\"";
           "# TYPE parcfl_svc_healthy gauge";
           "parcfl_svc_healthy 1";
-          "# TYPE parcfl_svc_in_flight gauge";
         ]
   | r -> fail "expected metrics, got %s" (Proto.response_to_string r));
 

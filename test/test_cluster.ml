@@ -439,7 +439,7 @@ let test_federation_stats_totals () =
       if List.mem_assoc k totals then
         Alcotest.failf "gauge %s must not be summed" k)
     [
-      "queue_depth"; "in_flight"; "cache_size"; "uptime_s"; "jmp_edges"; "steps_per_second"; "threads"; "mode"; "oracle_live";
+      "queue_depth"; "cache_size"; "uptime_s"; "jmp_edges"; "steps_per_second"; "threads"; "mode"; "oracle_live";
     ];
   (* Each replica's entry is that service's own [stats], on every int and
      string field (floats went through the exposition's 12 digits). *)

@@ -127,30 +127,15 @@ let test_map_race () =
 
 (* --------------------------- work queue --------------------------- *)
 
-let slice_to_list (items, start, len) =
-  Array.to_list (Array.sub items start len)
-
 let test_queue_order () =
   let q = Work_queue.of_list [ 10; 20; 30 ] in
   Alcotest.(check int) "remaining" 3 (Work_queue.remaining q);
   Alcotest.(check (option int)) "pop1" (Some 10) (Work_queue.pop q);
-  Alcotest.(check (list int))
-    "pop_many" [ 20; 30 ]
-    (slice_to_list (Work_queue.pop_many q 5));
+  Alcotest.(check (option int)) "pop2" (Some 20) (Work_queue.pop q);
+  Alcotest.(check int) "remaining after two" 1 (Work_queue.remaining q);
+  Alcotest.(check (option int)) "pop3" (Some 30) (Work_queue.pop q);
   Alcotest.(check (option int)) "drained" None (Work_queue.pop q);
-  Alcotest.(check (list int))
-    "pop_many empty" []
-    (slice_to_list (Work_queue.pop_many q 2));
-  let q2 = Work_queue.of_list [ 1; 2; 3; 4; 5 ] in
-  Alcotest.(check (list int))
-    "pop_many bounded" [ 1; 2 ]
-    (slice_to_list (Work_queue.pop_many q2 2));
-  Alcotest.(check (list int))
-    "pop_many n<=0" []
-    (slice_to_list (Work_queue.pop_many q2 0));
-  Alcotest.(check (list int))
-    "pop_many rest" [ 3; 4; 5 ]
-    (slice_to_list (Work_queue.pop_many q2 9))
+  Alcotest.(check int) "remaining drained" 0 (Work_queue.remaining q)
 
 let test_queue_parallel () =
   let n = 10_000 in

@@ -496,16 +496,16 @@ let test_refined_falls_through () =
   Alcotest.(check int) "refined traffic never hits" 0 (stat "oracle_hits");
   P.Service.shutdown svc
 
-let test_cs_service_never_builds () =
-  let _, svc = make_service ~context_sensitive:true ~oracle:true () in
-  Alcotest.(check bool) "CS engine built no oracle" true
-    (P.Svc_engine.oracle (P.Service.engine svc) = None);
-  (match submit_one svc ~id:0 ~var:"#0" ~budget:None ~deadline_ms:None with
-  | Some (P.Svc_protocol.Answer _) -> ()
-  | _ -> Alcotest.fail "CS request was not answered by the solver");
-  Alcotest.(check int) "CS tier degrades as fallback" 1
-    (Serve_mix.stat svc "oracle_fallbacks");
-  (* And an import can never smuggle CI rows into a CS engine. *)
+(* The oracle holds the CI relation: asking a CS service for it is a
+   configuration error, and an import can never smuggle CI rows into a CS
+   engine either. *)
+let test_cs_service_refuses_oracle () =
+  (match make_service ~context_sensitive:true ~oracle:true () with
+  | _, svc ->
+      P.Service.shutdown svc;
+      Alcotest.fail "CS service created with the oracle tier"
+  | exception Invalid_argument _ -> ());
+  let _, svc = make_service ~context_sensitive:true ~oracle:false () in
   let text =
     P.Oracle.export (P.Oracle.build ~generation:0 (Lazy.force tiny).P.Suite.pag)
   in
@@ -521,7 +521,7 @@ let test_import_arms_tier () =
      oracle counter moves. *)
   ignore (submit_one svc ~id:0 ~var:"#0" ~budget:None ~deadline_ms:None);
   Alcotest.(check int) "tier off: no oracle accounting" 0
-    (stat "oracle_hits" + stat "oracle_misses" + stat "oracle_fallbacks");
+    (stat "oracle_hits" + stat "oracle_misses");
   let donor = P.Oracle.build ~generation:0 b.P.Suite.pag in
   (match P.Service.import_oracle svc (P.Oracle.export donor) with
   | Error e -> Alcotest.failf "import refused: %s" e
@@ -576,7 +576,7 @@ let test_import_other_pag_refused () =
       let stat = Serve_mix.stat svc in
       Alcotest.(check int) "the solver answered" 1 (stat "batches");
       Alcotest.(check int) "no oracle accounting" 0
-        (stat "oracle_hits" + stat "oracle_fallbacks");
+        (stat "oracle_hits" + stat "oracle_misses");
       P.Service.shutdown svc)
     [ (small, big); (big, small) ]
 
@@ -596,8 +596,8 @@ let suite =
         test_service_identity;
       Alcotest.test_case "refined requests fall through" `Quick
         test_refined_falls_through;
-      Alcotest.test_case "CS service never builds/imports" `Quick
-        test_cs_service_never_builds;
+      Alcotest.test_case "CS service refuses the oracle" `Quick
+        test_cs_service_refuses_oracle;
       Alcotest.test_case "import arms the tier" `Quick test_import_arms_tier;
       Alcotest.test_case "import of another PAG refused" `Quick
         test_import_other_pag_refused;

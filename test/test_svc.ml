@@ -803,8 +803,8 @@ let test_breakdown_sums_to_latency () =
   Alcotest.(check bool) "stage counters accumulated" true (stage_total >= 0);
   (match P.Service.stats svc with
   | P.Json.Obj fields ->
-      Alcotest.(check bool) "stats has in_flight" true
-        (List.assoc_opt "in_flight" fields = Some (P.Json.Int 0));
+      Alcotest.(check bool) "stats has queue_depth" true
+        (List.assoc_opt "queue_depth" fields = Some (P.Json.Int 0));
       Alcotest.(check bool) "stats has stage aggregate" true
         (List.mem_assoc "stage_solve_us" fields)
   | _ -> Alcotest.fail "stats payload is not an object");

@@ -385,11 +385,10 @@ let golden_stats ~oracle =
       "coalesced"; "flushes_full"; "flushes_idle"; "flushes_forced";
       "sched_groups"; "early_terminations"; "stage_queue_wait_us";
       "stage_batch_wait_us"; "stage_solve_us"; "stage_respond_us";
-      "oracle_hits"; "oracle_misses"; "oracle_fallbacks"; "explains_ok";
-      "explains_miss";
+      "oracle_hits"; "oracle_misses"; "explains_ok"; "explains_miss";
     ]
   @ [ ("cache_hit_rate", "float"); ("mean_batch_size", "float") ]
-  @ ints [ "queue_depth"; "in_flight"; "cache_size" ]
+  @ ints [ "queue_depth"; "cache_size" ]
   @ [ ("uptime_s", "float") ]
   @ ints
       [
@@ -415,8 +414,7 @@ let golden_families =
     "parcfl_jmp_finished_total"; "parcfl_jmp_hits_total";
     "parcfl_jmp_misses_total"; "parcfl_jmp_unfinished_total";
     "parcfl_oracle_build_seconds"; "parcfl_oracle_compressed_bytes";
-    "parcfl_oracle_distinct_rows"; "parcfl_oracle_fallbacks_total";
-    "parcfl_oracle_hits_total"; "parcfl_oracle_live";
+    "parcfl_oracle_distinct_rows"; "parcfl_oracle_hits_total"; "parcfl_oracle_live";
     "parcfl_oracle_misses_total"; "parcfl_sched_early_terminations_total";
     "parcfl_sched_group_size"; "parcfl_sched_groups_total";
     "parcfl_solver_minor_words_per_query"; "parcfl_stage_seconds";
@@ -426,8 +424,7 @@ let golden_families =
     "parcfl_svc_completed_total"; "parcfl_svc_explains_miss_total";
     "parcfl_svc_explains_ok_total"; "parcfl_svc_flushes_forced_total";
     "parcfl_svc_flushes_full_total"; "parcfl_svc_flushes_idle_total";
-    "parcfl_svc_healthy"; "parcfl_svc_in_flight";
-    "parcfl_svc_info"; "parcfl_svc_latency_us"; "parcfl_svc_queue_depth";
+    "parcfl_svc_healthy"; "parcfl_svc_info"; "parcfl_svc_latency_us"; "parcfl_svc_queue_depth";
     "parcfl_svc_rejected_total"; "parcfl_svc_stage_batch_wait_us_total";
     "parcfl_svc_stage_queue_wait_us_total";
     "parcfl_svc_stage_respond_us_total"; "parcfl_svc_stage_solve_us_total";
