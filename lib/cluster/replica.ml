@@ -1,7 +1,7 @@
 type t = {
   id : int;
   socket : string;
-  mutable pid : int option;  (* None: adopted (externally managed) *)
+  mutable pid : int option;  (* None: reaped *)
 }
 
 let id t = t.id
@@ -19,8 +19,6 @@ let spawn ~id ~socket ~argv =
   in
   { id; socket; pid = Some pid }
 
-let adopt ~id ~socket = { id; socket; pid = None }
-
 let try_connect t =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX t.socket) with
@@ -31,7 +29,7 @@ let try_connect t =
 
 let alive t =
   match t.pid with
-  | None -> true (* adopted: liveness is the connection's problem *)
+  | None -> false
   | Some pid -> (
       match Unix.waitpid [ Unix.WNOHANG ] pid with
       | 0, _ -> true

@@ -1,10 +1,8 @@
 (** One engine replica: an [Svc.Server] process behind a Unix socket.
 
-    A replica is either {e spawned} — the router execs its own binary's
-    [serve] subcommand via [Unix.create_process] (never [fork]: a forked
-    multicore runtime is undefined behaviour once domains exist) and owns
-    the child — or {e adopted}: an externally managed server the router
-    only connects to. *)
+    The router execs its own binary's [serve] subcommand via
+    [Unix.create_process] (never [fork]: a forked multicore runtime is
+    undefined behaviour once domains exist) and owns the child. *)
 
 type t
 
@@ -12,18 +10,15 @@ val spawn : id:int -> socket:string -> argv:string array -> t
 (** Start [argv] (argv.(0) is the executable) as a child process that is
     expected to serve [socket]. Stdio is inherited. *)
 
-val adopt : id:int -> socket:string -> t
-(** Track an already-running server; {!kill}/{!reap} are no-ops on it. *)
-
 val id : t -> int
 val socket : t -> string
 
 val pid : t -> int option
-(** [None] for adopted or already-reaped replicas. *)
+(** [None] once the child has been reaped. *)
 
 val alive : t -> bool
-(** Non-blocking child check ([waitpid WNOHANG]); adopted replicas always
-    report alive — their health is the router's poll loop's job. *)
+(** Non-blocking child check ([waitpid WNOHANG]); [false] once the child
+    has exited or been reaped. *)
 
 val try_connect : t -> (Unix.file_descr, string) result
 (** One connection attempt to the replica's socket. *)
@@ -34,8 +29,8 @@ val wait_socket : ?timeout_s:float -> t -> (unit, string) result
     exits before ever serving. *)
 
 val kill : t -> unit
-(** SIGKILL a spawned child (no-op otherwise). *)
+(** SIGKILL the child (no-op once reaped). *)
 
 val reap : ?timeout_s:float -> t -> unit
-(** Wait for a spawned child to exit, escalating to SIGKILL after
+(** Wait for the child to exit, escalating to SIGKILL after
     [timeout_s] (default 5 s). Idempotent. *)

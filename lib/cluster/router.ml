@@ -7,26 +7,11 @@ module Expo = Parcfl_telemetry.Expo
 module Json = Parcfl_obs.Json
 module Service = Parcfl_svc.Service
 
-type config = {
-  poll_interval : float;  (* seconds between health-poll rounds *)
-  rebalance_interval : float;
-      (* seconds between live-profile seed re-scans; 0 disables *)
-}
-
-let default_config = { poll_interval = 0.5; rebalance_interval = 0.0 }
-
 (* An unanswered probe older than this counts as a failed poll. *)
 let health_timeout = 5.0
 
 (* Consecutive healthy polls a drained replica answers before re-admission. *)
 let k_readmit = 3
-
-(* Seeds scanned per placement re-scan ({!Shard_map.rebalance}). *)
-let rebalance_candidates = 16
-
-(* Per-interval multiplier on the observed load profile: an EWMA over
-   intervals, so placement tracks the recent workload. *)
-let rebalance_decay = 0.5
 
 type client = {
   conn : Transport.conn;
@@ -50,7 +35,7 @@ type pending = {
   p_orig_id : int;
   p_request : Proto.request;  (* original ids — what a replay re-sends *)
   p_backend : int;  (* a replay builds a fresh pending, never mutates *)
-  p_var : int;  (* resolved query variable (load attribution), or -1 *)
+  p_var : int;  (* resolved query variable (trace span), or -1 *)
   (* Router-side span stamps in epoch microseconds; 0 when tracing is
      off (the stamps cost clock reads, so they are taken only when a
      span sink is installed). *)
@@ -73,8 +58,8 @@ type agg = {
 }
 
 type t = {
-  config : config;
-  mutable shard_map : Shard_map.t;  (* swapped by a live rebalance *)
+  poll_interval : float;  (* seconds between health-poll rounds *)
+  shard_map : Shard_map.t;
   resolve : string -> (int, string) result;
   failover : Failover.t;
   backends : backend array;
@@ -84,7 +69,6 @@ type t = {
   aggs : (int, int * agg) Hashtbl.t;  (* router id → (backend, gather) *)
   mutable next_rid : int;
   mutable next_poll : float;
-  mutable next_rebalance : float;
   mutable stopping : bool;
   on_span : (Tracer.router_span -> unit) option;
   (* Router-side telemetry, federated ahead of the replicas' families. *)
@@ -94,11 +78,6 @@ type t = {
   mutable replays : int;
   mutable drains : int;
   mutable readmits : int;
-  mutable rebalances : int;
-  mutable migrated : int;
-  mutable busiest_before : float;  (* last rebalance, observed profile *)
-  mutable busiest_after : float;
-  profile : float array;  (* per-variable decayed solve_us EWMA *)
 }
 
 let log fmt = Printf.eprintf ("[router] " ^^ fmt ^^ "\n%!")
@@ -159,12 +138,6 @@ let router_families t =
     Expo.counter ~name:"parcfl_router_readmits_total"
       ~help:"Drained replicas re-admitted after consecutive healthy polls."
       (fi t.readmits);
-    Expo.counter ~name:"parcfl_router_rebalances_total"
-      ~help:"Live-profile seed re-scans that migrated components."
-      (fi t.rebalances);
-    Expo.counter ~name:"parcfl_router_migrated_components_total"
-      ~help:"Rendezvous keys whose owner changed across rebalances."
-      (fi t.migrated);
     Expo.gauge ~name:"parcfl_router_live_replicas"
       ~help:"Replicas currently admitted by failover."
       (fi (Failover.n_live t.failover));
@@ -173,21 +146,6 @@ let router_families t =
         name = "parcfl_router_inflight";
         help = "Forwarded requests awaiting a reply, per replica.";
         samples = per "replica" inflight_per;
-      };
-    Expo.Gauge
-      {
-        name = "parcfl_router_rebalance_busiest_share";
-        help =
-          "Busiest shard's share of the observed load at the last \
-           migrating rebalance.";
-        samples =
-          [
-            {
-              Expo.labels = [ ("when", "before") ];
-              value = t.busiest_before;
-            };
-            { Expo.labels = [ ("when", "after") ]; value = t.busiest_after };
-          ];
       };
     Expo.histogram_of_log2 ~name:"parcfl_router_poll_latency_us"
       ~help:"Health-probe round trips, microseconds." t.poll_hist;
@@ -579,57 +537,13 @@ let poll_health t ~now =
         Hashtbl.replace t.probes rid (b.b_idx, now))
     t.backends
 
-(* ------------------------ live rebalancing ------------------------- *)
-
-(* Fold the observed profile into a placement decision: re-run the seed
-   scan against what queries actually cost (each answer's solve_us,
-   decayed per interval), adopt the better seed, and migrate only the
-   components whose rendezvous owner changed — the map diff is exact, so
-   a rebalance that cannot improve placement moves nothing. *)
-let rebalance_now t =
-  let load = Array.map int_of_float t.profile in
-  let total = Array.fold_left ( + ) 0 load in
-  if total > 0 then begin
-    let before = Shard_map.busiest_share t.shard_map ~load in
-    let next =
-      Shard_map.rebalance ~candidates:rebalance_candidates
-        t.shard_map ~load
-    in
-    let moved = Shard_map.diff_owners t.shard_map next in
-    if moved <> [] then begin
-      let after = Shard_map.busiest_share next ~load in
-      log
-        "rebalance: seed %d -> %d, %d/%d component(s) migrate, busiest \
-         share %.3f -> %.3f"
-        (Shard_map.seed t.shard_map)
-        (Shard_map.seed next) (List.length moved)
-        (Shard_map.n_keys t.shard_map)
-        before after;
-      t.shard_map <- next;
-      t.rebalances <- t.rebalances + 1;
-      t.migrated <- t.migrated + List.length moved;
-      t.busiest_before <- before;
-      t.busiest_after <- after
-    end
-  end;
-  Array.iteri
-    (fun i x -> t.profile.(i) <- x *. rebalance_decay)
-    t.profile
-
 (* ---------------------- backend reply handling --------------------- *)
 
 (* A reply to a forwarded request goes on to its client as bytes: the
-   replica's rendering with only the id spliced to the client's, and the
-   solve time for the load profile read off the line's tail. *)
+   replica's rendering with only the id spliced to the client's. *)
 let forward_reply t rid p line =
   Hashtbl.remove t.inflight rid;
   p.p_client.outstanding <- p.p_client.outstanding - 1;
-  (* Every answer's solve time feeds the per-variable load profile the
-     rebalancer re-scans against. *)
-  (if p.p_var >= 0 then
-     match Proto.reply_solve_us line with
-     | Some us -> t.profile.(p.p_var) <- t.profile.(p.p_var) +. us
-     | None -> ());
   let reply_us = if t.on_span = None then 0.0 else now_us () in
   Option.iter (Transport.send p.p_client.conn)
     (Proto.splice line ~id:p.p_orig_id);
@@ -714,7 +628,7 @@ let shutdown_grace = 5.0
 
 let quiesced t = Hashtbl.length t.inflight = 0 && Hashtbl.length t.aggs = 0
 
-let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
+let serve ?(poll_interval = 0.5) ?on_span ~socket_path ~shard_map ~resolve
     replicas =
   let n = Array.length replicas in
   if n = 0 then invalid_arg "Router.create: no replicas";
@@ -722,7 +636,7 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
     invalid_arg "Router.create: shard map size disagrees with replica count";
   let t =
     {
-      config;
+      poll_interval;
       shard_map;
       resolve;
       failover = Failover.create ~n ~k_readmit;
@@ -736,7 +650,6 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
       aggs = Hashtbl.create 8;
       next_rid = 0;
       next_poll = 0.0;
-      next_rebalance = 0.0;
       stopping = false;
       on_span;
       registry = Registry.create ();
@@ -745,11 +658,6 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
       replays = 0;
       drains = 0;
       readmits = 0;
-      rebalances = 0;
-      migrated = 0;
-      busiest_before = Float.nan;
-      busiest_after = Float.nan;
-      profile = Array.make (Shard_map.n_vars shard_map) 0.0;
     }
   in
   Registry.register t.registry (fun () -> router_families t);
@@ -758,7 +666,6 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
   let listen_fd = Transport.listen socket_path in
   (* Set at [quit]: the last moment to wait for owed replies. *)
   let stop_by = ref infinity in
-  t.next_rebalance <- Unix.gettimeofday () +. t.config.rebalance_interval;
   log "serving %s over %d replicas" socket_path (Array.length t.backends);
   while
     not (t.stopping && (quiesced t || Unix.gettimeofday () >= !stop_by))
@@ -776,11 +683,7 @@ let serve ?(config = default_config) ?on_span ~socket_path ~shard_map ~resolve
     expire_probes t ~now;
     if now >= t.next_poll then begin
       poll_health t ~now;
-      t.next_poll <- now +. t.config.poll_interval
-    end;
-    if t.config.rebalance_interval > 0.0 && now >= t.next_rebalance then begin
-      rebalance_now t;
-      t.next_rebalance <- now +. t.config.rebalance_interval
+      t.next_poll <- now +. t.poll_interval
     end;
     let backends =
       Array.to_list t.backends

@@ -34,11 +34,13 @@
     requests out is not read until replies return; a stalled replica
     drains within 5 s + [poll_interval] of the stall.
 
-    {b Telemetry federation.} The router answers [ping] and [health]
-    itself (the cluster is healthy while any replica is live; reasons
-    name the drained ones). [metrics], [stats] and [slowlog] are
-    {e scattered} to every live replica and the replies merged into one
-    cluster-wide view ({!Federation}): counters and histogram buckets
+    {b Telemetry federation.} The router answers [ping] itself.
+    [metrics], [stats], [slowlog] and [health] are {e scattered} to every
+    live replica and the replies merged into one cluster-wide view
+    ({!Federation}): [health] is [ok] iff at least one live replica
+    answered and every one that answered is [ok], and the drained
+    replicas are noted in its reasons without flipping the verdict
+    ({!Federation.merge_health}); counters and histogram buckets
     sum, per-replica gauges gain a [replica="N"] label, slowlogs
     interleave worst-first. A [stats] is scattered as [metrics] and
     answered by {!federated_stats}, so the exposition is the one source
@@ -49,28 +51,12 @@
     mid-scatter only shrinks the merge; it never wedges the reply.
     [drain] stays a single-replica verb: it goes to the first live one.
 
-    {b Live rebalancing.} When [rebalance_interval > 0] the router folds
-    every answer's [solve_us] into a per-variable load profile (halved
-    each interval — an EWMA over intervals) and periodically re-runs the
-    {!Shard_map.rebalance} seed scan (16 candidate seeds) against the
-    observed profile. The scan's strict-improvement rule means a
-    rebalance is never worse than the incumbent placement, and
-    {!Shard_map.diff_owners} bounds the swap: only components whose
-    rendezvous owner actually changed migrate — their replayed queries
-    warm the new owner's cache; everything else keeps its shard and its
-    cached state. *)
-
-type config = {
-  poll_interval : float;  (** seconds between health-poll rounds *)
-  rebalance_interval : float;
-      (** seconds between live-profile seed re-scans; [0.] disables *)
-}
-
-val default_config : config
-(** 0.5 s polls, rebalancing off. *)
+    {b Placement is fixed at boot.} The router routes by the one
+    [shard_map] it is given for its whole life; only drain and re-admit
+    move keys, and rendezvous hashing moves only the drained shard's. *)
 
 val serve :
-  ?config:config ->
+  ?poll_interval:float ->
   ?on_span:(Parcfl_obs.Tracer.router_span -> unit) ->
   socket_path:string ->
   shard_map:Shard_map.t ->
@@ -82,7 +68,8 @@ val serve :
     id ({!Parcfl_pag.Names.var}, as the replicas resolve it) — the
     router resolves only to pick the shard and forwards the reference
     verbatim. The shard map's size must equal the replica count
-    ([Invalid_argument] otherwise).
+    ([Invalid_argument] otherwise). [poll_interval] (default 0.5 s) is
+    the time between health-poll rounds.
 
     On [quit] the router stops accepting and reading clients, keeps
     reading replicas until every forwarded request and federated gather

@@ -9,10 +9,7 @@ type t = {
          and its members hash per-variable instead of per-root *)
 }
 
-let default_split_factor = 1.0
-
-let create ?(split_factor = default_split_factor) ?(seed = 0) ~n_shards
-    ~root_of () =
+let create ?(seed = 0) ~n_shards ~root_of () =
   if n_shards <= 0 then invalid_arg "Shard_map.create: n_shards must be > 0";
   let root_of = Array.copy root_of in
   let n = Array.length root_of in
@@ -22,7 +19,8 @@ let create ?(split_factor = default_split_factor) ?(seed = 0) ~n_shards
      its members are rendezvous-hashed per variable instead of following
      their root. Repeats of one variable still land on one replica (the
      serving cache survives); only the outlier's cross-variable jmp
-     reuse is traded for balance. *)
+     reuse is traded for balance. "Far larger" is the scheduler's own
+     threshold: larger than the mean. *)
   let sizes = Array.make n 0 in
   Array.iter
     (fun r ->
@@ -37,18 +35,10 @@ let create ?(split_factor = default_split_factor) ?(seed = 0) ~n_shards
     if n_components = 0 then 0.0
     else float_of_int n /. float_of_int n_components
   in
-  let threshold = split_factor *. mean in
-  let split =
-    Array.map (fun s -> s > 1 && float_of_int s > threshold) sizes
-  in
+  let split = Array.map (fun s -> s > 1 && float_of_int s > mean) sizes in
   { root_of; n_shards; seed; split }
 
-let of_plan ?split_factor ?seed ~n_shards plan =
-  create ?split_factor ?seed ~n_shards
-    ~root_of:(Parcfl_sched.Schedule.component_roots plan) ()
-
 let n_shards t = t.n_shards
-let n_vars t = Array.length t.root_of
 
 let split_components t =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.split
@@ -138,8 +128,7 @@ let busiest_share t ~load =
   if !total = 0 then 0.0
   else float_of_int (Array.fold_left max 0 per) /. float_of_int !total
 
-let create_balanced ?(candidates = 16) ?split_factor ~n_shards ~root_of
-    ~load () =
+let create_balanced ?(candidates = 16) ~n_shards ~root_of ~load () =
   if Array.length load <> Array.length root_of then
     invalid_arg "Shard_map.create_balanced: load length disagrees with vars";
   if candidates <= 0 then
@@ -151,7 +140,7 @@ let create_balanced ?(candidates = 16) ?split_factor ~n_shards ~root_of
      baked into the map, so drain/re-admit stability is untouched. *)
   let best = ref None in
   for s = 0 to candidates - 1 do
-    let t = create ?split_factor ~seed:s ~n_shards ~root_of () in
+    let t = create ~seed:s ~n_shards ~root_of () in
     let share = busiest_share t ~load in
     match !best with
     | Some (bs, _) when bs <= share -> ()
@@ -159,64 +148,6 @@ let create_balanced ?(candidates = 16) ?split_factor ~n_shards ~root_of
   done;
   snd (Option.get !best)
 
-let of_plan_balanced ?candidates ?split_factor ~n_shards ~load plan =
-  create_balanced ?candidates ?split_factor ~n_shards
+let of_plan_balanced ?candidates ~n_shards ~load plan =
+  create_balanced ?candidates ~n_shards
     ~root_of:(Parcfl_sched.Schedule.component_roots plan) ~load ()
-
-(* ---------------------- live-profile rebalance ---------------------- *)
-
-let n_keys t =
-  let seen = Hashtbl.create 256 in
-  Array.iteri
-    (fun v _ ->
-      let k = key t v in
-      if not (Hashtbl.mem seen k) then Hashtbl.add seen k ())
-    t.root_of;
-  Hashtbl.length seen
-
-(* Re-run the seed scan against an observed load profile. Only the seed
-   may change — the split array and root_of are kept byte-identical, so
-   the rendezvous keys of the old and new map coincide and [diff_owners]
-   is exact. The current seed always competes (with a strict-improvement
-   rule), so the result is never worse than [t] and an already-optimal
-   map comes back unchanged: no gratuitous migration. *)
-let rebalance ?(candidates = 16) t ~load =
-  if Array.length load <> Array.length t.root_of then
-    invalid_arg "Shard_map.rebalance: load length disagrees with vars";
-  if candidates <= 0 then
-    invalid_arg "Shard_map.rebalance: candidates must be > 0";
-  let best = ref (busiest_share t ~load, t) in
-  for s = 0 to candidates - 1 do
-    if s <> t.seed then begin
-      let c = { t with seed = s } in
-      let share = busiest_share c ~load in
-      if share < fst !best then best := (share, c)
-    end
-  done;
-  snd !best
-
-(* Rendezvous keys whose all-live owner differs between two maps over
-   the same variable space — exactly the components (or split-component
-   members) a router must migrate when it adopts [b] in place of [a].
-   Everything else keeps its owner: this is the rendezvous property that
-   makes the migration diff computable instead of total. *)
-let diff_owners a b =
-  if a.n_shards <> b.n_shards then
-    invalid_arg "Shard_map.diff_owners: shard counts differ";
-  if
-    Array.length a.root_of <> Array.length b.root_of
-    || a.root_of <> b.root_of || a.split <> b.split
-  then invalid_arg "Shard_map.diff_owners: maps cover different keys";
-  let live = all_live a.n_shards in
-  let seen = Hashtbl.create 256 in
-  let moved = ref [] in
-  Array.iteri
-    (fun v _ ->
-      let k = key a v in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        if owner_among a ~live k <> owner_among b ~live k then
-          moved := k :: !moved
-      end)
-    a.root_of;
-  List.rev !moved

@@ -16,21 +16,15 @@
     the mean is the same outlier the scheduler's load-balance rule (paper
     Section III-C) splits into several scheduling units: keeping it whole
     would pin an outsized share of the cluster's work to one replica.
-    Members of a component more than [split_factor] times the mean
-    component size are rendezvous-hashed {e per variable} instead of per
-    root. Repeats of one variable still land on one replica — the serving
+    Members of a component larger than the mean component size are
+    rendezvous-hashed {e per variable} instead of per root. Repeats of one variable still land on one replica — the serving
     cache survives — and drain/re-admit still move only the affected
     shard's keys; only the outlier's cross-variable jmp reuse is traded
     for balance. *)
 
 type t
 
-val default_split_factor : float
-(** [1.0]: a component larger than the mean size sub-shards — the same
-    threshold the paper's scheduler uses for splitting groups. *)
-
 val create :
-  ?split_factor:float ->
   ?seed:int ->
   n_shards:int ->
   root_of:int array ->
@@ -45,7 +39,6 @@ val create :
 
 val create_balanced :
   ?candidates:int ->
-  ?split_factor:float ->
   n_shards:int ->
   root_of:int array ->
   load:int array ->
@@ -62,27 +55,17 @@ val create_balanced :
     @raise Invalid_argument when [candidates <= 0] or [load] length
     disagrees with [root_of]. *)
 
-val of_plan :
-  ?split_factor:float ->
-  ?seed:int ->
-  n_shards:int ->
-  Parcfl_sched.Schedule.plan ->
-  t
-(** Build over the engine's prepared scheduling plan — the same partition
-    the batch scheduler groups by, so shard affinity and schedule grouping
-    agree by construction. *)
-
 val of_plan_balanced :
   ?candidates:int ->
-  ?split_factor:float ->
   n_shards:int ->
   load:int array ->
   Parcfl_sched.Schedule.plan ->
   t
-(** {!create_balanced} over a prepared plan's component roots. *)
+(** {!create_balanced} over the engine's prepared scheduling plan — the
+    same partition the batch scheduler groups by, so shard affinity and
+    schedule grouping agree by construction. *)
 
 val n_shards : t -> int
-val n_vars : t -> int
 
 val seed : t -> int
 (** The rendezvous seed this map was built with. *)
@@ -101,43 +84,10 @@ val shard : t -> live:bool array -> int -> int
     @raise Invalid_argument when no shard is live, [v] is out of range, or
     the mask length disagrees with [n_shards]. *)
 
-val owner_among : t -> live:bool array -> int -> int
-(** Ownership of a component {e root} directly (callers that already
-    resolved the root and know its component is not split — members of a
-    split component do not follow their root).
-    @raise Invalid_argument when no shard is live. *)
-
 val shard_sizes : t -> live:bool array -> int array
 (** Variables owned per shard under [live] — balance diagnostics. *)
 
 val busiest_share : t -> load:int array -> float
 (** The busiest shard's share of [load] with every shard live — the
-    quantity {!create_balanced} and {!rebalance} minimise. [load.(v)] is
-    [v]'s weight; [0.0] when the profile is all zero. *)
-
-val key : t -> int -> int
-(** [v]'s rendezvous key: its component root, or [v] itself inside an
-    oversized (split) component. Two variables with equal keys always
-    share an owner — the unit of migration. *)
-
-val n_keys : t -> int
-(** Distinct rendezvous keys — the number of independently-placed units
-    (components plus split-component members). *)
-
-val rebalance : ?candidates:int -> t -> load:int array -> t
-(** Re-run the seed scan against an {e observed} load profile: the best
-    seed in [0 .. candidates-1] (default [16]) by {!busiest_share},
-    with the incumbent seed competing under a strict-improvement rule.
-    Never worse than [t]; returns [t]'s seed unchanged (hence an empty
-    {!diff_owners}) when no candidate beats it. Only the seed changes —
-    roots and split decisions are preserved, so old and new map share
-    one key space.
-    @raise Invalid_argument when [candidates <= 0] or [load] length
-    disagrees with the variable count. *)
-
-val diff_owners : t -> t -> int list
-(** The rendezvous keys whose all-live owner differs between two maps
-    over the same key space (same roots and splits, e.g. a map and its
-    {!rebalance}) — exactly the components a router must migrate when it
-    swaps maps; every other key keeps its owner.
-    @raise Invalid_argument when the maps' key spaces differ. *)
+    quantity {!create_balanced} minimises. [load.(v)] is [v]'s weight;
+    [0.0] when the profile is all zero. *)

@@ -498,22 +498,3 @@ let splice line ~id =
     Bytes.set b (Bytes.length b - 1) '\n';
     Some (Bytes.unsafe_to_string b)
   end
-
-let solve_key = ",\"solve_us\":"
-
-(* Only the line's last bytes are searched: an answer or a timeout ends
-   with its breakdown, and no float token is longer than 24 bytes. *)
-let reply_solve_us line =
-  let n = String.length line and k = String.length solve_key in
-  let rec at i j = j = k || (line.[i + j] = solve_key.[j] && at i (j + 1)) in
-  let rec find i =
-    if i < 0 || i < n - 128 then None
-    else if at i 0 then Some (i + k)
-    else find (i - 1)
-  in
-  match find (n - k) with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start ',' with
-      | Some stop -> float_of_string_opt (String.sub line start (stop - start))
-      | None -> None)

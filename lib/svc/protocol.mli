@@ -183,7 +183,3 @@ val splice : string -> id:int -> string option
     line starts with neither. For a rendered reply [r],
     [splice (response_to_string r) ~id] is the line of [r] with its id
     set to [id] (an [Error] gets [Some id]). *)
-
-val reply_solve_us : string -> float option
-(** The [solve_us] field of an [Answer] or [Timeout] line, read from the
-    line's last 128 bytes; [None] when it is not there. *)

@@ -1,6 +1,5 @@
 (* CI smoke test for `parcfl cluster`: boot the real binary — a router in
-   front of two spawned replicas with live rebalancing and cluster
-   tracing on — then:
+   front of two spawned replicas with cluster tracing on — then:
 
    1. warm up with 40 pipelined queries and check the *federated* scrape:
       the router's `metrics` must sum the two replicas' latency-histogram
@@ -26,9 +25,8 @@
    6. pipeline a 400-query mix through the router socket, SIGKILL one
       replica after the 150th answer, and require every one of the 400
       queries to come back as a correct answer (cross-checked against an
-      in-process solve): the failover replay may move work — and the
-      rebalancer may re-home components mid-run — never lose or corrupt
-      it;
+      in-process solve): the failover replay may move work, never lose
+      or corrupt it;
    7. after the kill, `stats` and `slowlog` must federate over the
       surviving replica (replicas=1, entries tagged with their replica);
    8. after quit, the merged cluster trace must show at least one request
@@ -273,15 +271,13 @@ let () =
   let trace_path = sock ^ ".trace.json" in
 
   (* Boot the cluster with its stdout piped so we learn the replica pids.
-     Rebalancing and tracing are both on: the run exercises live
-     migration under load, and the exit path must merge the lanes. *)
+     Tracing is on: the exit path must merge the lanes. *)
   let from_child_r, from_child_w = Unix.pipe ~cloexec:false () in
   let cluster_pid =
     Unix.create_process cli
       [|
         cli; "cluster"; "-b"; "tiny"; "--socket"; sock; "-r"; "2";
-        "-t"; "1"; "--poll-ms"; "100";
-        "--rebalance-ms"; "150"; "--trace-out"; trace_path;
+        "-t"; "1"; "--poll-ms"; "100"; "--trace-out"; trace_path;
       |]
       Unix.stdin from_child_w Unix.stderr
   in
@@ -784,8 +780,7 @@ let () =
   if not !killed then fail "never reached the kill point";
 
   (* Zero lost, zero incorrect: every id answered, every answer equal to
-     the in-process solve — across failover replay *and* any rebalance
-     migrations the 150 ms re-scan performed mid-run. *)
+     the in-process solve — across failover replay. *)
   for i = 0 to n_requests - 1 do
     match Hashtbl.find_opt answers i with
     | None -> fail "query %d was lost" i

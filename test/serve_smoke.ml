@@ -12,8 +12,9 @@
    its solve, and a 128-query burst in one write still forms a full
    batch. A pushback leg pipes 1,000 distinct cache misses into a server
    at default settings: none may be refused. A usage leg starts
-   `serve --max-batch 0`, which must exit 124 with cmdliner's usage
-   message, not an uncaught exception.
+   `serve --max-batch 0`, `serve -t 0`, `cluster --poll-ms 0` and
+   `cluster -r 0`; each must exit 124 with cmdliner's usage message, not
+   an uncaught exception, a clamped value or a started cluster.
 
    Usage: serve_smoke.exe <path/to/parcfl_cli.exe> *)
 
@@ -362,33 +363,44 @@ let () =
    | _, Unix.WEXITED 0 -> close_in ic
    | _ -> fail "EOF leg: server did not exit cleanly");
 
-  (* Usage leg: an out-of-range capacity is a usage error (exit 124),
-     reported before the server builds anything. *)
-  (let err_r, err_w = Unix.pipe ~cloexec:true () in
-   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
-   let pid =
-     Unix.create_process cli
-       [| cli; "serve"; "-b"; "tiny"; "-t"; "1"; "--max-batch"; "0" |]
-       null null err_w
-   in
-   Unix.close err_w;
-   Unix.close null;
-   let ic = Unix.in_channel_of_descr err_r in
-   let err = In_channel.input_all ic in
-   close_in ic;
-   let mentions sub =
-     let n = String.length sub in
-     let rec go i =
-       i + n <= String.length err && (String.sub err i n = sub || go (i + 1))
-     in
-     go 0
-   in
-   if mentions "uncaught exception" then
-     fail "usage leg: --max-batch 0 raised: %s" err;
-   match Unix.waitpid [] pid with
-   | _, Unix.WEXITED 124 -> ()
-   | _, Unix.WEXITED n -> fail "usage leg: --max-batch 0 exited %d, not 124" n
-   | _ -> fail "usage leg: --max-batch 0 did not exit");
+  (* Usage leg: an out-of-range size or interval is a usage error (exit
+     124), reported before anything is built or spawned. The cluster
+     cases pass no --socket, so a build that accepts the value exits 1
+     instead of starting a cluster. *)
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let err_r, err_w = Unix.pipe ~cloexec:true () in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+      let pid =
+        Unix.create_process cli
+          (Array.of_list ((cli :: args) @ [ "-b"; "tiny" ]))
+          null null err_w
+      in
+      Unix.close err_w;
+      Unix.close null;
+      let ic = Unix.in_channel_of_descr err_r in
+      let err = In_channel.input_all ic in
+      close_in ic;
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length err && (String.sub err i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      if mentions "uncaught exception" then
+        fail "usage leg: %s raised: %s" what err;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 124 -> ()
+      | _, Unix.WEXITED n -> fail "usage leg: %s exited %d, not 124" what n
+      | _ -> fail "usage leg: %s did not exit" what)
+    [
+      [ "serve"; "-t"; "1"; "--max-batch"; "0" ];
+      [ "serve"; "-t"; "0" ];
+      [ "cluster"; "--poll-ms"; "0" ];
+      [ "cluster"; "-r"; "0" ];
+    ];
 
   (* Pushback leg: one write of 1,000 distinct (variable, budget) cache
      misses, over 15 times [max_batch], reaches an idle server at default

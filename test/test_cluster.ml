@@ -78,20 +78,6 @@ let test_map_splits_outlier () =
         (P.Shard_map.shard m ~live:dead v)
   done
 
-let test_map_split_factor_override () =
-  (* A huge factor disables splitting: the outlier follows its root and
-     all 40 members share one owner. *)
-  let m =
-    P.Shard_map.create ~split_factor:1000.0 ~n_shards:4
-      ~root_of:outlier_roots ()
-  in
-  Alcotest.(check int) "no split at factor 1000" 0
-    (P.Shard_map.split_components m);
-  let owner = P.Shard_map.home m 0 in
-  for v = 1 to 39 do
-    Alcotest.(check int) "member follows root" owner (P.Shard_map.home m v)
-  done
-
 let test_map_balanced_choice () =
   (* Two singleton components carrying all the load: a single seed may
      co-locate them, but the balanced scan must find a seed that puts
@@ -132,55 +118,6 @@ let test_map_sizes_and_errors () =
     (Invalid_argument "Shard_map.shard: live mask size mismatch") (fun () ->
       ignore (P.Shard_map.shard m ~live:(Array.make 3 true) 0))
 
-(* --------------------------- rebalance ---------------------------- *)
-
-(* Rebalancing against an observed profile two heavy components the
-   incumbent seed co-locates: the re-scan must separate them, and the
-   owner diff must name exactly the keys that moved. *)
-let test_rebalance_improves_and_diff_is_exact () =
-  let root_of = [| 0; 1 |] and load = [| 100; 100 |] in
-  (* Find an incumbent seed that co-locates the two heavy components —
-     the skew a static placement built against the wrong profile has. *)
-  let rec colocated s =
-    let m = P.Shard_map.create ~seed:s ~n_shards:2 ~root_of () in
-    if P.Shard_map.home m 0 = P.Shard_map.home m 1 then m
-    else colocated (s + 1)
-  in
-  let m = colocated 0 in
-  Alcotest.(check (float 1e-9)) "incumbent is fully skewed" 1.0
-    (P.Shard_map.busiest_share m ~load);
-  let next = P.Shard_map.rebalance m ~load in
-  Alcotest.(check (float 1e-9)) "rebalance separates the heavy keys" 0.5
-    (P.Shard_map.busiest_share next ~load);
-  let moved = P.Shard_map.diff_owners m next in
-  Alcotest.(check bool) "something migrated" true (moved <> []);
-  let all = Array.make 2 true in
-  for v = 0 to 1 do
-    let k = P.Shard_map.key m v in
-    let was = P.Shard_map.shard m ~live:all v
-    and is = P.Shard_map.shard next ~live:all v in
-    if List.mem k moved then
-      Alcotest.(check bool)
-        (Printf.sprintf "moved key %d changed owner" k)
-        true (was <> is)
-    else
-      Alcotest.(check int)
-        (Printf.sprintf "unmoved key %d kept its owner" k)
-        was is
-  done
-
-let test_rebalance_incumbent_stays () =
-  (* A balanced map re-scanned against the profile it was built for
-     cannot improve: strict-improvement keeps the incumbent seed, so
-     nothing migrates — a no-op rebalance moves no state. *)
-  let root_of = [| 0; 1 |] and load = [| 100; 100 |] in
-  let m = P.Shard_map.create_balanced ~n_shards:2 ~root_of ~load () in
-  let next = P.Shard_map.rebalance m ~load in
-  Alcotest.(check int) "seed unchanged" (P.Shard_map.seed m)
-    (P.Shard_map.seed next);
-  Alcotest.(check (list int)) "no migration" []
-    (P.Shard_map.diff_owners m next)
-
 (* The serving mix's load profile as the router's placement sees it:
    load(v) = requests for v plus the steps its answers report, from one
    cold run of the _200_check mix on the context-insensitive engine. *)
@@ -192,11 +129,9 @@ let mix_profile =
      let responses = Serve_mix.drive svc vars in
      P.Service.shutdown svc;
      let pag = b.P.Suite.pag in
-     let counts = Array.make (P.Pag.n_vars pag) 0 in
      let load = Array.make (P.Pag.n_vars pag) 0 in
      Array.iteri
        (fun i v ->
-         counts.(v) <- counts.(v) + 1;
          load.(v) <-
            (load.(v) + 1
            +
@@ -207,40 +142,14 @@ let mix_profile =
      let plan =
        P.Schedule.prepare ~pag ~type_level:b.P.Suite.type_level
      in
-     (plan, counts, load))
-
-let test_rebalance_never_worse () =
-  (* Whatever the profile, the re-scan's strict-improvement rule bounds
-     it by the incumbent. *)
-  let root_of = Array.init 16 (fun v -> v) in
-  let load = Array.init 16 (fun v -> 1 + ((v * 7) mod 13)) in
-  let m = P.Shard_map.create ~seed:9 ~n_shards:4 ~root_of () in
-  let next = P.Shard_map.rebalance ~candidates:32 m ~load in
-  Alcotest.(check bool) "never worse than the incumbent" true
-    (P.Shard_map.busiest_share next ~load
-    <= P.Shard_map.busiest_share m ~load);
-  (* The router's case: a placement balanced on request counts alone,
-     re-scanned against the observed profile. *)
-  let plan, counts, load = Lazy.force mix_profile in
-  List.iter
-    (fun r ->
-      let m =
-        P.Shard_map.of_plan_balanced ~candidates:64 ~n_shards:r ~load:counts
-          plan
-      in
-      let next = P.Shard_map.rebalance ~candidates:64 m ~load in
-      if
-        P.Shard_map.busiest_share next ~load
-        > P.Shard_map.busiest_share m ~load
-      then Alcotest.failf "mix profile, %d shards: rebalance made it worse" r)
-    [ 2; 4; 8 ]
+     (plan, load))
 
 (* The scale-out the cluster can reach on the mix is bounded by its
    busiest shard's share of the load: a replica per shard finishes when
    the busiest one does. Balanced on the observed profile, that share
    must admit 1.6x at 2 replicas, 2.5x at 4 and 3.0x at 8. *)
 let test_mix_busiest_share_floors () =
-  let plan, _, load = Lazy.force mix_profile in
+  let plan, load = Lazy.force mix_profile in
   List.iter
     (fun (r, speedup) ->
       let m =
@@ -251,22 +160,6 @@ let test_mix_busiest_share_floors () =
         Alcotest.failf "%d shards: busiest share %.3f > 1/%.1f" r share
           speedup)
     [ (2, 1.6); (4, 2.5); (8, 3.0) ]
-
-let test_diff_owners_rejects_mismatch () =
-  let a = P.Shard_map.create ~n_shards:2 ~root_of:even_roots () in
-  Alcotest.(check int) "n_keys counts components" 6 (P.Shard_map.n_keys a);
-  let b = P.Shard_map.create ~n_shards:3 ~root_of:even_roots () in
-  Alcotest.check_raises "shard count mismatch"
-    (Invalid_argument "Shard_map.diff_owners: shard counts differ")
-    (fun () -> ignore (P.Shard_map.diff_owners a b));
-  let c =
-    P.Shard_map.create ~n_shards:2
-      ~root_of:(Array.init 12 (fun v -> v))
-      ()
-  in
-  Alcotest.check_raises "key space mismatch"
-    (Invalid_argument "Shard_map.diff_owners: maps cover different keys")
-    (fun () -> ignore (P.Shard_map.diff_owners a c))
 
 (* --------------------------- federation --------------------------- *)
 
@@ -636,24 +529,14 @@ let suite =
         test_map_drain_stability;
       Alcotest.test_case "shard map splits outliers" `Quick
         test_map_splits_outlier;
-      Alcotest.test_case "shard map split factor" `Quick
-        test_map_split_factor_override;
       Alcotest.test_case "shard map balanced seed choice" `Quick
         test_map_balanced_choice;
       Alcotest.test_case "shard map sizes and errors" `Quick
         test_map_sizes_and_errors;
-      Alcotest.test_case "rebalance improves skew, diff exact" `Quick
-        test_rebalance_improves_and_diff_is_exact;
-      Alcotest.test_case "rebalance incumbent rule" `Quick
-        test_rebalance_incumbent_stays;
-      Alcotest.test_case "rebalance never worse" `Quick
-        test_rebalance_never_worse;
       Alcotest.test_case "mix busiest share meets scale-out floors" `Quick
         test_mix_busiest_share_floors;
       Alcotest.test_case "snapshot-warmed joiner beats cold" `Quick
         test_snapshot_warmed_joiner;
-      Alcotest.test_case "diff_owners key-space guard" `Quick
-        test_diff_owners_rejects_mismatch;
       Alcotest.test_case "federation counters/gauges" `Quick
         test_federation_counters_sum_gauges_relabel;
       Alcotest.test_case "federation histograms" `Quick

@@ -370,7 +370,7 @@ let gen_prefix_fuzz =
             "{\"id\":"; "{\"id\":null,"; "-"; "0"; "9"; "19"; "4611686018427387903";
             "4611686018427387904"; "-4611686018427387904"; "99999999999999999999";
             ","; "}"; "\"status\":\"pong\""; "\"status\":\"error\",\"reason\":\"x\"";
-            ",\"solve_us\":"; "1e3"; " "; "\"";
+            "1e3"; " "; "\"";
           ];
       ]
   in
@@ -390,7 +390,6 @@ let prop_prefix_scanner =
     (QCheck.make ~print:(Printf.sprintf "%S") gen_prefix_fuzz)
     (fun line ->
       let parsed = Proto.response_of_string line in
-      ignore (Proto.reply_solve_us line);
       (match (Proto.reply_id line, parsed) with
       | Some n, Ok r when Proto.response_id r <> Some n ->
           QCheck.Test.fail_reportf "scanner read %d" n
@@ -401,27 +400,6 @@ let prop_prefix_scanner =
           = Ok (with_id r 42)
       | _ -> true)
 
-let test_solve_us_tail () =
-  let bd = { P.Svc_span.zero with bd_solve_us = 123.5 } in
-  let answer =
-    Proto.Answer
-      {
-        id = 1; var = "v"; objects = [ "solve_us\",\"solve_us\":9," ]; cached = false;
-        steps = 2; latency_us = 123.5; breakdown = bd;
-      }
-  in
-  let timeout =
-    Proto.Timeout
-      { id = 2; reason = `Deadline; cached = false; latency_us = 7.0;
-        breakdown = { bd with bd_solve_us = 7.0 } }
-  in
-  Alcotest.(check (option (float 0.0))) "answer" (Some 123.5)
-    (Proto.reply_solve_us (Proto.response_to_string answer));
-  Alcotest.(check (option (float 0.0))) "timeout" (Some 7.0)
-    (Proto.reply_solve_us (Proto.response_to_string timeout));
-  Alcotest.(check (option (float 0.0))) "pong" None
-    (Proto.reply_solve_us (Proto.response_to_string (Proto.Pong 3)))
-
 let suite =
   ( "wire",
     [
@@ -431,7 +409,6 @@ let suite =
         `Slow test_solver_answers_sample;
       QCheck_alcotest.to_alcotest prop_equal_names_share_a_rank;
       Alcotest.test_case "escaped names" `Quick test_escaped_names;
-      Alcotest.test_case "solve_us read off the tail" `Quick test_solve_us_tail;
       QCheck_alcotest.to_alcotest prop_splice;
       QCheck_alcotest.to_alcotest prop_prefix_scanner;
     ] )
